@@ -22,7 +22,6 @@ from .cube import CubeEncoding, OrientationView, cube_encoding, orientation_view
 from .errors import (
     ConditioningOnEmptySet,
     DanglingVertex,
-    DepthGuardExceeded,
     EnumerationBoundExceeded,
     GenerationFailedAfterRetries,
     NegativeCycle,

@@ -1,10 +1,14 @@
-"""Executable pivoting recursions with full trace recording.
+"""The pivoting recursion, written once, with full trace recording.
 
-Two variants of the same recursion are provided.  run_random_facet
-draws a fresh uniformly random facet at every choice point;
-run_random_facet_star is deterministic and always removes the facet
-ranked first by a fixed permutation.  Both count one pivot per
-exchange and record it as a PivotEvent.
+Both rules are one recursion: remove an edge e of F minus B, solve the
+smaller problem, and pivot e back in if it improves the tree.  steps()
+runs it with an explicit stack and yields an event at every choice
+point and after every exchange; only the chooser differs between the
+rules.  run_random_facet draws a fresh uniformly random facet at every
+choice point; run_random_facet_star is deterministic and always removes
+the facet ranked first by a fixed permutation.  Both fold the events
+into a RunResult, counting one pivot per exchange; comptree streams the
+same events into its computation trees.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -16,16 +20,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import DepthGuardExceeded, PermutationDomainTooSmall
+from .errors import PermutationDomainTooSmall
 from .graph import EdgeId, Instance, TreePolicy, facet_mask
 
 RF = "rf"
 RF_STAR = "rfstar"
 RULES = (RF, RF_STAR)
-
-DEFAULT_DEPTH_GUARD = 10**6
 
 
 class CallKind(str, enum.Enum):
@@ -93,51 +95,12 @@ class Permutation:
         return f"Permutation({' < '.join(str(e) for e in self._order)})"
 
 
-def run_random_facet(
-    inst: Instance,
-    facets: Iterable[EdgeId] | None,
-    start: TreePolicy,
-    rng,
-    *,
-    depth_guard: int = DEFAULT_DEPTH_GUARD,
-) -> RunResult:
-    """Run the randomized recursion from `start` within `facets`.
+def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePolicy):
+    """(index, facet mask, per-vertex choice) of a validated start tree.
 
-    One rng.randrange(len(candidates)) call per choice point, so runs
-    are reproducible from a seeded random.Random on any platform.
+    Raises ValueError unless `start` lies inside the facet set, chooses
+    one edge per vertex and reaches the target from every vertex.
     """
-
-    def pick(cands: list[EdgeId]) -> EdgeId:
-        return cands[rng.randrange(len(cands))]
-
-    return _run(inst, facets, start, pick, depth_guard)
-
-
-def run_random_facet_star(
-    inst: Instance,
-    facets: Iterable[EdgeId] | None,
-    start: TreePolicy,
-    sigma: Permutation,
-    *,
-    depth_guard: int = DEFAULT_DEPTH_GUARD,
-) -> RunResult:
-    """Run the permutation-driven recursion; a pure function of its inputs.
-
-    The same permutation is consulted at every choice point; recursive
-    calls restrict it implicitly by taking the minimum over the current
-    candidate set.
-    """
-    fmask = facet_mask(inst, facets)
-    ids = inst._index.edge_bits(fmask)
-    if not sigma.domain.issuperset(ids):
-        missing = [eid for eid in ids if eid not in sigma.domain]
-        raise PermutationDomainTooSmall(
-            f"permutation does not rank facet edges {missing}"
-        )
-    return _run(inst, facets, start, sigma.min_of, depth_guard)
-
-
-def _run(inst, facets, start, pick, depth_guard) -> RunResult:
     idx = inst._index
     fmask = facet_mask(inst, facets)
     if start.mask & ~fmask:
@@ -147,46 +110,110 @@ def _run(inst, facets, start, pick, depth_guard) -> RunResult:
         raise ValueError("start tree does not choose one edge per vertex")
     if idx.tree_distances(start.mask) is None:
         raise ValueError("start tree does not reach the target from every vertex")
-    bmask = start.mask
-    trace: list[PivotEvent] = []
-    # stack frames describe enclosing calls waiting for their first
-    # recursive call to return: (facet mask, removed edge, depth, kind)
+    return idx, fmask, choice
+
+
+def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
+    """Events of one run from tree mask `bmask` within facet mask `fmask`.
+
+    At each choice point `pick(candidates)` names the edge to remove,
+    the candidates being F minus B in ascending id order, and
+    ("pick", fmask, bmask, e) is yielded with the state before removal.
+    After each exchange ("pivot", entering, leaving, depth, kind, fmask,
+    bmask) is yielded with the state after it; depth and kind describe
+    the call that pivoted.  The run ends when no enclosing call can
+    pivot.  Every pivot strictly improves the tree, so it terminates.
+    `choice`, the chosen edge per vertex of `bmask`, is copied first.
+    """
+    edge_bits, tree_distances = idx.edge_bits, idx.tree_distances
+    tail, head, cost = idx.tail, idx.head, idx.cost
+    first, second = CallKind.FIRST, CallKind.SECOND
+    choice = list(choice)
+    # frames of enclosing calls waiting for their first recursive call
+    # to return: (facet mask, removed edge, depth, kind)
     stack: list[tuple[int, EdgeId, int, CallKind]] = []
     depth = 0
     kind = CallKind.ROOT
     while True:
-        if depth > depth_guard:
-            raise DepthGuardExceeded(f"recursion deeper than {depth_guard}")
-        cands = idx.edge_bits(fmask & ~bmask)
+        cands = edge_bits(fmask & ~bmask)
         if cands:
             e = pick(cands)
+            yield ("pick", fmask, bmask, e)
             stack.append((fmask, e, depth, kind))
             fmask &= ~(1 << e)
             depth += 1
-            kind = CallKind.FIRST
+            kind = first
             continue
         # base case reached: unwind until a pivot restarts the loop
-        pivoted = False
+        dist = tree_distances(bmask)
         while stack:
-            caller_fmask, e, caller_depth, caller_kind = stack.pop()
-            dist = idx.tree_distances(bmask)
-            u = idx.tail[e]
-            h = idx.head[e]
-            if idx.cost[e] + idx.dget(dist, h) < dist[u]:
+            fmask, e, depth, kind = stack.pop()
+            u = tail[e]
+            h = head[e]
+            if cost[e] + (dist[h] if h >= 0 else 0) < dist[u]:
                 leaving = choice[u]
-                trace.append(PivotEvent(e, leaving, caller_depth, caller_kind))
-                choice = list(choice)
                 choice[u] = e
                 bmask = (bmask & ~(1 << leaving)) | (1 << e)
-                fmask = caller_fmask
-                depth = caller_depth + 1
-                kind = CallKind.SECOND
-                pivoted = True
+                yield ("pivot", e, leaving, depth, kind, fmask, bmask)
+                depth += 1
+                kind = second
                 break
-        if pivoted:
-            continue
-        final = idx.policy_from_choice(choice)
-        return RunResult(final_tree=final, pivot_count=len(trace), trace=tuple(trace))
+        else:
+            return
+
+
+def run_random_facet(
+    inst: Instance,
+    facets: Iterable[EdgeId] | None,
+    start: TreePolicy,
+    rng,
+) -> RunResult:
+    """Run the randomized recursion from `start` within `facets`.
+
+    One rng.randrange(len(candidates)) call per choice point, so runs
+    are reproducible from a seeded random.Random on any platform.
+    """
+    idx, fmask, choice = start_state(inst, facets, start)
+
+    def pick(cands: list[EdgeId]) -> EdgeId:
+        return cands[rng.randrange(len(cands))]
+
+    return _run(idx, fmask, choice, start.mask, pick)
+
+
+def run_random_facet_star(
+    inst: Instance,
+    facets: Iterable[EdgeId] | None,
+    start: TreePolicy,
+    sigma: Permutation,
+) -> RunResult:
+    """Run the permutation-driven recursion; a pure function of its inputs.
+
+    The same permutation is consulted at every choice point; recursive
+    calls restrict it implicitly by taking the minimum over the current
+    candidate set.
+    """
+    idx, fmask, choice = start_state(inst, facets, start)
+    ids = idx.edge_bits(fmask)
+    if not sigma.domain.issuperset(ids):
+        missing = [eid for eid in ids if eid not in sigma.domain]
+        raise PermutationDomainTooSmall(
+            f"permutation does not rank facet edges {missing}"
+        )
+    return _run(idx, fmask, choice, start.mask, sigma.min_of)
+
+
+def _run(idx, fmask, choice, bmask, pick) -> RunResult:
+    """Fold the pivot events of one run into its result."""
+    tail = idx.tail
+    trace: list[PivotEvent] = []
+    for ev in steps(idx, fmask, choice, bmask, pick):
+        if ev[0] == "pivot":
+            _, entering, leaving, depth, kind, _, _ = ev
+            trace.append(PivotEvent(entering, leaving, depth, kind))
+            choice[tail[entering]] = entering
+    final = idx.policy_from_choice(choice)
+    return RunResult(final_tree=final, pivot_count=len(trace), trace=tuple(trace))
 
 
 def format_trace(result: RunResult) -> str:

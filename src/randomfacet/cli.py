@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import instances
 from .algorithms import RF, RF_STAR
-from .comptree import comptree
+from .comptree import _frac, comptree
 from .errors import RandomFacetError
 from .exact import expected_pivots_rf, expected_pivots_rf_star
 from .graph import (
@@ -35,10 +35,6 @@ from .orders import ConstraintSet, conditional_order_probability, count_linear_e
 # seams the tests monkeypatch to simulate a missing or perturbed fixture
 _load_errata = instances.errata_instance
 _derive_errata = instances.derive_errata_instance
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _enum_bound() -> int | None:

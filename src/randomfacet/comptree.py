@@ -7,28 +7,32 @@ total pivot count.  Every root-to-leaf path is one possible execution,
 so leaf probabilities sum to one and the probability-weighted leaf
 pivot counts reproduce the exact expectations.
 
-For the randomized rule each choice point branches uniformly over the
-removable facets.  For the permutation-driven rule all |F|! orderings
-are partitioned by the execution path they induce; a branch probability
-is the number of orderings consistent with the history and choosing
-that facet next, divided by the number consistent with the history.
+Both rules are built the same way: weighted runs of the pivoting core
+(algorithms.steps) are streamed into one trie keyed by their events,
+and a node's probability is its mass divided by its parent's.  For the
+randomized rule the runs are every decision branch, found by replaying
+scripted choices, each weighted by the product of 1/|candidates| over
+its choice points, so each choice point branches uniformly.  For the
+permutation-driven rule the runs are one per ordering of the |F| facets,
+each of weight one; a branch probability is then the number of
+orderings consistent with the history and choosing that facet next,
+divided by the number consistent with the history.
 Facets that can never re-enter a tree (the edge displaced by a pivot)
 are kept in the tree rather than merged away; queries such as
 pick_order_after_pivot marginalize over them on demand.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .algorithms import RF, RF_STAR
-from .errors import EnumerationBoundExceeded
-from .exact import DEFAULT_ENUMERATION_BOUND
-from .graph import EdgeId, Instance, TreePolicy, edge_names, facet_mask
-
-import itertools
-import math
+from .algorithms import RF, RF_STAR, start_state, steps
+from .exact import check_enumeration_bound
+from .graph import EdgeId, Instance, TreePolicy, edge_names
 
 
 @dataclass
@@ -133,7 +137,7 @@ class CompTree:
                 pv = nodes[at]
                 cands = frozenset(
                     eid
-                    for eid in _bits(pv.facets & ~pv.tree)
+                    for eid in self.instance._index.edge_bits(pv.facets & ~pv.tree)
                     if eid != pv.leaving
                 )
             chosen: EdgeId | None = None
@@ -203,7 +207,7 @@ class CompTree:
         def emit(node: CompNode, parent: int | None):
             nid = next(counter)
             if node.kind in ("root", "pick"):
-                avail = _set_str(node.facets & ~node.tree, names, mask=True)
+                avail = _set_str(self.instance._index.edge_bits(node.facets & ~node.tree), names)
                 if node.kind == "root":
                     label = f"F\\\\B = {{{avail}}}"
                     shape = "ellipse"
@@ -252,29 +256,39 @@ def comptree(
     enumeration_bound: int | None = None,
 ) -> CompTree:
     """Build the full computation tree for one rule."""
-    idx = inst._index
-    fmask = facet_mask(inst, facets)
-    if start.mask & ~fmask:
-        raise ValueError("start tree is not contained in the facet set")
-    choice = idx.choice_of_mask(start.mask)
-    if choice is None or idx.tree_distances(start.mask) is None:
-        raise ValueError("start tree is not a valid tree policy")
-    root = CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=start.mask)
+    idx, fmask, choice = start_state(inst, facets, start)
+    bmask = start.mask
+    # trie of event tuples; the dict after a run's last event maps
+    # _LEAF to the total weight of the runs ending there
+    trie: dict = {}
     if rule == RF:
-        root.children = _build_rf(idx, fmask, choice, start.mask)
+        agenda: list[tuple[int, ...]] = [()]
+        while agenda:
+            script = agenda.pop()
+            widths: list[int] = []
+
+            def pick(cands, script=script, widths=widths):
+                i = len(widths)
+                widths.append(len(cands))
+                return cands[script[i] if i < len(script) else 0]
+
+            end = _add_run(trie, steps(idx, fmask, choice, bmask, pick))
+            end[_LEAF] = end.get(_LEAF, 0) + Fraction(1, math.prod(widths))
+            taken = script + (0,) * (len(widths) - len(script))
+            for i in range(len(script), len(widths)):
+                agenda.extend(taken[:i] + (alt,) for alt in range(1, widths[i]))
     elif rule == RF_STAR:
-        bound = (
-            DEFAULT_ENUMERATION_BOUND if enumeration_bound is None else enumeration_bound
-        )
         ids = idx.edge_bits(fmask)
-        if len(ids) > bound:
-            raise EnumerationBoundExceeded(
-                f"{len(ids)} facets exceed the enumeration bound {bound} "
-                f"({math.factorial(len(ids))} permutations)"
-            )
-        root.children = _build_rf_star(idx, fmask, choice, start.mask)
+        check_enumeration_bound(len(ids), enumeration_bound)
+        for order in itertools.permutations(ids):
+            rank = {eid: i for i, eid in enumerate(order)}
+            pick = functools.partial(min, key=rank.__getitem__)
+            end = _add_run(trie, steps(idx, fmask, choice, bmask, pick))
+            end[_LEAF] = end.get(_LEAF, 0) + 1
     else:
         raise ValueError(f"unknown rule {rule!r}")
+    root = CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)
+    root.children, _ = _trie_to_nodes(trie, 0)
     return CompTree(
         rule=rule,
         instance=inst,
@@ -284,127 +298,46 @@ def comptree(
     )
 
 
-def _build_rf(idx, fmask0: int, choice0, bmask0: int) -> list[CompNode]:
-    """All decision branches of the randomized rule, uniform per choice."""
-
-    def advance(fmask, choice, bmask, stack, pivots, depth) -> list[CompNode]:
-        cands = idx.edge_bits(fmask & ~bmask)
-        if cands:
-            share = Fraction(1, len(cands))
-            nodes = []
-            for e in cands:
-                node = CompNode(
-                    kind="pick", prob=share, facets=fmask, tree=bmask, edge=e
-                )
-                node.children = advance(
-                    fmask & ~(1 << e),
-                    choice,
-                    bmask,
-                    stack + [(fmask, e, depth)],
-                    pivots,
-                    depth + 1,
-                )
-                nodes.append(node)
-            return nodes
-        return finish(choice, bmask, stack, pivots)
-
-    def finish(choice, bmask, stack, pivots) -> list[CompNode]:
-        if not stack:
-            return [CompNode(kind="leaf", prob=Fraction(1), pivots=pivots)]
-        fmask, e, d = stack[-1]
-        rest = stack[:-1]
-        dist = idx.tree_distances(bmask)
-        u = idx.tail[e]
-        if idx.cost[e] + idx.dget(dist, idx.head[e]) < dist[u]:
-            leaving = choice[u]
-            nchoice = list(choice)
-            nchoice[u] = e
-            nmask = (bmask & ~(1 << leaving)) | (1 << e)
-            node = CompNode(
-                kind="pivot",
-                prob=Fraction(1),
-                facets=fmask,
-                tree=nmask,
-                entering=e,
-                leaving=leaving,
-                depth=d,
-            )
-            node.children = advance(fmask, nchoice, nmask, rest, pivots + 1, d + 1)
-            return [node]
-        return finish(choice, bmask, rest, pivots)
-
-    return advance(fmask0, choice0, bmask0, [], 0, 0)
+_LEAF = ("leaf",)
 
 
-def _build_rf_star(idx, fmask0: int, choice0, bmask0: int) -> list[CompNode]:
-    """Partition all |F|! orderings by the execution path they induce."""
-    ids = idx.edge_bits(fmask0)
-    trie: dict = {"count": 0, "children": {}}
-    for order in itertools.permutations(ids):
-        rank = {eid: i for i, eid in enumerate(order)}
-        events = _star_events(idx, fmask0, choice0, bmask0, rank)
-        node = trie
-        node["count"] += 1
-        for ev in events:
-            node = node["children"].setdefault(ev, {"count": 0, "children": {}})
-            node["count"] += 1
-    return _trie_to_nodes(trie)
+def _add_run(trie: dict, events) -> dict:
+    """Insert one run's events into the trie; the node after the last."""
+    node = trie
+    for ev in events:
+        child = node.get(ev)
+        if child is None:
+            child = node[ev] = {}
+        node = child
+    return node
 
 
-def _star_events(idx, fmask, choice, bmask, rank):
-    """Event sequence of one deterministic run: picks, pivots, final leaf."""
-    events = []
-    stack = []
-    depth = 0
-    pivots = 0
-    while True:
-        cands = idx.edge_bits(fmask & ~bmask)
-        if cands:
-            e = min(cands, key=rank.__getitem__)
-            events.append(("pick", fmask, bmask, e))
-            stack.append((fmask, e, depth))
-            fmask &= ~(1 << e)
-            depth += 1
-            continue
-        pivoted = False
-        while stack:
-            caller_fmask, e, caller_depth = stack.pop()
-            dist = idx.tree_distances(bmask)
-            u = idx.tail[e]
-            if idx.cost[e] + idx.dget(dist, idx.head[e]) < dist[u]:
-                leaving = choice[u]
-                choice = list(choice)
-                choice[u] = e
-                bmask = (bmask & ~(1 << leaving)) | (1 << e)
-                fmask = caller_fmask
-                depth = caller_depth + 1
-                pivots += 1
-                events.append(("pivot", e, leaving, caller_depth, fmask, bmask))
-                pivoted = True
-                break
-        if pivoted:
-            continue
-        events.append(("leaf", pivots))
-        return events
+def _trie_to_nodes(trie: dict, pivots: int) -> tuple[list[CompNode], Fraction | int]:
+    """Nodes for the children of a trie node, and the node's mass.
 
-
-def _trie_to_nodes(trie) -> list[CompNode]:
-    total = trie["count"]
-    children = trie["children"]
-    kinds = {ev[0] for ev in children}
-    if kinds - {"pick"}:
-        # non-pick events are deterministic given the history
-        assert len(children) == 1, "ambiguous non-choice event"
+    A child's probability is its mass over the parent's; `pivots` counts
+    the pivots on the path so far, which leaves report.
+    """
+    built = []
+    for ev in sorted(trie):
+        if ev == _LEAF:
+            built.append((ev, [], trie[ev]))
+        else:
+            below = pivots + (ev[0] == "pivot")
+            built.append((ev, *_trie_to_nodes(trie[ev], below)))
+    # only choice points branch: every other event follows from the history
+    assert len(built) == 1 or all(ev[0] == "pick" for ev, _, _ in built), "ambiguous event"
+    total = sum(mass for _, _, mass in built)
     nodes = []
-    for ev in sorted(children):
-        sub = children[ev]
-        prob = Fraction(sub["count"], total)
-        if ev[0] == "pick":
+    for ev, children, mass in built:
+        prob = Fraction(mass, total)
+        if ev == _LEAF:
+            node = CompNode(kind="leaf", prob=prob, pivots=pivots)
+        elif ev[0] == "pick":
             _, fmask, bmask, e = ev
             node = CompNode(kind="pick", prob=prob, facets=fmask, tree=bmask, edge=e)
-        elif ev[0] == "pivot":
-            _, entering, leaving, d, fmask, bmask = ev
-            assert prob == 1
+        else:
+            _, entering, leaving, depth, _, fmask, bmask = ev
             node = CompNode(
                 kind="pivot",
                 prob=prob,
@@ -412,34 +345,19 @@ def _trie_to_nodes(trie) -> list[CompNode]:
                 tree=bmask,
                 entering=entering,
                 leaving=leaving,
-                depth=d,
+                depth=depth,
             )
-        else:
-            assert prob == 1
-            node = CompNode(kind="leaf", prob=prob, pivots=ev[1])
-        node.children = _trie_to_nodes(sub)
+        node.children = children
         nodes.append(node)
-    return nodes
-
-
-def _bits(mask: int) -> list[EdgeId]:
-    ids = []
-    eid = 0
-    while mask:
-        if mask & 1:
-            ids.append(eid)
-        mask >>= 1
-        eid += 1
-    return ids
+    return nodes, total
 
 
 def _name_map(inst: Instance) -> dict[EdgeId, str]:
     return {eid: name for name, eid in edge_names(inst).items()}
 
 
-def _set_str(mask_or_set, names, *, mask: bool = False) -> str:
-    ids = _bits(mask_or_set) if mask or isinstance(mask_or_set, int) else sorted(mask_or_set)
-    return ",".join(names.get(e, str(e)) for e in ids)
+def _set_str(ids, names) -> str:
+    return ",".join(names.get(e, str(e)) for e in sorted(ids))
 
 
 def _frac(x: Fraction) -> str:

@@ -96,7 +96,3 @@ class WriteError(RandomFacetError):
 
 class ZeroTrials(RandomFacetError):
     """Monte Carlo estimation needs at least one trial."""
-
-
-class DepthGuardExceeded(RandomFacetError):
-    """Recursion exceeded the configured safety bound."""

@@ -14,9 +14,9 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .algorithms import Permutation, run_random_facet_star
+from .algorithms import Permutation, run_random_facet_star, start_state
 from .errors import EnumerationBoundExceeded, NonGenericInstance
-from .graph import EdgeId, Instance, TreePolicy, facet_mask
+from .graph import EdgeId, Instance, TreePolicy
 
 DEFAULT_ENUMERATION_BOUND = 10
 
@@ -87,21 +87,32 @@ class ExactEvaluator:
         return value
 
     def expected_rf_star(
-        self, facets: Iterable[EdgeId] | None, start: TreePolicy, bound: int
+        self, facets: Iterable[EdgeId] | None, start: TreePolicy, bound: int | None
     ) -> Fraction:
-        fmask = facet_mask(self.inst, facets)
+        """Mean pivot count of run_random_facet_star over every order of F."""
+        _, fmask, _ = start_state(self.inst, facets, start)
         ids = self._idx.edge_bits(fmask)
-        if len(ids) > bound:
-            raise EnumerationBoundExceeded(
-                f"{len(ids)} facets exceed the enumeration bound {bound} "
-                f"({math.factorial(len(ids))} permutations); "
-                "use Monte Carlo estimation instead"
-            )
+        check_enumeration_bound(len(ids), bound)
         total = 0
         for order in itertools.permutations(ids):
             sigma = Permutation.from_order(order)
             total += run_random_facet_star(self.inst, ids, start, sigma).pivot_count
         return Fraction(total, math.factorial(len(ids)))
+
+
+def check_enumeration_bound(facet_count: int, bound: int | None) -> None:
+    """Refuse to enumerate the orders of more facets than `bound` allows.
+
+    None means DEFAULT_ENUMERATION_BOUND.
+    """
+    if bound is None:
+        bound = DEFAULT_ENUMERATION_BOUND
+    if facet_count > bound:
+        raise EnumerationBoundExceeded(
+            f"{facet_count} facets exceed the enumeration bound {bound} "
+            f"({math.factorial(facet_count)} permutations); "
+            "use Monte Carlo estimation instead"
+        )
 
 
 def expected_pivots_rf(
@@ -113,9 +124,7 @@ def expected_pivots_rf(
     recursion must have a unique optimal tree, otherwise
     NonGenericInstance is raised.
     """
-    fmask = facet_mask(inst, facets)
-    if start.mask & ~fmask:
-        raise ValueError("start tree is not contained in the facet set")
+    _, fmask, _ = start_state(inst, facets, start)
     return ExactEvaluator(inst).expected_rf(fmask, start.mask)
 
 
@@ -133,8 +142,4 @@ def expected_pivots_rf_star(
     rational.  Beyond the enumeration bound (default 10) this raises
     instead of silently truncating.
     """
-    fmask = facet_mask(inst, facets)
-    if start.mask & ~fmask:
-        raise ValueError("start tree is not contained in the facet set")
-    bound = DEFAULT_ENUMERATION_BOUND if enumeration_bound is None else enumeration_bound
-    return ExactEvaluator(inst).expected_rf_star(facets, start, bound)
+    return ExactEvaluator(inst).expected_rf_star(facets, start, enumeration_bound)

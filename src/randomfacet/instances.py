@@ -169,7 +169,10 @@ def random_instance(
 
     Vertices v0..v{n-1} plus target t; every edge points strictly
     downstream (or to t), so any combination of choices is a tree and
-    negative costs can never close a cycle.
+    negative costs can never close a cycle.  Genericity is checked
+    exhaustively, so with require_generic (the default) an instance of
+    more than 20 edges raises TooLargeForExhaustiveCheck; pass
+    require_generic=False to skip the check.
     """
     if n < 1 or out_degree < 1:
         raise ValueError("need n >= 1 and out_degree >= 1")
@@ -190,7 +193,7 @@ def random_instance(
             validate_instance(inst)
         except RandomFacetError:  # pragma: no cover - impossible for this shape
             continue
-        if require_generic and inst.m <= 20 and not genericity_check(inst):
+        if require_generic and not genericity_check(inst):
             continue
         return inst
     raise GenerationFailedAfterRetries(

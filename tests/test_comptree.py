@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,33 @@ class TestExports:
     def test_unknown_rule_rejected(self, errata, enc):
         with pytest.raises(ValueError):
             comptree(errata, None, enc.tree("001"), "greedy")
+
+
+# sha256 of to_text() and to_dot() on the errata start trees; any refactor
+# of the tree builders must reproduce these bytes exactly
+GOLDEN = {
+    ("001", RF): (
+        "726a839742b4873c7d3a011a96a9e1006227dc9c56aaa6c06ae6a3956e6a9513",
+        "fa63d63216cbaf8c5f76b37a50ba476afb42e8e37ec9db270603c015e116b4e8",
+    ),
+    ("001", RF_STAR): (
+        "3335927d5985c2fa776e9fff9d9f8fa07adba87aff7a610298553ef6582e8453",
+        "1e5a2f29c2e12cce171a0921a08c18f8e8258733d4cdf2d87709489f40484303",
+    ),
+    ("111", RF): (
+        "d70be87f60c3d5d98f67cd9905d0e9c22294c75c8851f71b10daa77dadd91776",
+        "66f2a7f11973e556750743cabed33dc3f84a685c1841b538b269ae0c167abb62",
+    ),
+    ("111", RF_STAR): (
+        "0e8d11a00093c08ab74e866ff59bc154944ff7c48818d36b45eda0ba7dc09372",
+        "2f9b8e9dcbb923d79c9fdb799642fe606e8d56fc7a01bc46dce34f97ae84f182",
+    ),
+}
+
+
+@pytest.mark.parametrize("bits,rule", sorted(GOLDEN))
+def test_golden_renderings(errata, enc, bits, rule):
+    ct = comptree(errata, None, enc.tree(bits), rule)
+    text_sha, dot_sha = GOLDEN[(bits, rule)]
+    assert hashlib.sha256(ct.to_text().encode()).hexdigest() == text_sha
+    assert hashlib.sha256(ct.to_dot().encode()).hexdigest() == dot_sha

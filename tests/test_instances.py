@@ -123,6 +123,12 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(0, 2, 10, seed=0)
 
+    def test_too_large_to_check_refuses_unless_asked(self):
+        # m = 22 is beyond the exhaustive genericity check
+        with pytest.raises(TooLargeForExhaustiveCheck):
+            random_instance(11, 2, 9, seed=0)
+        assert random_instance(11, 2, 9, seed=0, require_generic=False).m == 22
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))
     def test_pool_instances_satisfy_all_invariants(self, seed):
