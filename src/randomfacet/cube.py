@@ -6,15 +6,22 @@ sorted name order.  Orienting each cube edge between adjacent trees in
 the improving direction yields an orientation whose unique full-cube
 sink is the optimal tree; on generic instances every face of the cube
 has a unique sink and the orientation is acyclic.
+
+An OrientationView stores the arrows once and derives a successor table
+from them.  "Unique sink on every face" is the pair criterion of Szabó
+and Welzl ("Unique sink orientations of cubes", FOCS 2001): every two
+distinct vertices differ, on some axis where they differ, in whether
+an arrow leaves them along it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
-from .errors import NonGenericInstance, NotCubeShaped, RandomFacetError
-from .graph import EdgeId, Instance, TreePolicy, improves
+from .errors import NonGenericInstance, NotATree, NotCubeShaped, RandomFacetError
+from .graph import EdgeId, Instance, TreePolicy
 
 
 @dataclass(frozen=True)
@@ -67,20 +74,27 @@ def cube_encoding(inst: Instance) -> CubeEncoding:
 
 @dataclass(frozen=True)
 class OrientationView:
-    """Improving directions between all pairs of adjacent tree policies."""
+    """Improving directions between all pairs of adjacent tree policies.
+
+    `arrows` orients every cube edge exactly once, as (src, dst) bits.
+    """
 
     encoding: CubeEncoding
     arrows: frozenset[tuple[str, str]]
 
-    def points(self, src: str, dst: str) -> bool:
-        return (src, dst) in self.arrows
+    @cached_property
+    def _succ(self) -> dict[str, list[str]]:
+        succ: dict[str, list[str]] = {b: [] for b in self.encoding.all_bits()}
+        for src, dst in sorted(self.arrows):
+            succ[src].append(dst)
+        return succ
 
     def successors(self, bits: str) -> list[str]:
-        return sorted(dst for src, dst in self.arrows if src == bits)
+        return list(self._succ[bits])
 
     def sink(self) -> str:
         """The unique vertex of the full cube with no outgoing arrow."""
-        sinks = [b for b in self.encoding.all_bits() if not self.successors(b)]
+        sinks = [b for b in self._succ if not self.successors(b)]
         if len(sinks) != 1:
             raise RandomFacetError(f"expected one sink, found {sinks}")
         return sinks[0]
@@ -99,40 +113,14 @@ class OrientationView:
             state[b] = 2
             return False
 
-        return not any(
-            state.get(b) is None and dfs(b) for b in self.encoding.all_bits()
-        )
-
-    def faces(self) -> Iterator[list[str]]:
-        """All sub-cubes: every choice of free axes and fixed bit values."""
-        n = len(self.encoding.axes)
-        for free in itertools.chain.from_iterable(
-            itertools.combinations(range(n), r) for r in range(n + 1)
-        ):
-            fixed = [j for j in range(n) if j not in free]
-            for values in itertools.product("01", repeat=len(fixed)):
-                assign = dict(zip(fixed, values))
-                verts = []
-                for combo in itertools.product("01", repeat=len(free)):
-                    bits = [""] * n
-                    for j, v in assign.items():
-                        bits[j] = v
-                    for j, v in zip(free, combo):
-                        bits[j] = v
-                    verts.append("".join(bits))
-                yield verts
+        return not any(state.get(b) is None and dfs(b) for b in self._succ)
 
     def unique_sink_every_face(self) -> bool:
-        for verts in self.faces():
-            vset = set(verts)
-            sinks = [
-                b
-                for b in verts
-                if not any(dst in vset for dst in self.successors(b))
-            ]
-            if len(sinks) != 1:
-                return False
-        return True
+        """Szabó-Welzl: u != v always differ in an outgoing axis in u xor v."""
+        out = [0] * (1 << len(self.encoding.axes))  # outgoing axes per vertex
+        for src, dst in self.arrows:
+            out[int(src, 2)] |= int(src, 2) ^ int(dst, 2)
+        return all((u ^ v) & (out[u] ^ out[v]) for u in range(len(out)) for v in range(u))
 
     def count_paths(self, src: str, dst: str) -> int:
         """Number of directed pivot paths from src to dst."""
@@ -154,24 +142,29 @@ class OrientationView:
 def orientation_view(inst: Instance) -> OrientationView:
     """Orient every cube edge between adjacent trees in the improving direction.
 
-    A tie (neither direction improves) means two adjacent trees have
-    equal distance at the flipped vertex, which only happens on
-    non-generic instances.
+    Each tree's distances are read once.  A tie (neither direction
+    improves) means two adjacent trees have equal distance at the
+    flipped vertex, which only happens on non-generic instances.
     """
     enc = cube_encoding(inst)
+    idx = inst._index
+    dists = {}
+    for bits in enc.all_bits():
+        dists[bits] = idx.tree_distances(enc.tree(bits).mask)
+        if dists[bits] is None:
+            raise NotATree(f"tree {bits} does not reach the target")
+
+    def shortens(dist, eid: EdgeId) -> bool:
+        return idx.cost[eid] + idx.dget(dist, idx.head[eid]) < dist[idx.tail[eid]]
+
     arrows: set[tuple[str, str]] = set()
-    trees = {bits: enc.tree(bits) for bits in enc.all_bits()}
-    for bits in trees:
-        for j in range(len(enc.axes)):
+    for bits, dist in dists.items():
+        for j, (zero, one) in enumerate(enc.pairs):
             if bits[j] == "1":
                 continue
             other = bits[:j] + "1" + bits[j + 1 :]
-            a, b = trees[bits], trees[other]
-            entering_b = enc.pairs[j][1]
-            entering_a = enc.pairs[j][0]
-            a_to_b = improves(inst, a, entering_b)
-            b_to_a = improves(inst, b, entering_a)
-            if a_to_b == b_to_a:
+            a_to_b = shortens(dist, one)
+            if a_to_b == shortens(dists[other], zero):
                 raise NonGenericInstance(
                     f"adjacent trees {bits} and {other} have no improving direction"
                 )

@@ -1,4 +1,5 @@
 """Test-only oracles, independent of the library's exact engines."""
+import itertools
 from fractions import Fraction
 
 from randomfacet import run_random_facet
@@ -50,3 +51,37 @@ def rf_expectation_by_branches(inst, facets, start):
         mass += prob
     assert mass == 1
     return total
+
+
+def cube_faces(n):
+    """All sub-cubes of the n-cube: every choice of free axes and fixed bits."""
+    for free in itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n + 1)
+    ):
+        fixed = [j for j in range(n) if j not in free]
+        for values in itertools.product("01", repeat=len(fixed)):
+            verts = []
+            for combo in itertools.product("01", repeat=len(free)):
+                bits = [""] * n
+                for j, v in zip(fixed, values):
+                    bits[j] = v
+                for j, v in zip(free, combo):
+                    bits[j] = v
+                verts.append("".join(bits))
+            yield verts
+
+
+def unique_sink_by_faces(view):
+    """True iff every face of the view's cube has exactly one sink.
+
+    The definition itself, checked face by face: a vertex is a sink of a
+    face when no arrow leaves it towards another vertex of that face.
+    """
+    for verts in cube_faces(len(view.encoding.axes)):
+        vset = set(verts)
+        sinks = [
+            b for b in verts if not any(dst in vset for dst in view.successors(b))
+        ]
+        if len(sinks) != 1:
+            return False
+    return True

@@ -153,6 +153,11 @@ class TestPerms:
         code, out, _ = run_cli(capsys, "perms", "count", "--elements", "3")
         assert (code, out) == (0, "6\n")
 
+    def test_malformed_constraint_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "perms", "count", "--elements", "3", "--given", "a<b<c")
+        assert (code, out) == (2, "")
+        assert "a<b<c" in err
+
 
 class TestVerifyErrata:
     def test_fresh_checkout_passes(self, capsys):

@@ -1,10 +1,16 @@
+import itertools
+
 import pytest
 
+from helpers import cube_faces, unique_sink_by_faces
 from randomfacet import (
+    CubeEncoding,
     Edge,
     Instance,
     NonGenericInstance,
+    NotATree,
     NotCubeShaped,
+    OrientationView,
     cube_encoding,
     optimal_tree,
     orientation_view,
@@ -59,7 +65,37 @@ class TestOrientationView:
         with pytest.raises(NonGenericInstance):
             orientation_view(inst)
 
-    def test_face_count(self, errata):
-        view = orientation_view(errata)
-        # sum over k of C(3, k) * 2^(3-k) sub-cubes
-        assert len(list(view.faces())) == 27
+    def test_non_tree_bit_string_raises(self):
+        # tree 11 chooses x->y and y->x, a cycle that never reaches t
+        inst = Instance.build(
+            "t",
+            [Edge(0, "x", "t", 1), Edge(1, "x", "y", 0), Edge(2, "y", "t", 2), Edge(3, "y", "x", 0)],
+        )
+        with pytest.raises(NotATree):
+            orientation_view(inst)
+
+
+def all_orientations(n):
+    """Every orientation of the n-cube, as an OrientationView."""
+    axes = tuple("abc"[:n])
+    enc = CubeEncoding(axes=axes, pairs=tuple((2 * j, 2 * j + 1) for j in range(n)))
+    edges = [
+        (bits, bits[:j] + "1" + bits[j + 1 :])
+        for bits in enc.all_bits()
+        for j in range(n)
+        if bits[j] == "0"
+    ]
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arrows = frozenset((b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips))
+        yield OrientationView(encoding=enc, arrows=arrows)
+
+
+@pytest.mark.parametrize("n, orientations, usos", [(1, 2, 2), (2, 16, 12), (3, 4096, 744)])
+def test_unique_sink_check_agrees_with_the_face_oracle(n, orientations, usos):
+    views = list(all_orientations(n))
+    assert len(views) == orientations
+    verdicts = [view.unique_sink_every_face() for view in views]
+    assert verdicts == [unique_sink_by_faces(view) for view in views]
+    assert sum(verdicts) == usos
+    # sum over k of C(n, k) * 2^(n-k) sub-cubes: 27 for the 3-cube
+    assert len(list(cube_faces(n))) == 3**n

@@ -60,6 +60,18 @@ class TestCountLinearExtensions:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        st.permutations("abcdefg"),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8),
+        st.integers(0, 3),
+    )
+    def test_matches_brute_force_on_random_posets(self, names, ranks, pad):
+        # orienting every pair from the lower to the higher rank keeps it acyclic
+        pairs = [(names[min(i, j)], names[max(i, j)]) for i, j in ranks if i != j]
+        n = min(len({x for p in pairs for x in p}) + pad, 7)
+        assert count_linear_extensions(n, pairs) == brute_count(n, pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
         st.integers(3, 6),
         st.lists(
             st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")),
@@ -82,8 +94,9 @@ class TestConstraintSet:
         assert cs.elements() == {"a", "b", "c", "d"}
 
     def test_bad_text(self):
-        with pytest.raises(ValueError):
-            ConstraintSet.from_text("a>b")
+        for text in ("a>b", "a<b<c", "a<", "<b", "<", "a<b,c<"):
+            with pytest.raises(ValueError):
+                ConstraintSet.from_text(text)
 
     def test_contradiction_detection(self):
         assert ConstraintSet.from_pairs([("a", "b"), ("b", "c"), ("c", "a")]).is_contradictory()
