@@ -7,8 +7,9 @@ point and after every exchange; only the chooser differs between the
 rules.  run_random_facet draws a fresh uniformly random facet at every
 choice point; run_random_facet_star is deterministic and always removes
 the facet ranked first by a fixed permutation.  Both fold the events
-into a RunResult, counting one pivot per exchange; comptree streams the
-same events into its computation trees.
+into a RunResult, counting one pivot per exchange.  branches() replays
+steps() with scripted choices to list every execution of a rule with
+its weight; exact rfstar and both computation trees consume it.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -22,8 +23,11 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from fractions import Fraction
+
 from .errors import PermutationDomainTooSmall
 from .graph import EdgeId, Instance, TreePolicy, facet_mask
+from .orders import count_linear_extensions
 
 RF = "rf"
 RF_STAR = "rfstar"
@@ -160,6 +164,63 @@ def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
                 break
         else:
             return
+
+
+def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
+    """Every distinct execution of `rule` from `bmask`, as (weight, events).
+
+    Each branch is a run of steps() that replays a recorded prefix of
+    pick answers, then takes the first candidate at each later choice
+    point and queues the others as new prefixes; the events are that
+    run's, in order.  For RF every candidate is an
+    answer and the weight is the product of 1/|candidates| over the
+    choice points, a Fraction; the weights sum to one.  A run of RF_STAR
+    sees its permutation only through which candidate is the minimum,
+    so a branch is a history of those answers: answering e places e
+    before every other candidate, and a candidate that the history
+    already places after another candidate cannot be the minimum.  The
+    weight is the number of orders of F extending the history, an
+    integer; the weights sum to |F|!.
+    """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    star = rule == RF_STAR
+    ids = idx.edge_bits(fmask)
+    agenda: list[tuple[EdgeId, ...]] = [()]
+    while agenda:
+        script = agenda.pop()
+        taken: list[EdgeId] = []
+        # before[c]: mask of the facets the history places before c,
+        # kept transitively closed
+        before = dict.fromkeys(ids, 0)
+        pairs: list[tuple[EdgeId, EdgeId]] = []
+        width = 1
+
+        def pick(cands: list[EdgeId]) -> EdgeId:
+            nonlocal width
+            allowed = cands
+            if star:
+                cmask = sum(1 << c for c in cands)
+                allowed = [c for c in cands if not before[c] & cmask]
+            if len(taken) < len(script):
+                e = script[len(taken)]
+            else:
+                e = allowed[0]
+                agenda.extend((*taken, alt) for alt in allowed[1:])
+            taken.append(e)
+            width *= len(allowed)
+            if star:
+                rest = cmask & ~(1 << e)
+                below = before[e] | (1 << e)
+                for y in ids:
+                    if (before[y] | 1 << y) & rest:
+                        before[y] |= below
+                pairs.extend((e, c) for c in cands if c != e)
+            return e
+
+        events = list(steps(idx, fmask, choice, bmask, pick))
+        weight = count_linear_extensions(len(ids), pairs) if star else Fraction(1, width)
+        yield weight, events
 
 
 def run_random_facet(

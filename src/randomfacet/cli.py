@@ -7,7 +7,8 @@ compare strings.  Edge lists accept numeric ids or the symbolic names
 <vertex><ordinal> (x0, z1, ...) derived from ascending edge ids.
 
 The only environment override is RANDOMFACET_ENUM_BOUND, which widens
-or narrows the permutation enumeration bound of the exact machinery.
+or narrows the facet-count bound of exact rfstar and its computation
+trees.
 """
 from __future__ import annotations
 

@@ -7,30 +7,28 @@ total pivot count.  Every root-to-leaf path is one possible execution,
 so leaf probabilities sum to one and the probability-weighted leaf
 pivot counts reproduce the exact expectations.
 
-Both rules are built the same way: weighted runs of the pivoting core
-(algorithms.steps) are streamed into one trie keyed by their events,
+Both rules are built the same way: the weighted executions of
+algorithms.branches are streamed into one trie keyed by their events,
 and a node's probability is its mass divided by its parent's.  For the
-randomized rule the runs are every decision branch, found by replaying
-scripted choices, each weighted by the product of 1/|candidates| over
-its choice points, so each choice point branches uniformly.  For the
-permutation-driven rule the runs are one per ordering of the |F| facets,
-each of weight one; a branch probability is then the number of
-orderings consistent with the history and choosing that facet next,
-divided by the number consistent with the history.
+randomized rule each decision branch weighs the product of
+1/|candidates| over its choice points, so each choice point branches
+uniformly.  For the permutation-driven rule each argmin history weighs
+the number of orderings of the |F| facets that produce it; a branch
+probability is then the number of orderings consistent with the history
+and choosing that facet next, divided by the number consistent with the
+history.
 Facets that can never re-enter a tree (the edge displaced by a pivot)
 are kept in the tree rather than merged away; queries such as
 pick_order_after_pivot marginalize over them on demand.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .algorithms import RF, RF_STAR, start_state, steps
+from .algorithms import RF_STAR, branches, start_state
 from .exact import check_enumeration_bound
 from .graph import EdgeId, Instance, TreePolicy, edge_names
 
@@ -258,35 +256,13 @@ def comptree(
     """Build the full computation tree for one rule."""
     idx, fmask, choice = start_state(inst, facets, start)
     bmask = start.mask
-    # trie of event tuples; the dict after a run's last event maps
-    # _LEAF to the total weight of the runs ending there
+    if rule == RF_STAR:
+        check_enumeration_bound(len(idx.edge_bits(fmask)), enumeration_bound)
+    # trie of event tuples; the dict after a branch's last event maps
+    # _LEAF to the branch's weight
     trie: dict = {}
-    if rule == RF:
-        agenda: list[tuple[int, ...]] = [()]
-        while agenda:
-            script = agenda.pop()
-            widths: list[int] = []
-
-            def pick(cands, script=script, widths=widths):
-                i = len(widths)
-                widths.append(len(cands))
-                return cands[script[i] if i < len(script) else 0]
-
-            end = _add_run(trie, steps(idx, fmask, choice, bmask, pick))
-            end[_LEAF] = end.get(_LEAF, 0) + Fraction(1, math.prod(widths))
-            taken = script + (0,) * (len(widths) - len(script))
-            for i in range(len(script), len(widths)):
-                agenda.extend(taken[:i] + (alt,) for alt in range(1, widths[i]))
-    elif rule == RF_STAR:
-        ids = idx.edge_bits(fmask)
-        check_enumeration_bound(len(ids), enumeration_bound)
-        for order in itertools.permutations(ids):
-            rank = {eid: i for i, eid in enumerate(order)}
-            pick = functools.partial(min, key=rank.__getitem__)
-            end = _add_run(trie, steps(idx, fmask, choice, bmask, pick))
-            end[_LEAF] = end.get(_LEAF, 0) + 1
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
+    for weight, events in branches(idx, fmask, choice, bmask, rule):
+        _add_run(trie, events)[_LEAF] = weight
     root = CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)
     root.children, _ = _trie_to_nodes(trie, 0)
     return CompTree(

@@ -150,7 +150,10 @@ def orientation_view(inst: Instance) -> OrientationView:
     idx = inst._index
     dists = {}
     for bits in enc.all_bits():
-        dists[bits] = idx.tree_distances(enc.tree(bits).mask)
+        mask = 0
+        for pair, bit in zip(enc.pairs, bits):
+            mask |= 1 << pair[int(bit)]
+        dists[bits] = idx.tree_distances(mask)
         if dists[bits] is None:
             raise NotATree(f"tree {bits} does not reach the target")
 

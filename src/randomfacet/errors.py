@@ -57,7 +57,7 @@ class EnumerationBoundExceeded(RandomFacetError):
 
 
 class UniverseTooLarge(RandomFacetError):
-    """Linear-extension counting beyond the factorial enumeration bound."""
+    """Linear-extension counting over more than orders.MAX_UNIVERSE elements."""
 
 
 class ConditioningOnEmptySet(RandomFacetError):

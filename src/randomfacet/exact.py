@@ -3,20 +3,22 @@
 The randomized rule admits a memoized recursion over (facet set, tree)
 pairs because every choice point uses fresh randomness.  The
 permutation-driven rule does not: conditioning on the execution history
-skews the order of the remaining facets, so its expectation is computed
-the only safe way, by averaging the deterministic runner over every
-permutation of the facet set.  All arithmetic is exact rational.
+skews the order of the remaining facets.  A run sees its permutation
+only through which candidate is the minimum at each choice point, so
+its expectation is a sum over histories of those answers, each weighted
+by the number of orders of the facet set that extend it
+(algorithms.branches).  All arithmetic is exact rational.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable
 
-from .algorithms import Permutation, run_random_facet_star, start_state
+from .algorithms import RF_STAR, branches, start_state
 from .errors import EnumerationBoundExceeded, NonGenericInstance
 from .graph import EdgeId, Instance, TreePolicy
+from .orders import MAX_UNIVERSE
 
 DEFAULT_ENUMERATION_BOUND = 10
 
@@ -89,28 +91,34 @@ class ExactEvaluator:
     def expected_rf_star(
         self, facets: Iterable[EdgeId] | None, start: TreePolicy, bound: int | None
     ) -> Fraction:
-        """Mean pivot count of run_random_facet_star over every order of F."""
-        _, fmask, _ = start_state(self.inst, facets, start)
-        ids = self._idx.edge_bits(fmask)
-        check_enumeration_bound(len(ids), bound)
+        """Mean pivot count of run_random_facet_star over every order of F.
+
+        Sums the pivots of each argmin history weighted by its number of
+        orders, over |F|!.
+        """
+        idx, fmask, choice = start_state(self.inst, facets, start)
+        n = len(idx.edge_bits(fmask))
+        check_enumeration_bound(n, bound)
         total = 0
-        for order in itertools.permutations(ids):
-            sigma = Permutation.from_order(order)
-            total += run_random_facet_star(self.inst, ids, start, sigma).pivot_count
-        return Fraction(total, math.factorial(len(ids)))
+        for weight, events in branches(idx, fmask, choice, start.mask, RF_STAR):
+            total += weight * sum(1 for ev in events if ev[0] == "pivot")
+        return Fraction(total, math.factorial(n))
 
 
 def check_enumeration_bound(facet_count: int, bound: int | None) -> None:
-    """Refuse to enumerate the orders of more facets than `bound` allows.
+    """Refuse exact rfstar on more facets than `bound` allows.
 
-    None means DEFAULT_ENUMERATION_BOUND.
+    None means DEFAULT_ENUMERATION_BOUND.  A bound above
+    orders.MAX_UNIVERSE is capped there, because each history's weight
+    counts orders of the whole facet set; the refusal comes before any
+    history is enumerated.
     """
     if bound is None:
         bound = DEFAULT_ENUMERATION_BOUND
-    if facet_count > bound:
+    if facet_count > min(bound, MAX_UNIVERSE):
+        cap = f", capped at {MAX_UNIVERSE}" if bound > MAX_UNIVERSE else ""
         raise EnumerationBoundExceeded(
-            f"{facet_count} facets exceed the enumeration bound {bound} "
-            f"({math.factorial(facet_count)} permutations); "
+            f"{facet_count} facets exceed the enumeration bound {bound}{cap}; "
             "use Monte Carlo estimation instead"
         )
 
@@ -139,7 +147,9 @@ def expected_pivots_rf_star(
 
     Defined as the mean pivot count of the deterministic runner over
     all |F|! permutations of the facet set, computed as an exact
-    rational.  Beyond the enumeration bound (default 10) this raises
-    instead of silently truncating.
+    rational from the argmin histories, each weighted by the number of
+    permutations that produce it.  Beyond the enumeration bound
+    (default 10 facets, never more than orders.MAX_UNIVERSE) this
+    raises instead of silently truncating.
     """
     return ExactEvaluator(inst).expected_rf_star(facets, start, enumeration_bound)

@@ -3,13 +3,15 @@
 A ConstraintSet holds ordered pairs (a, b) meaning "a before b".
 count_linear_extensions counts the total orders on a universe of a
 given size that extend the constraints, by dynamic programming over the
-sets of elements already placed (the order ideals); elements not named
-by any constraint are free.  The counts feed conditional order
-probabilities, which is exactly the posterior a fixed-but-random
-permutation acquires once part of the execution history is known.
+sets of constrained elements already placed (the order ideals);
+elements not named by any constraint are free and only contribute a
+factorial factor.  The counts feed conditional order probabilities,
+which is exactly the posterior a fixed-but-random permutation acquires
+once part of the execution history is known.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -91,10 +93,12 @@ def _coerce(constraints) -> ConstraintSet:
 def count_linear_extensions(universe_size: int, constraints) -> int:
     """Exact number of total orders on the universe extending the constraints.
 
-    Places one element at a time and memoizes the count of each set of
-    placed elements (the lattice-of-ideals method of De Loof, De Meyer
-    and De Baets), so the cost is at most 2^n * n steps rather than one
-    per extension.  universe_size is capped at MAX_UNIVERSE.
+    Places the k constrained elements one at a time and memoizes the
+    count of each set of placed elements (the lattice-of-ideals method
+    of De Loof, De Meyer and De Baets), so the cost is at most 2^k * k
+    steps rather than one per extension; the n - k free elements
+    contribute the factor n!/k!.  universe_size is capped at
+    MAX_UNIVERSE.
     """
     cs = _coerce(constraints)
     if universe_size < 0:
@@ -110,20 +114,20 @@ def count_linear_extensions(universe_size: int, constraints) -> int:
             f"{universe_size}"
         )
     index = {x: i for i, x in enumerate(named)}
-    n = universe_size
-    preds = [0] * n
+    k = len(named)
+    preds = [0] * k
     for a, b in cs.pairs:
         if a == b:
             return 0
         preds[index[b]] |= 1 << index[a]
-    full = (1 << n) - 1
+    full = (1 << k) - 1
     memo = {full: 1}
 
     def place(placed: int) -> int:
         if placed in memo:
             return memo[placed]
         total = 0
-        for i in range(n):
+        for i in range(k):
             bit = 1 << i
             if placed & bit or preds[i] & ~placed:
                 continue
@@ -131,7 +135,8 @@ def count_linear_extensions(universe_size: int, constraints) -> int:
         memo[placed] = total
         return total
 
-    return place(0)
+    # the free elements take any n - k of the n positions, in any order
+    return place(0) * math.factorial(universe_size) // math.factorial(k)
 
 
 def conditional_order_probability(

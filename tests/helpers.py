@@ -1,8 +1,9 @@
 """Test-only oracles, independent of the library's exact engines."""
 import itertools
+from collections import Counter
 from fractions import Fraction
 
-from randomfacet import run_random_facet
+from randomfacet import Permutation, run_random_facet, run_random_facet_star
 
 
 class ScriptedRng:
@@ -85,3 +86,18 @@ def unique_sink_by_faces(view):
         if len(sinks) != 1:
             return False
     return True
+
+
+def rfstar_by_permutations(inst, facets, start):
+    """Pivot counts of run_random_facet_star over every order of the facets.
+
+    Runs the public runner once per permutation of F; returns a Counter
+    mapping a pivot count to the number of orders giving it, whose
+    values sum to |F|!.
+    """
+    ids = sorted(inst.all_edges() if facets is None else facets)
+    counts = Counter()
+    for order in itertools.permutations(ids):
+        sigma = Permutation.from_order(order)
+        counts[run_random_facet_star(inst, ids, start, sigma).pivot_count] += 1
+    return counts

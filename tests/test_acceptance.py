@@ -5,6 +5,7 @@ Each test prints a single PASS line when its assertions hold (run with
 quantities are compared as rationals with zero tolerance.
 """
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from randomfacet import (
     pivot,
     run_random_facet_star,
 )
-from helpers import rf_branches, rf_expectation_by_branches
+from helpers import rf_branches, rf_expectation_by_branches, rfstar_by_permutations
 
 
 def report(name):
@@ -36,7 +37,7 @@ def test_criterion_01_exact_rf_from_001(errata, enc):
 
 
 def test_criterion_02_exact_rfstar_from_001(errata, enc):
-    # full 720-permutation enumeration inside the engine
+    # argmin histories inside the engine, weighted over all 720 orders
     assert expected_pivots_rf_star(errata, None, enc.tree("001")) == Fraction(29, 12)
     report("02 exact rfstar expectation from 001 equals 29/12")
 
@@ -91,7 +92,11 @@ def test_criterion_08_oracle_equivalence_on_random_instances(small_pool):
         assert exact == rf_expectation_by_branches(inst, None, start)
         star = expected_pivots_rf_star(inst, None, start)
         assert star == comptree(inst, None, start, RF_STAR).expectation()
-    report("08 engines match branch enumeration and tree weighting on 50 instances")
+        orders = rfstar_by_permutations(inst, None, start)
+        total = math.factorial(inst.m)
+        assert star == Fraction(sum(k * n for k, n in orders.items()), total)
+    report("08 engines match branch and permutation enumeration and tree weighting "
+           "on 50 instances")
 
 
 def test_criterion_09_correctness_of_both_algorithms(errata, enc, medium_pool):

@@ -1,17 +1,23 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from randomfacet import (
+    RF_STAR,
     Edge,
     EnumerationBoundExceeded,
     Instance,
     NonGenericInstance,
+    RandomFacetError,
     TreePolicy,
+    comptree,
     expected_pivots_rf,
     expected_pivots_rf_star,
 )
-from helpers import rf_expectation_by_branches
+from randomfacet import algorithms
+from randomfacet.algorithms import branches, start_state
+from helpers import rf_expectation_by_branches, rfstar_by_permutations
 
 
 class TestExpectedPivotsRf:
@@ -65,6 +71,53 @@ class TestExpectedPivotsRfStar:
         g111 = expected_pivots_rf_star(errata, None, enc.tree("111"))
         assert g001 > f001
         assert g111 < f111
+
+
+class TestHistoryEnumeration:
+    def test_errata_history_counts(self, errata, enc):
+        for bits, histories in (("001", 36), ("111", 82)):
+            start = enc.tree(bits)
+            idx, fmask, choice = start_state(errata, None, start)
+            weights = [w for w, _ in branches(idx, fmask, choice, start.mask, RF_STAR)]
+            assert len(weights) == histories
+            assert sum(weights) == math.factorial(6)
+
+    def test_matches_permutation_oracle(self, small_pool, medium_pool):
+        # every small instance, the medium ones up to six edges among the
+        # first 40, and only the first two with eight edges, which cost
+        # 40 320 oracle runs each
+        pool = (
+            small_pool
+            + [inst for inst in medium_pool[:40] if inst.m <= 6]
+            + [inst for inst in medium_pool if inst.m == 8][:2]
+        )
+        for inst in pool:
+            start = _worst_tree(inst)
+            idx, fmask, choice = start_state(inst, None, start)
+            weights = [w for w, _ in branches(idx, fmask, choice, start.mask, RF_STAR)]
+            assert sum(weights) == math.factorial(inst.m)
+            orders = rfstar_by_permutations(inst, None, start)
+            total = math.factorial(inst.m)
+            assert sum(orders.values()) == total
+            expected = Fraction(sum(k * n for k, n in orders.items()), total)
+            assert expected_pivots_rf_star(inst, None, start) == expected
+            pmf = {k: Fraction(n, total) for k, n in orders.items()}
+            assert comptree(inst, None, start, RF_STAR).leaf_distribution() == pmf
+
+    def test_bound_above_the_universe_cap_refuses_first(self, monkeypatch):
+        # 13 facets cannot be weighed (orders.MAX_UNIVERSE is 12), so a
+        # caller's bound of 13 must refuse before any run starts
+        def no_runs(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(algorithms, "steps", no_runs)
+        fan = Instance.build("t", [Edge(i, "v", "t", i + 1) for i in range(13)])
+        start = TreePolicy({"v": 12})
+        with pytest.raises(RandomFacetError) as exc:
+            expected_pivots_rf_star(fan, None, start, enumeration_bound=13)
+        assert "enumeration bound" in str(exc.value)
+        with pytest.raises(RandomFacetError):
+            comptree(fan, None, start, RF_STAR, enumeration_bound=13)
 
 
 class TestSubsetArguments:
