@@ -4,12 +4,17 @@ Both rules are one recursion: remove an edge e of F minus B, solve the
 smaller problem, and pivot e back in if it improves the tree.  steps()
 runs it with an explicit stack and yields an event at every choice
 point and after every exchange; only the chooser differs between the
-rules.  run_random_facet draws a fresh uniformly random facet at every
-choice point; run_random_facet_star is deterministic and always removes
-the facet ranked first by a fixed permutation.  Both fold the events
-into a RunResult, counting one pivot per exchange.  branches() replays
-steps() with scripted choices to list every execution of a rule with
-its weight; exact rfstar and both computation trees consume it.
+rules.  Within one descent B is fixed and each level removes only the
+picked edge, so steps() lists F minus B once per descent (at the start
+and after each pivot) and drops the picked edge at each level; `pick`
+still sees exactly F minus B in ascending id order.  run_random_facet
+draws a fresh uniformly random facet at every choice point;
+run_random_facet_star is deterministic and always removes the facet
+ranked first by a fixed permutation.  Both fold the events into a
+RunResult, counting one pivot per exchange.  branches() replays steps()
+with scripted choices to list every execution of a rule with its
+weight; exact rfstar and both computation trees consume it, and Monte
+Carlo consumes steps() directly.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -128,6 +133,11 @@ def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
     the call that pivoted.  The run ends when no enclosing call can
     pivot.  Every pivot strictly improves the tree, so it terminates.
     `choice`, the chosen edge per vertex of `bmask`, is copied first.
+
+    The candidate list is read from idx.edge_bits once per descent and
+    then shrunk by the picked edge on a copy, so `pick` sees the same
+    list at every choice point as idx.edge_bits(fmask & ~bmask) would
+    give; `pick` must return one of them and must not mutate the list.
     """
     edge_bits, tree_distances = idx.edge_bits, idx.tree_distances
     tail, head, cost = idx.tail, idx.head, idx.cost
@@ -138,17 +148,19 @@ def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
     stack: list[tuple[int, EdgeId, int, CallKind]] = []
     depth = 0
     kind = CallKind.ROOT
+    cands = edge_bits(fmask & ~bmask)
     while True:
-        cands = edge_bits(fmask & ~bmask)
-        if cands:
+        # one descent: B is fixed, so F minus B loses only the picked edge
+        while cands:
             e = pick(cands)
             yield ("pick", fmask, bmask, e)
             stack.append((fmask, e, depth, kind))
             fmask &= ~(1 << e)
             depth += 1
             kind = first
-            continue
-        # base case reached: unwind until a pivot restarts the loop
+            cands = cands.copy()  # edge_bits' cached list stays intact
+            cands.remove(e)
+        # base case reached: unwind until a pivot restarts the descent
         dist = tree_distances(bmask)
         while stack:
             fmask, e, depth, kind = stack.pop()
@@ -161,6 +173,7 @@ def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
                 yield ("pivot", e, leaving, depth, kind, fmask, bmask)
                 depth += 1
                 kind = second
+                cands = edge_bits(fmask & ~bmask)
                 break
         else:
             return

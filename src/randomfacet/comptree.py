@@ -115,38 +115,58 @@ class CompTree:
         distribution; class None collects executions that never pick a
         candidate.
         """
-        region = Fraction(0)
-        buckets: dict[EdgeId | None, Fraction] = {}
-        for prob, nodes in self.paths():
-            at = None
-            for i, node in enumerate(nodes):
-                if (
-                    node.kind == "pivot"
-                    and node.entering == pivot_edge
-                    and node.depth == pivot_depth
-                ):
-                    at = i
-                    break
-            if at is None:
-                continue
-            region += prob
-            cands = candidates
-            if cands is None:
-                pv = nodes[at]
-                cands = frozenset(
-                    eid
-                    for eid in self.instance._index.edge_bits(pv.facets & ~pv.tree)
-                    if eid != pv.leaving
-                )
-            chosen: EdgeId | None = None
-            for node in nodes[at + 1 :]:
-                if node.kind == "pick" and node.edge in cands:
-                    chosen = node.edge
-                    break
-            buckets[chosen] = buckets.get(chosen, Fraction(0)) + prob
-        if region == 0:
-            return Fraction(0), {}
-        return region, {e: p / region for e, p in buckets.items()}
+        found = self._picks_after_pivots(candidates, pivot_depth)
+        return found.get(pivot_edge, (Fraction(0), {}))
+
+    def _picks_after_pivots(
+        self, candidates: frozenset[EdgeId] | None, pivot_depth: int
+    ) -> dict[EdgeId, tuple[Fraction, dict[EdgeId | None, Fraction]]]:
+        """pick_order_after_pivot for every edge pivoted at `pivot_depth`.
+
+        One walk of the tree.  Along each path, the first pivot of an
+        edge at that depth opens its region; the first later pick among
+        its candidates closes it, adding the probability of reaching
+        that pick to the class of the picked edge, and a leaf adds its
+        probability to class None of every region still open.  Each
+        region's classes partition it, so their sum is the region.
+        """
+        edge_bits = self.instance._index.edge_bits
+        buckets: dict[EdgeId, dict[EdgeId | None, Fraction]] = {}
+
+        def add(pivot_edge: EdgeId, chosen: EdgeId | None, prob: Fraction) -> None:
+            dist = buckets.setdefault(pivot_edge, {})
+            dist[chosen] = dist.get(chosen, Fraction(0)) + prob
+
+        # seen: pivot edges already matched on this path; waiting: those
+        # still open, with their candidate sets
+        def walk(node: CompNode, prob: Fraction, seen: frozenset, waiting: dict) -> None:
+            if node.kind == "pick":
+                closed = [x for x, cands in waiting.items() if node.edge in cands]
+                for x in closed:
+                    add(x, node.edge, prob)
+                if closed:
+                    waiting = {x: c for x, c in waiting.items() if x not in closed}
+            elif node.kind == "pivot" and node.depth == pivot_depth and node.entering not in seen:
+                seen = seen | {node.entering}
+                cands = candidates
+                if cands is None:
+                    cands = frozenset(
+                        eid for eid in edge_bits(node.facets & ~node.tree) if eid != node.leaving
+                    )
+                waiting = {**waiting, node.entering: cands}
+            elif node.kind == "leaf":
+                for x in waiting:
+                    add(x, None, prob)
+            for child in node.children:
+                walk(child, prob * child.prob, seen, waiting)
+
+        walk(self.root, Fraction(1), frozenset(), {})
+        found = {}
+        for x, dist in buckets.items():
+            region = sum(dist.values())
+            if region:
+                found[x] = (region, {e: p / region for e, p in dist.items()})
+        return found
 
     def to_text(self) -> str:
         """Structured text: one node per line, plus comment metadata.
@@ -183,8 +203,9 @@ class CompTree:
                 emit(child, nid)
 
         emit(self.root, None)
-        for entering in self._root_level_pivot_edges():
-            region, dist = self.pick_order_after_pivot(entering)
+        after = self._picks_after_pivots(None, 0)
+        for entering in sorted(after):
+            region, dist = after[entering]
             ename = names.get(entering, str(entering))
             for cand, p in sorted(
                 dist.items(), key=lambda kv: (kv[0] is None, kv[0])
@@ -231,18 +252,6 @@ class CompTree:
         emit(self.root, None)
         out.append("}")
         return "\n".join(out) + "\n"
-
-    def _root_level_pivot_edges(self) -> list[EdgeId]:
-        found: list[EdgeId] = []
-
-        def walk(node: CompNode):
-            if node.kind == "pivot" and node.depth == 0 and node.entering not in found:
-                found.append(node.entering)
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
-        return sorted(found)
 
 
 def comptree(

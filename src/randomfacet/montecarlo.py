@@ -4,6 +4,13 @@ Each trial draws from its own substream derived deterministically from
 (seed, trial index) by hashing, so estimates are bit-identical across
 platforms and across any partitioning of trials over workers: trial i
 always sees the same randomness no matter who runs it.
+
+The start tree is validated once per estimate, before the first trial;
+each trial then drives algorithms.steps directly and counts its pivot
+events.  A Random-Facet trial draws one rng.randrange per choice point,
+exactly as run_random_facet does; a Random-Facet* trial draws a uniform
+order of all edges by Fisher-Yates and always removes the candidate
+ranked first, exactly as run_random_facet_star does with that order.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algorithms import RF, RF_STAR, Permutation, run_random_facet, run_random_facet_star
+from .algorithms import RF, RF_STAR, start_state, steps
 from .errors import ZeroTrials
 from .graph import EdgeId, Instance, TreePolicy
 
@@ -38,13 +45,17 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _random_permutation(rng: random.Random, ids: list[EdgeId]) -> Permutation:
-    # Fisher-Yates, one randrange per position, high index first
-    order = list(ids)
-    for i in range(len(order) - 1, 0, -1):
+def _random_ranks(rng: random.Random, m: int) -> list[int]:
+    # Fisher-Yates over the edge ids, one randrange per position, high
+    # index first; rank[e] is e's position in the shuffled order
+    order = list(range(m))
+    for i in range(m - 1, 0, -1):
         j = rng.randrange(i + 1)
         order[i], order[j] = order[j], order[i]
-    return Permutation.from_order(order)
+    rank = [0] * m
+    for pos, eid in enumerate(order):
+        rank[eid] = pos
+    return rank
 
 
 def pivot_samples(
@@ -55,21 +66,35 @@ def pivot_samples(
     trials: int,
     seed: int,
 ) -> list[int]:
-    """Per-trial pivot counts; trial i depends only on (seed, i)."""
+    """Per-trial pivot counts; trial i depends only on (seed, i).
+
+    Raises ValueError, before any trial, on an unknown rule or a start
+    tree that start_state refuses.
+    """
     if trials < 1:
         raise ZeroTrials("at least one trial is required")
     if rule not in (RF, RF_STAR):
         raise ValueError(f"unknown rule {rule!r}")
-    all_ids = sorted(range(inst.m))
+    idx, fmask, choice = start_state(inst, facets, start)
+    bmask = start.mask
     samples = []
     for i in range(trials):
         rng = trial_rng(seed, i)
         if rule == RF:
-            result = run_random_facet(inst, facets, start, rng)
+            randrange = rng.randrange
+
+            def pick(cands: list[EdgeId]) -> EdgeId:
+                return cands[randrange(len(cands))]
         else:
-            sigma = _random_permutation(rng, all_ids)
-            result = run_random_facet_star(inst, facets, start, sigma)
-        samples.append(result.pivot_count)
+            rank = _random_ranks(rng, inst.m)
+
+            def pick(cands: list[EdgeId]) -> EdgeId:
+                return min(cands, key=rank.__getitem__)
+        pivots = 0
+        for ev in steps(idx, fmask, choice, bmask, pick):
+            if ev[0] == "pivot":
+                pivots += 1
+        samples.append(pivots)
     return samples
 
 

@@ -101,3 +101,55 @@ def rfstar_by_permutations(inst, facets, start):
         sigma = Permutation.from_order(order)
         counts[run_random_facet_star(inst, ids, start, sigma).pivot_count] += 1
     return counts
+
+
+def fisher_yates_permutation(rng, ids):
+    """A uniform Permutation of `ids` drawn as Monte Carlo draws it.
+
+    Fisher-Yates over the ids in ascending order, one rng.randrange(i + 1)
+    per position i from the last down to 1; the shuffled list is the
+    order, first element ranked first.
+    """
+    order = sorted(ids)
+    for i in range(len(order) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return Permutation.from_order(order)
+
+
+def pick_order_by_paths(tree, pivot_edge, candidates=None, pivot_depth=0):
+    """CompTree.pick_order_after_pivot, path by path.
+
+    Walks every root-to-leaf path of `tree` separately: finds the first
+    pivot of `pivot_edge` at `pivot_depth` on it, then the first later
+    pick among the candidates (by default the facets outside the pivoted
+    tree other than the displaced edge).
+    """
+    region = Fraction(0)
+    buckets = {}
+    for prob, nodes in tree.paths():
+        at = next(
+            (
+                i
+                for i, node in enumerate(nodes)
+                if node.kind == "pivot"
+                and node.entering == pivot_edge
+                and node.depth == pivot_depth
+            ),
+            None,
+        )
+        if at is None:
+            continue
+        region += prob
+        cands = candidates
+        if cands is None:
+            pv = nodes[at]
+            free = pv.facets & ~pv.tree
+            cands = {e for e in range(free.bit_length()) if free >> e & 1} - {pv.leaving}
+        chosen = next(
+            (n.edge for n in nodes[at + 1 :] if n.kind == "pick" and n.edge in cands), None
+        )
+        buckets[chosen] = buckets.get(chosen, Fraction(0)) + prob
+    if region == 0:
+        return Fraction(0), {}
+    return region, {e: p / region for e, p in buckets.items()}

@@ -19,6 +19,7 @@ from randomfacet import (
     run_random_facet,
     run_random_facet_star,
 )
+from randomfacet.algorithms import RULES, _run, branches, start_state, steps
 from helpers import rf_branches
 
 
@@ -209,3 +210,50 @@ def _some_tree(inst):
     """The policy picking every vertex's highest-id edge; a valid tree
     on pool instances because their edges always point downstream."""
     return TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es})
+
+
+def _bits_of(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+class TestStepsContract:
+    """steps() hands `pick` exactly F minus B, and never edits edge_bits' cache."""
+
+    @staticmethod
+    def _cases(errata, enc, medium_pool):
+        cases = [(errata, enc.tree(bits)) for bits in ("001", "010", "011", "101", "110", "111")]
+        return cases + [(inst, _some_tree(inst)) for inst in medium_pool[:30]]
+
+    def test_pick_sees_f_minus_b(self, errata, enc, medium_pool):
+        for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
+            idx, fmask, choice = start_state(inst, None, start)
+            rng = random.Random(k)
+            seen = []
+
+            def pick(cands):
+                seen.append(cands)
+                return cands[rng.randrange(len(cands))]
+
+            events = list(steps(idx, fmask, choice, start.mask, pick))
+            picks = [ev for ev in events if ev[0] == "pick"]
+            assert len(picks) == len(seen)
+            for (_, f, b, e), cands in zip(picks, seen):
+                assert cands == _bits_of(f & ~b)
+                assert cands == idx.edge_bits(f & ~b)
+                assert e in cands
+
+    def test_edge_bits_cache_is_never_mutated(self, errata, enc, medium_pool):
+        for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
+            idx, fmask, choice = start_state(inst, None, start)
+            before = {mask: list(ids) for mask, ids in idx._bits.items()}
+            rng = random.Random(k)
+            _run(idx, fmask, list(choice), start.mask,
+                 lambda cands: cands[rng.randrange(len(cands))])
+            if inst.m <= 6:  # branches enumerates every execution
+                for rule in RULES:
+                    for _ in branches(idx, fmask, choice, start.mask, rule):
+                        pass
+            for mask, ids in idx._bits.items():
+                assert ids == _bits_of(mask)
+                if mask in before:
+                    assert ids == before[mask]

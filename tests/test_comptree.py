@@ -12,6 +12,7 @@ from randomfacet import (
     expected_pivots_rf,
     expected_pivots_rf_star,
 )
+from helpers import pick_order_by_paths
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,20 @@ class TestPickOrderAfterPivot:
     def test_missing_pivot_gives_empty_region(self, trees_001, names):
         region, dist = trees_001[RF].pick_order_after_pivot(names["x0"])
         assert region == 0 and dist == {}
+
+    def test_matches_the_path_oracle_at_every_depth(self, errata, enc):
+        # deeper calls can pivot the same edge twice on one path; only
+        # the first such pivot conditions the path
+        ids = sorted(errata.all_edges())
+        for bits in ("001", "011", "111"):
+            for rule in (RF, RF_STAR):
+                ct = comptree(errata, None, enc.tree(bits), rule)
+                for depth in range(4):
+                    for edge in ids:
+                        for cands in (None, frozenset(ids[::2])):
+                            want = pick_order_by_paths(ct, edge, cands, depth)
+                            got = ct.pick_order_after_pivot(edge, cands, pivot_depth=depth)
+                            assert got == want, (bits, rule, depth, edge, cands)
 
 
 class TestAgreementOnRandomInstances:

@@ -11,7 +11,13 @@ from randomfacet import (
     expected_pivots_rf,
     expected_pivots_rf_star,
     pivot_samples,
+    random_instance,
+    run_random_facet,
+    run_random_facet_star,
 )
+from randomfacet import montecarlo
+from randomfacet.montecarlo import trial_rng
+from helpers import fisher_yates_permutation
 
 
 @pytest.fixture()
@@ -80,3 +86,86 @@ class TestAgreement:
         for rule in (RF, RF_STAR):
             est = estimate_expected_pivots(errata, None, start, rule, 4000, 23)
             assert abs(est.mean - float(exact[rule])) < 4 * est.stderr
+
+
+def _last_edge_tree(inst):
+    """Every vertex takes its highest-id edge; a tree on pool instances."""
+    return TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es})
+
+
+def _by_public_runners(inst, facets, start, rule, trials, seed):
+    """Pivot counts of the public runners on the trials' substreams."""
+    ids = range(inst.m)
+    if rule == RF:
+        return [
+            run_random_facet(inst, facets, start, trial_rng(seed, i)).pivot_count
+            for i in range(trials)
+        ]
+    return [
+        run_random_facet_star(
+            inst, facets, start, fisher_yates_permutation(trial_rng(seed, i), ids)
+        ).pivot_count
+        for i in range(trials)
+    ]
+
+
+class TestIndependentRoute:
+    def test_samples_equal_the_public_runners(self, errata, enc, small_pool, medium_pool):
+        cases = [(errata, None, enc.tree(bits)) for bits in ("001", "011", "101", "111")]
+        cases.append((errata, errata.all_edges(), enc.tree("110")))
+        cases += [(inst, None, _last_edge_tree(inst)) for inst in small_pool]
+        cases += [(inst, None, _last_edge_tree(inst)) for inst in medium_pool[:12]]
+        for k, (inst, facets, start) in enumerate(cases):
+            for rule in (RF, RF_STAR):
+                got = pivot_samples(inst, facets, start, rule, 30, k)
+                assert got == _by_public_runners(inst, facets, start, rule, 30, k), (k, rule)
+
+    def test_pinned_estimates(self, errata, enc):
+        # Estimate.format() strings of the per-trial runner loop; the
+        # 20-edge instance is past every exact bound for rfstar
+        big = random_instance(10, 2, 9, seed=5, require_generic=False)
+        assert big.m == 20
+        pinned = {
+            (RF, "errata"): "mean=2.292000 stderr=0.067279 trials=500 seed=2026",
+            (RF_STAR, "errata"): "mean=2.448000 stderr=0.070715 trials=500 seed=2026",
+            (RF, "big"): "mean=3.650000 stderr=0.066404 trials=200 seed=2026",
+            (RF_STAR, "big"): "mean=3.710000 stderr=0.067842 trials=200 seed=2026",
+        }
+        for rule in (RF, RF_STAR):
+            est = estimate_expected_pivots(errata, None, enc.tree("001"), rule, 500, 2026)
+            assert est.format() == pinned[(rule, "errata")]
+            est = estimate_expected_pivots(big, None, _last_edge_tree(big), rule, 200, 2026)
+            assert est.format() == pinned[(rule, "big")]
+
+
+class TestRefusal:
+    class Drawn(Exception):
+        pass
+
+    @pytest.fixture()
+    def no_draws(self, monkeypatch):
+        def refuse(seed, index):
+            raise self.Drawn(f"trial {index} drew before the start was checked")
+
+        monkeypatch.setattr(montecarlo, "trial_rng", refuse)
+
+    @pytest.mark.parametrize("rule", [RF, RF_STAR])
+    def test_start_outside_facets(self, no_draws, errata, enc, names, rule):
+        facets = errata.all_edges() - {names["z1"]}
+        with pytest.raises(ValueError):
+            pivot_samples(errata, facets, enc.tree("001"), rule, 10, 1)
+
+    @pytest.mark.parametrize("rule", [RF, RF_STAR])
+    def test_start_not_a_tree(self, no_draws, rule):
+        inst = Instance.build(
+            "t",
+            [
+                Edge(0, "a", "b", 1),
+                Edge(1, "b", "a", 1),
+                Edge(2, "a", "t", 5),
+                Edge(3, "b", "t", 5),
+            ],
+        )
+        cycle = TreePolicy({"a": 0, "b": 1})
+        with pytest.raises(ValueError):
+            pivot_samples(inst, None, cycle, rule, 10, 1)
