@@ -7,14 +7,16 @@ point and after every exchange; only the chooser differs between the
 rules.  Within one descent B is fixed and each level removes only the
 picked edge, so steps() lists F minus B once per descent (at the start
 and after each pivot) and drops the picked edge at each level; `pick`
-still sees exactly F minus B in ascending id order.  run_random_facet
-draws a fresh uniformly random facet at every choice point;
-run_random_facet_star is deterministic and always removes the facet
-ranked first by a fixed permutation.  Both fold the events into a
-RunResult, counting one pivot per exchange.  branches() replays steps()
-with scripted choices to list every execution of a rule with its
-weight; exact rfstar and both computation trees consume it, and Monte
-Carlo consumes steps() directly.
+still sees exactly F minus B in ascending id order.  A chooser that
+answers None pauses the run, and steps() resumes it from the saved
+choice point.  run_random_facet draws a fresh uniformly random facet at
+every choice point; run_random_facet_star is deterministic and always
+removes the facet ranked first by a fixed permutation.  Both fold the
+events into a RunResult, counting one pivot per exchange.  branches()
+walks the tree of every execution of a rule once, depth first: it
+pauses steps() where executions part and resumes the saved point once
+per answer.  Exact rfstar and both computation trees consume it, and
+Monte Carlo consumes steps() directly.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -122,7 +124,9 @@ def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePoli
     return idx, fmask, choice
 
 
-def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
+def steps(
+    idx, fmask: int, choice, bmask: int, pick, frames=(), depth=0, kind=CallKind.ROOT
+) -> Iterator[tuple]:
     """Events of one run from tree mask `bmask` within facet mask `fmask`.
 
     At each choice point `pick(candidates)` names the edge to remove,
@@ -137,7 +141,10 @@ def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
     The candidate list is read from idx.edge_bits once per descent and
     then shrunk by the picked edge on a copy, so `pick` sees the same
     list at every choice point as idx.edge_bits(fmask & ~bmask) would
-    give; `pick` must return one of them and must not mutate the list.
+    give; `pick` must return one of them or None, and must not mutate
+    the list.  None pauses the run with a last event ("pause", (fmask,
+    bmask, choice, frames, depth, kind)); steps(idx, fmask, choice,
+    bmask, pick, frames, depth, kind) resumes it, asking `pick` again.
     """
     edge_bits, tree_distances = idx.edge_bits, idx.tree_distances
     tail, head, cost = idx.tail, idx.head, idx.cost
@@ -145,14 +152,15 @@ def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
     choice = list(choice)
     # frames of enclosing calls waiting for their first recursive call
     # to return: (facet mask, removed edge, depth, kind)
-    stack: list[tuple[int, EdgeId, int, CallKind]] = []
-    depth = 0
-    kind = CallKind.ROOT
+    stack: list[tuple[int, EdgeId, int, CallKind]] = list(frames)
     cands = edge_bits(fmask & ~bmask)
     while True:
         # one descent: B is fixed, so F minus B loses only the picked edge
         while cands:
             e = pick(cands)
+            if e is None:
+                yield ("pause", (fmask, bmask, tuple(choice), tuple(stack), depth, kind))
+                return
             yield ("pick", fmask, bmask, e)
             stack.append((fmask, e, depth, kind))
             fmask &= ~(1 << e)
@@ -179,61 +187,74 @@ def steps(idx, fmask: int, choice, bmask: int, pick) -> Iterator[tuple]:
             return
 
 
-def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
-    """Every distinct execution of `rule` from `bmask`, as (weight, events).
+def _answers(hist: tuple, cands: list[EdgeId]) -> list[tuple]:
+    """The allowed answers at a choice point, each with the history after it.
 
-    Each branch is a run of steps() that replays a recorded prefix of
-    pick answers, then takes the first candidate at each later choice
-    point and queues the others as new prefixes; the events are that
-    run's, in order.  For RF every candidate is an
-    answer and the weight is the product of 1/|candidates| over the
-    choice points, a Fraction; the weights sum to one.  A run of RF_STAR
-    sees its permutation only through which candidate is the minimum,
-    so a branch is a history of those answers: answering e places e
-    before every other candidate, and a candidate that the history
-    already places after another candidate cannot be the minimum.  The
-    weight is the number of orders of F extending the history, an
-    integer; the weights sum to |F|!.
+    A history is (before, pairs, width).  RF allows every candidate and
+    weighs an execution 1/width, width being the product of the numbers
+    of allowed answers; its `before` is None.  A run of RF_STAR sees its
+    permutation only through which candidate is the minimum: answering e
+    places e before every other candidate (`pairs`), a candidate placed
+    after another candidate is not allowed, and the weight is the number
+    of orders of F extending the pairs.  before[c], the mask of the
+    facets placed before c, is kept transitively closed.
+    """
+    before, pairs, width = hist
+    if before is None:
+        return [(e, (None, (), width * len(cands))) for e in cands]
+    cmask = sum(1 << c for c in cands)
+    out = []
+    for e in [c for c in cands if not before[c] & cmask]:
+        rest = cmask & ~(1 << e)
+        below = before[e] | (1 << e)
+        closed = {y: b | below if (b | 1 << y) & rest else b for y, b in before.items()}
+        out.append((e, (closed, pairs + tuple((e, c) for c in cands if c != e), width)))
+    return out
+
+
+def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
+    """Every distinct execution of `rule` from `bmask`, walked once as a tree.
+
+    An execution is fixed by its answers at the choice points.  The walk
+    pauses steps() at each fork, a choice point with more than one
+    allowed answer, and resumes the saved point once per allowed answer,
+    depth first.  It yields (forks, events, weight) per segment, in
+    pre-order: `forks` counts the forks above the segment, its events
+    start with the pick of its answer (except at the root), and `weight`
+    is None if it ends at a fork, whose segments follow in ascending
+    answer order; otherwise it ends an execution of that weight
+    (_answers).  RF weights are Fractions summing to one, RF_STAR
+    weights integers summing to |F|!.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    star = rule == RF_STAR
     ids = idx.edge_bits(fmask)
-    agenda: list[tuple[EdgeId, ...]] = [()]
-    while agenda:
-        script = agenda.pop()
-        taken: list[EdgeId] = []
-        # before[c]: mask of the facets the history places before c,
-        # kept transitively closed
-        before = dict.fromkeys(ids, 0)
-        pairs: list[tuple[EdgeId, EdgeId]] = []
-        width = 1
+    hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, (), 1)
+    todo = [(0, (fmask, bmask, tuple(choice), (), 0, CallKind.ROOT), hist, None)]
+    while todo:
+        forks, (fmask, bmask, choice, frames, depth, kind), hist, answer = todo.pop()
+        fork = None
 
-        def pick(cands: list[EdgeId]) -> EdgeId:
-            nonlocal width
-            allowed = cands
-            if star:
-                cmask = sum(1 << c for c in cands)
-                allowed = [c for c in cands if not before[c] & cmask]
-            if len(taken) < len(script):
-                e = script[len(taken)]
-            else:
-                e = allowed[0]
-                agenda.extend((*taken, alt) for alt in allowed[1:])
-            taken.append(e)
-            width *= len(allowed)
-            if star:
-                rest = cmask & ~(1 << e)
-                below = before[e] | (1 << e)
-                for y in ids:
-                    if (before[y] | 1 << y) & rest:
-                        before[y] |= below
-                pairs.extend((e, c) for c in cands if c != e)
+        def pick(cands: list[EdgeId]) -> EdgeId | None:
+            nonlocal answer, fork, hist
+            e, answer = answer, None  # a fork's answer is already in `hist`
+            if e is None:
+                options = _answers(hist, cands)
+                if len(options) > 1:
+                    fork = options
+                    return None
+                e, hist = options[0]
             return e
 
-        events = list(steps(idx, fmask, choice, bmask, pick))
-        weight = count_linear_extensions(len(ids), pairs) if star else Fraction(1, width)
-        yield weight, events
+        events = list(steps(idx, fmask, choice, bmask, pick, frames, depth, kind))
+        if fork is not None:
+            point = events.pop()[1]
+            todo.extend((forks + 1, point, child, e) for e, child in reversed(fork))
+            yield forks, events, None
+        elif hist[0] is None:  # RF: hist is (None, (), width)
+            yield forks, events, Fraction(1, hist[2])
+        else:
+            yield forks, events, count_linear_extensions(len(ids), hist[1])
 
 
 def run_random_facet(

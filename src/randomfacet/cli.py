@@ -7,8 +7,8 @@ compare strings.  Edge lists accept numeric ids or the symbolic names
 <vertex><ordinal> (x0, z1, ...) derived from ascending edge ids.
 
 The only environment override is RANDOMFACET_ENUM_BOUND, which widens
-or narrows the facet-count bound of exact rfstar and its computation
-trees.
+or narrows the facet-count bound of exact rfstar and of the computation
+trees of both rules.
 """
 from __future__ import annotations
 

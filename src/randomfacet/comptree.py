@@ -7,10 +7,11 @@ total pivot count.  Every root-to-leaf path is one possible execution,
 so leaf probabilities sum to one and the probability-weighted leaf
 pivot counts reproduce the exact expectations.
 
-Both rules are built the same way: the weighted executions of
-algorithms.branches are streamed into one trie keyed by their events,
-and a node's probability is its mass divided by its parent's.  For the
-randomized rule each decision branch weighs the product of
+Both rules are built the same way, in one depth-first walk of
+algorithms.branches: each segment of events hangs below the fork it
+resumes, each execution ends in a leaf, and a node's probability is its
+mass (the weight of the executions below it) over its parent's.  For
+the randomized rule each decision branch weighs the product of
 1/|candidates| over its choice points, so each choice point branches
 uniformly.  For the permutation-driven rule each argmin history weighs
 the number of orderings of the |F| facets that produce it; a branch
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .algorithms import RF_STAR, branches, start_state
+from .algorithms import branches, start_state
 from .exact import check_enumeration_bound
 from .graph import EdgeId, Instance, TreePolicy, edge_names
 
@@ -262,18 +263,33 @@ def comptree(
     *,
     enumeration_bound: int | None = None,
 ) -> CompTree:
-    """Build the full computation tree for one rule."""
+    """Build the full computation tree for one rule.
+
+    Refuses more facets than the enumeration bound before any run.
+    """
     idx, fmask, choice = start_state(inst, facets, start)
     bmask = start.mask
-    if rule == RF_STAR:
-        check_enumeration_bound(len(idx.edge_bits(fmask)), enumeration_bound)
-    # trie of event tuples; the dict after a branch's last event maps
-    # _LEAF to the branch's weight
-    trie: dict = {}
-    for weight, events in branches(idx, fmask, choice, bmask, rule):
-        _add_run(trie, events)[_LEAF] = weight
+    check_enumeration_bound(len(idx.edge_bits(fmask)), enumeration_bound)
     root = CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)
-    root.children, _ = _trie_to_nodes(trie, 0)
+    # path[k]: the node the segments below k forks hang from, and the
+    # number of pivots on the way to it
+    path = [(root, 0)]
+    for forks, events, weight in branches(idx, fmask, choice, bmask, rule):
+        node, pivots = path[forks]
+        del path[forks + 1 :]
+        for ev in events:  # _normalize sets the probabilities
+            if ev[0] == "pick":  # ("pick", fmask, bmask, e)
+                child = CompNode("pick", 1, ev[1], ev[2], edge=ev[3])
+            else:
+                _, entering, leaving, depth, _, f, b = ev
+                child = CompNode("pivot", 1, f, b, entering=entering, leaving=leaving, depth=depth)
+                pivots += 1
+            node.children.append(child)
+            node = child
+        path.append((node, pivots))
+        if weight is not None:  # the leaf holds the weight until _normalize
+            node.children.append(CompNode(kind="leaf", prob=weight, pivots=pivots))
+    _normalize(root)
     return CompTree(
         rule=rule,
         instance=inst,
@@ -283,58 +299,16 @@ def comptree(
     )
 
 
-_LEAF = ("leaf",)
-
-
-def _add_run(trie: dict, events) -> dict:
-    """Insert one run's events into the trie; the node after the last."""
-    node = trie
-    for ev in events:
-        child = node.get(ev)
-        if child is None:
-            child = node[ev] = {}
-        node = child
-    return node
-
-
-def _trie_to_nodes(trie: dict, pivots: int) -> tuple[list[CompNode], Fraction | int]:
-    """Nodes for the children of a trie node, and the node's mass.
-
-    A child's probability is its mass over the parent's; `pivots` counts
-    the pivots on the path so far, which leaves report.
-    """
-    built = []
-    for ev in sorted(trie):
-        if ev == _LEAF:
-            built.append((ev, [], trie[ev]))
-        else:
-            below = pivots + (ev[0] == "pivot")
-            built.append((ev, *_trie_to_nodes(trie[ev], below)))
-    # only choice points branch: every other event follows from the history
-    assert len(built) == 1 or all(ev[0] == "pick" for ev, _, _ in built), "ambiguous event"
-    total = sum(mass for _, _, mass in built)
-    nodes = []
-    for ev, children, mass in built:
-        prob = Fraction(mass, total)
-        if ev == _LEAF:
-            node = CompNode(kind="leaf", prob=prob, pivots=pivots)
-        elif ev[0] == "pick":
-            _, fmask, bmask, e = ev
-            node = CompNode(kind="pick", prob=prob, facets=fmask, tree=bmask, edge=e)
-        else:
-            _, entering, leaving, depth, _, fmask, bmask = ev
-            node = CompNode(
-                kind="pivot",
-                prob=prob,
-                facets=fmask,
-                tree=bmask,
-                entering=entering,
-                leaving=leaving,
-                depth=depth,
-            )
-        node.children = children
-        nodes.append(node)
-    return nodes, total
+def _normalize(node: CompNode) -> Fraction | int:
+    """Set each child's probability below `node` to its mass over its
+    parent's, starting from the leaf weights; returns the node's mass."""
+    if node.kind == "leaf":
+        return node.prob
+    masses = [_normalize(child) for child in node.children]
+    total = sum(masses)
+    for child, mass in zip(node.children, masses):
+        child.prob = Fraction(mass, total)
+    return total
 
 
 def _name_map(inst: Instance) -> dict[EdgeId, str]:

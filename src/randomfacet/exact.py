@@ -100,13 +100,17 @@ class ExactEvaluator:
         n = len(idx.edge_bits(fmask))
         check_enumeration_bound(n, bound)
         total = 0
-        for weight, events in branches(idx, fmask, choice, start.mask, RF_STAR):
-            total += weight * sum(1 for ev in events if ev[0] == "pivot")
+        pivots = [0]  # pivots[k]: pivots on the current path down to its k-th fork
+        for forks, events, weight in branches(idx, fmask, choice, start.mask, RF_STAR):
+            del pivots[forks + 1 :]
+            pivots.append(pivots[forks] + sum(1 for ev in events if ev[0] == "pivot"))
+            if weight is not None:
+                total += weight * pivots[-1]
         return Fraction(total, math.factorial(n))
 
 
 def check_enumeration_bound(facet_count: int, bound: int | None) -> None:
-    """Refuse exact rfstar on more facets than `bound` allows.
+    """Refuse exact rfstar or a computation tree on more facets than `bound`.
 
     None means DEFAULT_ENUMERATION_BOUND.  A bound above
     orders.MAX_UNIVERSE is capped there, because each history's weight

@@ -43,6 +43,20 @@ def rf_branches(inst, facets, start):
                 agenda.append(tuple(answers[:i]) + (alt,))
 
 
+def executions(segments):
+    """(weight, events) of every execution in an algorithms.branches walk.
+
+    Joins each segment that ends an execution to the segments of the
+    forks above it.
+    """
+    path = []
+    for forks, events, weight in segments:
+        del path[forks:]
+        path.append(events)
+        if weight is not None:
+            yield weight, [ev for segment in path for ev in segment]
+
+
 def rf_expectation_by_branches(inst, facets, start):
     """Probability-weighted pivot count over all decision branches."""
     total = Fraction(0)

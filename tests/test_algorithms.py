@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,8 @@ from randomfacet import (
     run_random_facet,
     run_random_facet_star,
 )
-from randomfacet.algorithms import RULES, _run, branches, start_state, steps
-from helpers import rf_branches
+from randomfacet.algorithms import RF, RULES, _run, branches, start_state, steps
+from helpers import executions, rf_branches
 
 
 def sigma_by_names(names, order):
@@ -257,3 +258,62 @@ class TestStepsContract:
                 assert ids == _bits_of(mask)
                 if mask in before:
                     assert ids == before[mask]
+
+    def test_pause_and_resume_reproduce_the_run(self, errata, enc, medium_pool):
+        # pause at every choice point in turn, then resume the saved point
+        # twice with the remaining answers
+        for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
+            idx, fmask, choice = start_state(inst, None, start)
+            before = {mask: list(ids) for mask, ids in idx._bits.items()}
+            rng = random.Random(k)
+            answers = []
+
+            def pick(cands):
+                answers.append(cands[rng.randrange(len(cands))])
+                return answers[-1]
+
+            whole = list(steps(idx, fmask, choice, start.mask, pick))
+            for at in range(len(answers)):
+                script = iter(answers[:at] + [None])
+                head = list(steps(idx, fmask, choice, start.mask, lambda cands: next(script)))
+                kind, point = head.pop()
+                assert kind == "pause"
+                f, b, c, frames, depth, call = point
+                assert isinstance(c, tuple) and isinstance(frames, tuple)
+                tails = []
+                for _ in range(2):
+                    rest = iter(answers[at:])
+                    tails.append(
+                        list(steps(idx, f, c, b, lambda cands: next(rest), frames, depth, call))
+                    )
+                    assert next(rest, None) is None
+                assert tails[0] == tails[1]
+                assert head + tails[0] == whole
+            for mask, ids in idx._bits.items():
+                assert ids == _bits_of(mask)
+                if mask in before:
+                    assert ids == before[mask]
+
+
+def _pivot_sequence(events):
+    return tuple(ev[1:5] for ev in events if ev[0] == "pivot")
+
+
+def test_rf_branches_match_the_scripted_runner(errata, enc, small_pool, medium_pool):
+    # the walk against the public runner driven by scripted draws: the same
+    # executions, each with the same probability.  Every medium instance has
+    # at most 8 edges; the first 24 (six with 8 edges, up to 6 048
+    # executions each) take about 2 s, the whole pool about a minute
+    cases = [(errata, enc.tree(f"{i:03b}")) for i in range(8)]
+    cases += [(inst, _some_tree(inst)) for inst in small_pool + medium_pool[:24]]
+    for inst, start in cases:
+        idx, fmask, choice = start_state(inst, None, start)
+        walked = Counter(
+            (weight, _pivot_sequence(events))
+            for weight, events in executions(branches(idx, fmask, choice, start.mask, RF))
+        )
+        scripted = Counter(
+            (prob, tuple((ev.entering, ev.leaving, ev.depth, ev.call_kind) for ev in res.trace))
+            for prob, res in rf_branches(inst, None, start)
+        )
+        assert walked == scripted

@@ -11,7 +11,9 @@ from randomfacet import (
     comptree,
     expected_pivots_rf,
     expected_pivots_rf_star,
+    random_instance,
 )
+from randomfacet import algorithms
 from helpers import pick_order_by_paths
 
 
@@ -191,13 +193,22 @@ class TestExports:
         with pytest.raises(EnumerationBoundExceeded):
             comptree(errata, None, enc.tree("001"), RF_STAR, enumeration_bound=4)
 
+    def test_enumeration_bound_respected_for_rf(self, errata, enc, monkeypatch):
+        def no_runs(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(algorithms, "steps", no_runs)
+        with pytest.raises(EnumerationBoundExceeded):
+            comptree(errata, None, enc.tree("001"), RF, enumeration_bound=4)
+
     def test_unknown_rule_rejected(self, errata, enc):
         with pytest.raises(ValueError):
             comptree(errata, None, enc.tree("001"), "greedy")
 
 
-# sha256 of to_text() and to_dot() on the errata start trees; any refactor
-# of the tree builders must reproduce these bytes exactly
+# sha256 of to_text() and to_dot() on the errata start trees and on one
+# 8-edge random instance; any refactor of the tree builders must reproduce
+# these bytes exactly
 GOLDEN = {
     ("001", RF): (
         "726a839742b4873c7d3a011a96a9e1006227dc9c56aaa6c06ae6a3956e6a9513",
@@ -215,12 +226,26 @@ GOLDEN = {
         "0e8d11a00093c08ab74e866ff59bc154944ff7c48818d36b45eda0ba7dc09372",
         "2f9b8e9dcbb923d79c9fdb799642fe606e8d56fc7a01bc46dce34f97ae84f182",
     ),
+    ("random-4-2-9-s2", RF): (
+        "7992a20ca31304c60772402d1207ce63e464a718a1938eddb277f182eec70a05",
+        "bd4f7fc00a1104d16a36cbd4d30d04aab938c000bb1ead3a7d861fa0d6cde533",
+    ),
+    ("random-4-2-9-s2", RF_STAR): (
+        "a8778bfbfbc17a7f5dcbb079c6fa74f55ed6e8e506d7d730b452ba6598fb1656",
+        "88463e10031dbb682ca1bc0a3e94877f5d03ede1d5ebb37cc57b7c5bf6de4d08",
+    ),
 }
 
 
-@pytest.mark.parametrize("bits,rule", sorted(GOLDEN))
-def test_golden_renderings(errata, enc, bits, rule):
-    ct = comptree(errata, None, enc.tree(bits), rule)
-    text_sha, dot_sha = GOLDEN[(bits, rule)]
+@pytest.mark.parametrize("start,rule", sorted(GOLDEN))
+def test_golden_renderings(errata, enc, start, rule):
+    if start == "random-4-2-9-s2":
+        # m=8; the start takes every vertex's last edge
+        inst = random_instance(4, 2, 9, seed=2)
+        tree = TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es})
+    else:
+        inst, tree = errata, enc.tree(start)
+    ct = comptree(inst, None, tree, rule)
+    text_sha, dot_sha = GOLDEN[(start, rule)]
     assert hashlib.sha256(ct.to_text().encode()).hexdigest() == text_sha
     assert hashlib.sha256(ct.to_dot().encode()).hexdigest() == dot_sha

@@ -17,7 +17,7 @@ from randomfacet import (
 )
 from randomfacet import algorithms
 from randomfacet.algorithms import branches, start_state
-from helpers import rf_expectation_by_branches, rfstar_by_permutations
+from helpers import executions, rf_expectation_by_branches, rfstar_by_permutations
 
 
 class TestExpectedPivotsRf:
@@ -78,7 +78,8 @@ class TestHistoryEnumeration:
         for bits, histories in (("001", 36), ("111", 82)):
             start = enc.tree(bits)
             idx, fmask, choice = start_state(errata, None, start)
-            weights = [w for w, _ in branches(idx, fmask, choice, start.mask, RF_STAR)]
+            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
+            weights = [w for w, _ in executions(segments)]
             assert len(weights) == histories
             assert sum(weights) == math.factorial(6)
 
@@ -94,7 +95,8 @@ class TestHistoryEnumeration:
         for inst in pool:
             start = _worst_tree(inst)
             idx, fmask, choice = start_state(inst, None, start)
-            weights = [w for w, _ in branches(idx, fmask, choice, start.mask, RF_STAR)]
+            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
+            weights = [w for w, _ in executions(segments)]
             assert sum(weights) == math.factorial(inst.m)
             orders = rfstar_by_permutations(inst, None, start)
             total = math.factorial(inst.m)
