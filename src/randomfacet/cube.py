@@ -7,17 +7,16 @@ the improving direction yields an orientation whose unique full-cube
 sink is the optimal tree; on generic instances every face of the cube
 has a unique sink and the orientation is acyclic.
 
-An OrientationView stores the arrows once and derives a successor table
-from them.  "Unique sink on every face" is the pair criterion of Szabó
-and Welzl ("Unique sink orientations of cubes", FOCS 2001): every two
-distinct vertices differ, on some axis where they differ, in whether
-an arrow leaves them along it.
+An OrientationView stores the orientation once, as one out-map of axis
+masks.  "Unique sink on every face" is the pair criterion of Szabó and
+Welzl ("Unique sink orientations of cubes", FOCS 2001), stated on that
+out-map: every two distinct vertices differ, on some axis where they
+differ, in whether an arrow leaves them along it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .errors import NonGenericInstance, NotATree, NotCubeShaped, RandomFacetError
@@ -72,71 +71,79 @@ def cube_encoding(inst: Instance) -> CubeEncoding:
     return CubeEncoding(axes=axes, pairs=tuple(pairs))
 
 
+def _bit_string(v: int, n: int) -> str:
+    """Vertex v of the n-cube as its bit string; "" for the 0-cube."""
+    return format(v, f"0{n}b") if n else ""
+
+
 @dataclass(frozen=True)
 class OrientationView:
     """Improving directions between all pairs of adjacent tree policies.
 
-    `arrows` orients every cube edge exactly once, as (src, dst) bits.
+    Vertex v is the tree whose bit string, read in binary, is v; axis j
+    (`encoding.axes[j]`) is bit n-1-j.  `out[v]` is the mask of the axes
+    along which an arrow leaves v; each cube edge is oriented exactly
+    once.  Bit strings are parsed and built only where methods take or
+    return them.
     """
 
     encoding: CubeEncoding
-    arrows: frozenset[tuple[str, str]]
+    out: tuple[int, ...]
 
-    @cached_property
-    def _succ(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {b: [] for b in self.encoding.all_bits()}
-        for src, dst in sorted(self.arrows):
-            succ[src].append(dst)
-        return succ
+    def _vertex(self, bits: str) -> int:
+        """Bit string to vertex; KeyError(bits) for a string outside the cube."""
+        n = len(self.encoding.axes)
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise KeyError(bits)
+        return int(bits, 2) if n else 0
+
+    def _heads(self, v: int) -> list[int]:
+        """Vertices that an arrow from v points at, in ascending order."""
+        out, n = self.out[v], len(self.encoding.axes)
+        return sorted(v ^ (1 << k) for k in range(n) if out >> k & 1)
 
     def successors(self, bits: str) -> list[str]:
-        return list(self._succ[bits])
+        n = len(self.encoding.axes)
+        return [_bit_string(w, n) for w in self._heads(self._vertex(bits))]
 
     def sink(self) -> str:
         """The unique vertex of the full cube with no outgoing arrow."""
-        sinks = [b for b in self._succ if not self.successors(b)]
+        n = len(self.encoding.axes)
+        sinks = [_bit_string(v, n) for v, o in enumerate(self.out) if not o]
         if len(sinks) != 1:
             raise RandomFacetError(f"expected one sink, found {sinks}")
         return sinks[0]
 
+    def _arrow_order(self) -> list[int]:
+        """Kahn's topological order; vertices on or behind a cycle are left out."""
+        n = len(self.encoding.axes)
+        indeg = [n - o.bit_count() for o in self.out]  # each cube edge points one way
+        order = [v for v, d in enumerate(indeg) if not d]
+        for v in order:  # the list grows while it is read
+            for w in self._heads(v):
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        return order
+
     def is_acyclic(self) -> bool:
-        state: dict[str, int] = {}
-
-        def dfs(b: str) -> bool:
-            state[b] = 1
-            for nxt in self.successors(b):
-                s = state.get(nxt)
-                if s == 1:
-                    return True
-                if s is None and dfs(nxt):
-                    return True
-            state[b] = 2
-            return False
-
-        return not any(state.get(b) is None and dfs(b) for b in self._succ)
+        return len(self._arrow_order()) == len(self.out)
 
     def unique_sink_every_face(self) -> bool:
         """Szabó-Welzl: u != v always differ in an outgoing axis in u xor v."""
-        out = [0] * (1 << len(self.encoding.axes))  # outgoing axes per vertex
-        for src, dst in self.arrows:
-            out[int(src, 2)] |= int(src, 2) ^ int(dst, 2)
+        out = self.out
         return all((u ^ v) & (out[u] ^ out[v]) for u in range(len(out)) for v in range(u))
 
     def count_paths(self, src: str, dst: str) -> int:
         """Number of directed pivot paths from src to dst."""
-        if not self.is_acyclic():
+        s, d = self._vertex(src), self._vertex(dst)
+        order = self._arrow_order()
+        if len(order) != len(self.out):
             raise RandomFacetError("orientation has a cycle; path count undefined")
-        memo: dict[str, int] = {}
-
-        def walk(b: str) -> int:
-            if b == dst:
-                return 1
-            if b in memo:
-                return memo[b]
-            memo[b] = sum(walk(nxt) for nxt in self.successors(b))
-            return memo[b]
-
-        return walk(src)
+        paths = [0] * len(self.out)
+        for v in reversed(order):
+            paths[v] = 1 if v == d else sum(paths[w] for w in self._heads(v))
+        return paths[s]
 
 
 def orientation_view(inst: Instance) -> OrientationView:
@@ -148,28 +155,32 @@ def orientation_view(inst: Instance) -> OrientationView:
     """
     enc = cube_encoding(inst)
     idx = inst._index
-    dists = {}
-    for bits in enc.all_bits():
+    n = len(enc.pairs)
+    dists = []
+    for v in range(1 << n):
         mask = 0
-        for pair, bit in zip(enc.pairs, bits):
-            mask |= 1 << pair[int(bit)]
-        dists[bits] = idx.tree_distances(mask)
-        if dists[bits] is None:
-            raise NotATree(f"tree {bits} does not reach the target")
+        for j, pair in enumerate(enc.pairs):
+            mask |= 1 << pair[v >> (n - 1 - j) & 1]
+        dist = idx.tree_distances(mask)
+        if dist is None:
+            raise NotATree(f"tree {_bit_string(v, n)} does not reach the target")
+        dists.append(dist)
 
     def shortens(dist, eid: EdgeId) -> bool:
         return idx.cost[eid] + idx.dget(dist, idx.head[eid]) < dist[idx.tail[eid]]
 
-    arrows: set[tuple[str, str]] = set()
-    for bits, dist in dists.items():
+    out = [0] * (1 << n)
+    for v, dist in enumerate(dists):
         for j, (zero, one) in enumerate(enc.pairs):
-            if bits[j] == "1":
+            axis = 1 << (n - 1 - j)
+            if v & axis:
                 continue
-            other = bits[:j] + "1" + bits[j + 1 :]
-            a_to_b = shortens(dist, one)
-            if a_to_b == shortens(dists[other], zero):
+            w = v | axis
+            v_to_w = shortens(dist, one)
+            if v_to_w == shortens(dists[w], zero):
                 raise NonGenericInstance(
-                    f"adjacent trees {bits} and {other} have no improving direction"
+                    f"adjacent trees {_bit_string(v, n)} and {_bit_string(w, n)} "
+                    "have no improving direction"
                 )
-            arrows.add((bits, other) if a_to_b else (other, bits))
-    return OrientationView(encoding=enc, arrows=frozenset(arrows))
+            out[v if v_to_w else w] |= axis
+    return OrientationView(encoding=enc, out=tuple(out))

@@ -338,27 +338,13 @@ class _Index:
         if all(len(t) == 1 for t in tight):
             return 1
 
-        def is_tree(choice) -> bool:
-            seen_ok = [False] * n
-            for start in range(n):
-                path = []
-                v = start
-                while v >= 0 and not seen_ok[v]:
-                    if v in path:
-                        return False
-                    path.append(v)
-                    v = self.head[choice[v]]
-                for u in path:
-                    seen_ok[u] = True
-            return True
-
         count = 0
         choice = [-1] * n
 
         def rec(v: int) -> bool:
             nonlocal count
             if v == n:
-                if is_tree(choice):
+                if self.tree_distances(sum(1 << eid for eid in choice)) is not None:
                     count += 1
                 return count >= limit
             for eid in tight[v]:

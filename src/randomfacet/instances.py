@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .cube import cube_encoding, orientation_view
+from .cube import orientation_view
 from .errors import (
     GenerationFailedAfterRetries,
     NonGenericInstance,
@@ -229,13 +229,14 @@ def errata_candidates(max_one_cost: int = 8) -> Iterator[Instance]:
 def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     """First candidate, in search order, matching every reference quantity.
 
-    The checks, in increasing cost: the full-edge-set optimum is tree
-    000; the cube orientation is acyclic with a unique sink on every
-    face and exactly three pivot paths from 001 and from 111 to 000;
-    the exact expectations equal the four pinned values; every edge
-    subset is generic.  Exhausting the space raises SearchExhausted,
-    which means the bounds must be widened, never that a weaker
-    instance is acceptable.
+    The checks: no two adjacent trees tie (the cube orientation comes
+    first, as it supplies the encoding); then, in increasing cost, the
+    full-edge-set optimum is tree 000; the orientation is acyclic with a
+    unique sink on every face and exactly three pivot paths from 001 and
+    from 111 to 000; the exact expectations equal the four pinned
+    values; every edge subset is generic.  Exhausting the space raises
+    SearchExhausted, which means the bounds must be widened, never that
+    a weaker instance is acceptable.
     """
     for inst in errata_candidates(max_one_cost):
         if _matches_reference(inst):
@@ -247,15 +248,15 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
 
 
 def _matches_reference(inst: Instance) -> bool:
-    enc = cube_encoding(inst)
+    try:
+        view = orientation_view(inst)
+    except NonGenericInstance:
+        return False
+    enc = view.encoding
     ev = ExactEvaluator(inst)
     full = inst._index.full_mask
     choice, tmask, _, unique = ev.optimal(full)
     if not unique or tmask != enc.tree("000").mask:
-        return False
-    try:
-        view = orientation_view(inst)
-    except NonGenericInstance:
         return False
     if not view.is_acyclic() or not view.unique_sink_every_face():
         return False

@@ -102,6 +102,36 @@ def unique_sink_by_faces(view):
     return True
 
 
+def has_cycle_by_dfs(view):
+    """True iff the view's arrows close a directed cycle.
+
+    A recursive depth-first search over bit strings and the public
+    successors, independent of the view's own integer walk.
+    """
+    state = {}
+
+    def dfs(bits):
+        state[bits] = "open"
+        for nxt in view.successors(bits):
+            if state.get(nxt) == "open" or (nxt not in state and dfs(nxt)):
+                return True
+        state[bits] = "done"
+        return False
+
+    return any(bits not in state and dfs(bits) for bits in view.encoding.all_bits())
+
+
+def paths_by_enumeration(view, src, dst):
+    """Number of simple directed paths from src to dst, walked one by one."""
+
+    def walk(bits, seen):
+        if bits == dst:
+            return 1
+        return sum(walk(nxt, seen | {nxt}) for nxt in view.successors(bits) if nxt not in seen)
+
+    return walk(src, {src})
+
+
 def rfstar_by_permutations(inst, facets, start):
     """Pivot counts of run_random_facet_star over every order of the facets.
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import cube_faces, unique_sink_by_faces
+from helpers import cube_faces, has_cycle_by_dfs, paths_by_enumeration, unique_sink_by_faces
 from randomfacet import (
     CubeEncoding,
     Edge,
@@ -11,6 +11,7 @@ from randomfacet import (
     NotATree,
     NotCubeShaped,
     OrientationView,
+    RandomFacetError,
     cube_encoding,
     optimal_tree,
     orientation_view,
@@ -57,8 +58,25 @@ class TestOrientationView:
     def test_one_vertex_cube_single_arrow(self):
         inst = Instance.build("t", [Edge(0, "v", "t", 0), Edge(1, "v", "t", 5)])
         view = orientation_view(inst)
-        assert view.arrows == {("1", "0")}
+        assert view.out == (0, 1)
         assert view.sink() == "0"
+
+    def test_zero_axis_cube(self):
+        # format(0, "b") is "0", but the one tree of the 0-cube is ""
+        view = orientation_view(Instance.build("t", []))
+        assert view.sink() == ""
+        assert view.successors("") == []
+        assert view.count_paths("", "") == 1
+        assert view.is_acyclic()
+        assert view.unique_sink_every_face()
+
+    @pytest.mark.parametrize(
+        "src, dst", [("001", "0000"), ("0011", "000"), ("00x", "000"), ("001", "0 0"), ("", "000")]
+    )
+    def test_count_paths_rejects_endpoints_outside_the_cube(self, errata, src, dst):
+        view = orientation_view(errata)
+        with pytest.raises(KeyError):
+            view.count_paths(src, dst)
 
     def test_tied_adjacent_trees_are_non_generic(self):
         inst = Instance.build("t", [Edge(0, "v", "t", 3), Edge(1, "v", "t", 3)])
@@ -79,15 +97,13 @@ def all_orientations(n):
     """Every orientation of the n-cube, as an OrientationView."""
     axes = tuple("abc"[:n])
     enc = CubeEncoding(axes=axes, pairs=tuple((2 * j, 2 * j + 1) for j in range(n)))
-    edges = [
-        (bits, bits[:j] + "1" + bits[j + 1 :])
-        for bits in enc.all_bits()
-        for j in range(n)
-        if bits[j] == "0"
-    ]
+    # each cube edge once, as its lower vertex and the axis bit it flips
+    edges = [(v, 1 << k) for v in range(1 << n) for k in range(n) if not v >> k & 1]
     for flips in itertools.product((False, True), repeat=len(edges)):
-        arrows = frozenset((b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips))
-        yield OrientationView(encoding=enc, arrows=arrows)
+        out = [0] * (1 << n)
+        for (v, axis), flip in zip(edges, flips):
+            out[v | axis if flip else v] |= axis
+        yield OrientationView(encoding=enc, out=tuple(out))
 
 
 @pytest.mark.parametrize("n, orientations, usos", [(1, 2, 2), (2, 16, 12), (3, 4096, 744)])
@@ -99,3 +115,26 @@ def test_unique_sink_check_agrees_with_the_face_oracle(n, orientations, usos):
     assert sum(verdicts) == usos
     # sum over k of C(n, k) * 2^(n-k) sub-cubes: 27 for the 3-cube
     assert len(list(cube_faces(n))) == 3**n
+
+
+@pytest.mark.parametrize(
+    "n, acyclic, acyclic_usos, paths_top_to_bottom", [(2, 14, 12, 6), (3, 1862, 728, 1026)]
+)
+def test_acyclicity_and_path_counts_agree_with_the_dfs_oracle(
+    n, acyclic, acyclic_usos, paths_top_to_bottom
+):
+    top, bottom = "1" * n, "0" * n
+    found = usos = total = 0
+    for view in all_orientations(n):
+        is_acyclic = view.is_acyclic()
+        assert is_acyclic is not has_cycle_by_dfs(view)
+        if not is_acyclic:
+            with pytest.raises(RandomFacetError):
+                view.count_paths(top, bottom)
+            continue
+        found += 1
+        usos += view.unique_sink_every_face()
+        for src in view.encoding.all_bits():
+            assert view.count_paths(src, bottom) == paths_by_enumeration(view, src, bottom)
+        total += view.count_paths(top, bottom)
+    assert (found, usos, total) == (acyclic, acyclic_usos, paths_top_to_bottom)

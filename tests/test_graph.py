@@ -11,6 +11,7 @@ from randomfacet import (
     TargetHasOutEdges,
     TreePolicy,
     edge_names,
+    genericity_check,
     improves,
     optimal_is_unique,
     optimal_tree,
@@ -210,6 +211,17 @@ class TestOptimalTree:
         tied = Instance.build("t", [Edge(0, "v", "t", 3), Edge(1, "v", "t", 3)])
         assert not optimal_is_unique(tied)
         assert optimal_is_unique(one_vertex())
+
+    def test_zero_cost_cycle_is_not_a_second_optimum(self):
+        # x->y and y->x are both tight at cost 0 but close a cycle, so the
+        # one optimal tree is x->t, y->x
+        inst = Instance.build(
+            "t",
+            [Edge(0, "x", "y", 0), Edge(1, "x", "t", 1), Edge(2, "y", "x", 0), Edge(3, "y", "t", 2)],
+        )
+        assert optimal_is_unique(inst)
+        assert optimal_tree(inst) == TreePolicy({"x": 1, "y": 2})
+        assert genericity_check(inst)
 
 
 def _trees_within(inst, F):
