@@ -27,6 +27,7 @@ from .errors import (
     NegativeCycle,
     NonGenericInstance,
     NoTreeInSubset,
+    NotACubeVertex,
     NotATree,
     NotCubeShaped,
     NotImproving,

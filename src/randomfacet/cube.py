@@ -19,7 +19,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import NonGenericInstance, NotATree, NotCubeShaped, RandomFacetError
+from .errors import (
+    NonGenericInstance,
+    NotACubeVertex,
+    NotATree,
+    NotCubeShaped,
+    RandomFacetError,
+)
 from .graph import EdgeId, Instance, TreePolicy
 
 
@@ -43,8 +49,7 @@ class CubeEncoding:
         return "".join(out)
 
     def tree(self, bits: str) -> TreePolicy:
-        if len(bits) != len(self.axes) or set(bits) - {"0", "1"}:
-            raise ValueError(f"{bits!r} is not a binary string of length {len(self.axes)}")
+        _vertex(bits, len(self.axes))
         return TreePolicy(
             {
                 axis: self.pairs[j][int(bits[j])]
@@ -71,6 +76,13 @@ def cube_encoding(inst: Instance) -> CubeEncoding:
     return CubeEncoding(axes=axes, pairs=tuple(pairs))
 
 
+def _vertex(bits: str, n: int) -> int:
+    """Bit string to vertex of the n-cube; NotACubeVertex if it names none."""
+    if len(bits) != n or set(bits) - {"0", "1"}:
+        raise NotACubeVertex(f"{bits!r} is not a binary string of length {n}")
+    return int(bits, 2) if n else 0
+
+
 def _bit_string(v: int, n: int) -> str:
     """Vertex v of the n-cube as its bit string; "" for the 0-cube."""
     return format(v, f"0{n}b") if n else ""
@@ -90,13 +102,6 @@ class OrientationView:
     encoding: CubeEncoding
     out: tuple[int, ...]
 
-    def _vertex(self, bits: str) -> int:
-        """Bit string to vertex; KeyError(bits) for a string outside the cube."""
-        n = len(self.encoding.axes)
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise KeyError(bits)
-        return int(bits, 2) if n else 0
-
     def _heads(self, v: int) -> list[int]:
         """Vertices that an arrow from v points at, in ascending order."""
         out, n = self.out[v], len(self.encoding.axes)
@@ -104,7 +109,7 @@ class OrientationView:
 
     def successors(self, bits: str) -> list[str]:
         n = len(self.encoding.axes)
-        return [_bit_string(w, n) for w in self._heads(self._vertex(bits))]
+        return [_bit_string(w, n) for w in self._heads(_vertex(bits, n))]
 
     def sink(self) -> str:
         """The unique vertex of the full cube with no outgoing arrow."""
@@ -136,7 +141,8 @@ class OrientationView:
 
     def count_paths(self, src: str, dst: str) -> int:
         """Number of directed pivot paths from src to dst."""
-        s, d = self._vertex(src), self._vertex(dst)
+        n = len(self.encoding.axes)
+        s, d = _vertex(src, n), _vertex(dst, n)
         order = self._arrow_order()
         if len(order) != len(self.out):
             raise RandomFacetError("orientation has a cycle; path count undefined")

@@ -72,6 +72,10 @@ class NotCubeShaped(RandomFacetError):
     """Cube views require exactly two outgoing edges per vertex."""
 
 
+class NotACubeVertex(RandomFacetError, ValueError):
+    """A bit string that names no tree of the instance's cube."""
+
+
 class SearchExhausted(RandomFacetError):
     """The counterexample search space was exhausted without a hit."""
 

@@ -8,6 +8,15 @@ only through which candidate is the minimum at each choice point, so
 its expectation is a sum over histories of those answers, each weighted
 by the number of orders of the facet set that extend it
 (algorithms.branches).  All arithmetic is exact rational.
+
+The randomized rule's recursion needs the optimal tree of many facet
+subsets, and most of them follow from a smaller one.  The lemma: let
+F minus {f} have optimal distances d.  If cost(f) + d(head f) > d(tail f),
+d is still a feasible potential on F and f is not tight, so F has the
+same distances, the same tight edges and hence the same optimal trees
+(the same resolved choice, and a unique one exactly when F minus {f}
+has one).  This needs no acyclicity, so it holds with zero-cost cycles
+too.  A tie or an improving f settles nothing, and F is solved afresh.
 """
 from __future__ import annotations
 
@@ -26,8 +35,11 @@ DEFAULT_ENUMERATION_BOUND = 10
 class ExactEvaluator:
     """Evaluation context for exact expectations on one instance.
 
-    Caches shortest-path data per facet subset and memoizes the
-    expectation recursion on (facet mask, tree mask) pairs.  Caches are
+    Caches the optimum of each facet subset, derived by the lemma above
+    from a cached subset one edge smaller when it can be, and solved by
+    Bellman-Ford otherwise.  Memoizes the rf recursion on (facet mask,
+    tree mask) pairs as reduced (numerator, denominator) integer pairs;
+    a Fraction is built only at the public expected_rf.  Caches are
     confined to this object; create one per computation or share it
     explicitly when evaluating many start trees of the same instance.
     """
@@ -36,14 +48,26 @@ class ExactEvaluator:
         self.inst = inst
         self._idx = inst._index
         self._opt: dict[int, tuple[list[EdgeId], int, tuple[int, ...], bool]] = {}
-        self._memo: dict[tuple[int, int], Fraction] = {}
+        self._memo: dict[tuple[int, int], tuple[int, int]] = {}
 
     def optimal(self, fmask: int):
         """(choice, tree mask, distances, unique) for a facet subset."""
-        hit = self._opt.get(fmask)
+        opt = self._opt
+        hit = opt.get(fmask)
         if hit is not None:
             return hit
         idx = self._idx
+        rest = fmask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            entry = opt.get(fmask ^ low)
+            if entry is not None:
+                f = low.bit_length() - 1
+                dist = entry[2]
+                if idx.cost[f] + idx.dget(dist, idx.head[f]) > dist[idx.tail[f]]:
+                    opt[fmask] = entry
+                    return entry
         dist, tight = idx.subgraph_shortest(fmask)
         choice = idx.resolve_tree(tight)
         tmask = 0
@@ -51,7 +75,7 @@ class ExactEvaluator:
             tmask |= 1 << eid
         unique = idx.count_optimal_trees(tight, limit=2) == 1
         entry = (choice, tmask, dist, unique)
-        self._opt[fmask] = entry
+        opt[fmask] = entry
         return entry
 
     def expected_rf(self, fmask: int, bmask: int) -> Fraction:
@@ -62,6 +86,10 @@ class ExactEvaluator:
         improves the unique optimum of that subproblem, one pivot and
         the expectation from the pivoted tree.
         """
+        return Fraction(*self._rf(fmask, bmask))
+
+    def _rf(self, fmask: int, bmask: int) -> tuple[int, int]:
+        """expected_rf as a reduced (numerator, denominator) pair."""
         memo = self._memo
         hit = memo.get((fmask, bmask))
         if hit is not None:
@@ -69,12 +97,16 @@ class ExactEvaluator:
         idx = self._idx
         cands = idx.edge_bits(fmask & ~bmask)
         if not cands:
-            memo[(fmask, bmask)] = Fraction(0)
-            return Fraction(0)
-        total = Fraction(0)
+            memo[(fmask, bmask)] = (0, 1)
+            return (0, 1)
+        num, den = 0, 1
         for e in cands:
             sub = fmask & ~(1 << e)
-            total += self.expected_rf(sub, bmask)
+            n1, d1 = self._rf(sub, bmask)
+            if d1 == den:
+                num += n1
+            else:
+                num, den = num * d1 + n1 * den, den * d1
             choice, tmask, dist, unique = self.optimal(sub)
             if not unique:
                 raise NonGenericInstance(
@@ -83,8 +115,15 @@ class ExactEvaluator:
             u = idx.tail[e]
             if idx.cost[e] + idx.dget(dist, idx.head[e]) < dist[u]:
                 b2 = (tmask & ~(1 << choice[u])) | (1 << e)
-                total += 1 + self.expected_rf(fmask, b2)
-        value = total / len(cands)
+                n2, d2 = self._rf(fmask, b2)
+                n2 += d2  # one pivot, then the pivoted tree
+                if d2 == den:
+                    num += n2
+                else:
+                    num, den = num * d2 + n2 * den, den * d2
+        den *= len(cands)
+        g = math.gcd(num, den)
+        value = (num // g, den // g)
         memo[(fmask, bmask)] = value
         return value
 

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import cyclic_instance
 from randomfacet import (
     cube_encoding,
     edge_names,
@@ -44,4 +45,17 @@ def medium_pool():
     return [
         random_instance(*_MEDIUM_SHAPES[i % len(_MEDIUM_SHAPES)], cost_bound=9, seed=1000 + i)
         for i in range(200)
+    ]
+
+
+# back edges, self-loops and costs 0..3, so zero-cost cycles and ties
+# are common; up to nine edges, so every subset can be walked
+_CYCLIC_SHAPES = [(1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (3, 3), (4, 2)]
+
+
+@pytest.fixture(scope="session")
+def cyclic_pool():
+    return [
+        cyclic_instance(*_CYCLIC_SHAPES[i % len(_CYCLIC_SHAPES)], cost_bound=3, seed=2000 + i)
+        for i in range(70)
     ]

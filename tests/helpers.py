@@ -1,9 +1,18 @@
 """Test-only oracles, independent of the library's exact engines."""
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
-from randomfacet import Permutation, run_random_facet, run_random_facet_star
+from randomfacet import (
+    Edge,
+    Instance,
+    Permutation,
+    TreePolicy,
+    run_random_facet,
+    run_random_facet_star,
+    validate_instance,
+)
 
 
 class ScriptedRng:
@@ -197,3 +206,56 @@ def pick_order_by_paths(tree, pivot_edge, candidates=None, pivot_depth=0):
     if region == 0:
         return Fraction(0), {}
     return region, {e: p / region for e, p in buckets.items()}
+
+
+def cyclic_instance(n, out_degree, cost_bound, seed):
+    """Seeded (instance, start tree) whose graph may close cycles.
+
+    Vertices v0..v{n-1} plus target t.  Each edge's head is any vertex,
+    the tail itself included, or t, and its cost is drawn from
+    0..cost_bound, so no cycle is negative while zero-cost cycles and
+    ties are common.  Draws are rejected until some tree exists; the
+    start is the real tree (its choices all reach t) with the largest
+    distance sum, the first such in real_trees order.  Unlike
+    randomfacet.random_instance, genericity is not checked.
+    """
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    while True:
+        edges = []
+        for v in names:
+            for _ in range(out_degree):
+                head = rng.choice(names + ["t"])
+                edges.append(Edge(len(edges), v, head, rng.randrange(cost_bound + 1)))
+        inst = validate_instance(Instance.build("t", edges))
+        trees = real_trees(inst)
+        if trees:
+            idx = inst._index
+            return inst, max(trees, key=lambda tree: sum(idx.tree_distances(tree.mask)))
+
+
+def real_trees(inst):
+    """Every tree policy of inst whose choices all reach the target."""
+    idx = inst._index
+    trees = []
+    for ids in itertools.product(*(idx.out[v] for v in range(len(idx.order)))):
+        mask = sum(1 << eid for eid in ids)
+        if idx.tree_distances(mask) is not None:
+            trees.append(TreePolicy.from_edge_ids(inst, ids))
+    return trees
+
+
+def has_zero_cost_cycle(inst):
+    """True iff edges of cost zero close a directed cycle (self-loops count)."""
+    succ = {v: {e.head for e in es if e.cost == 0} for v, es in inst.out_edges.items()}
+    state = {}
+
+    def dfs(v):
+        state[v] = "open"
+        for w in succ[v]:
+            if state.get(w) == "open" or (w not in state and dfs(w)):
+                return True
+        state[v] = "done"
+        return False
+
+    return any(v not in state and dfs(v) for v in succ)

@@ -1,8 +1,9 @@
-"""Smoke run of the benchmark at its smallest size.
+"""Smoke runs of the benchmark at its smallest size.
 
-Runs one pass of the rfstar-posterior workload with tracing off and
-checks that every answer matched bench/reference.json.  No timing is
-asserted: wall-clock figures belong to the benchmark, not to the tests.
+Runs one pass of the rfstar-posterior and rf-exact workloads with
+tracing off and checks that every answer matched bench/reference.json.
+No timing is asserted: wall-clock figures belong to the benchmark, not
+to the tests.
 """
 import json
 import subprocess
@@ -12,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_rfstar_posterior_one_pass_is_correct():
+def _one_pass(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "rfstar-posterior",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
@@ -22,6 +23,17 @@ def test_rfstar_posterior_one_pass_is_correct():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_rfstar_posterior_one_pass_is_correct():
+    last = _one_pass("rfstar-posterior")
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+def test_rf_exact_one_pass_is_correct():
+    # pins the three exact rf answers (26/3, 3 and 5) end to end
+    last = _one_pass("rf-exact")
     assert last["correct"] is True
     assert last["failed"] == 0

@@ -8,6 +8,7 @@ from randomfacet import (
     Edge,
     Instance,
     NonGenericInstance,
+    NotACubeVertex,
     NotATree,
     NotCubeShaped,
     OrientationView,
@@ -75,8 +76,19 @@ class TestOrientationView:
     )
     def test_count_paths_rejects_endpoints_outside_the_cube(self, errata, src, dst):
         view = orientation_view(errata)
-        with pytest.raises(KeyError):
+        with pytest.raises(NotACubeVertex):
             view.count_paths(src, dst)
+
+    @pytest.mark.parametrize("bits", ["01", "0011", "01x"])
+    def test_one_typed_error_for_bits_outside_the_cube(self, errata, enc, bits):
+        # a library error that old `except ValueError` callers still catch
+        view = orientation_view(errata)
+        for call in (enc.tree, view.successors, lambda b: view.count_paths(b, "000")):
+            with pytest.raises(NotACubeVertex) as exc:
+                call(bits)
+            assert isinstance(exc.value, RandomFacetError)
+            assert isinstance(exc.value, ValueError)
+            assert str(exc.value) == f"{bits!r} is not a binary string of length 3"
 
     def test_tied_adjacent_trees_are_non_generic(self):
         inst = Instance.build("t", [Edge(0, "v", "t", 3), Edge(1, "v", "t", 3)])

@@ -2,22 +2,35 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomfacet import (
     RF_STAR,
     Edge,
     EnumerationBoundExceeded,
+    ExactEvaluator,
     Instance,
     NonGenericInstance,
+    NoTreeInSubset,
     RandomFacetError,
     TreePolicy,
     comptree,
     expected_pivots_rf,
     expected_pivots_rf_star,
+    genericity_check,
+    random_instance,
 )
 from randomfacet import algorithms
 from randomfacet.algorithms import branches, start_state
-from helpers import executions, rf_expectation_by_branches, rfstar_by_permutations
+from randomfacet.graph import _Index
+from helpers import (
+    cyclic_instance,
+    executions,
+    has_zero_cost_cycle,
+    rf_expectation_by_branches,
+    rfstar_by_permutations,
+)
 
 
 class TestExpectedPivotsRf:
@@ -46,6 +59,95 @@ class TestExpectedPivotsRf:
             assert expected_pivots_rf(inst, None, start) == rf_expectation_by_branches(
                 inst, None, start
             )
+
+    def test_matches_branch_enumeration_on_cyclic_instances(self, cyclic_pool):
+        # the generic members up to six edges; zero-cost cycles among them
+        # are what the tree checks of the recursion guard against
+        pool = [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
+        generic = [(inst, start) for inst, start in pool if genericity_check(inst)]
+        assert any(has_zero_cost_cycle(inst) for inst, _ in generic)
+        for inst, start in generic:
+            assert expected_pivots_rf(inst, None, start) == rf_expectation_by_branches(
+                inst, None, start
+            )
+
+
+class TestOptimumReuse:
+    """ExactEvaluator.optimal derives an optimum from a cached subset one
+    edge smaller when that edge is strictly slack; every entry it returns
+    must equal a direct solve, whichever way it was reached."""
+
+    def test_recursion_entries_match_a_direct_solve(self, small_pool, medium_pool, cyclic_pool):
+        pool = [(inst, _worst_tree(inst)) for inst in small_pool + medium_pool[:60]]
+        for inst, start in pool + cyclic_pool:
+            ev = ExactEvaluator(inst)
+            _, fmask, _ = start_state(inst, None, start)
+            try:
+                ev.expected_rf(fmask, start.mask)
+            except NonGenericInstance:
+                pass
+            for sub, entry in ev._opt.items():
+                assert entry == _direct_optimum(inst._index, sub)
+
+    def test_every_subset_through_ties_and_non_unique_parents(self, cyclic_pool, monkeypatch):
+        # in ascending order every subset one edge smaller comes first, so
+        # a full solve must mean that each such edge ties or improves
+        solves = _count_solves(monkeypatch)
+        reused_non_unique = fell_through_tie = 0
+        for inst, _ in cyclic_pool:
+            idx = inst._index
+            ev = ExactEvaluator(inst)
+            for fmask in range(1 << inst.m):
+                direct = _direct_optimum(idx, fmask)
+                if direct is None:
+                    with pytest.raises(NoTreeInSubset):
+                        ev.optimal(fmask)
+                    continue
+                slacks = [
+                    (_slack(idx, ev._opt[sub][2], f), ev._opt[sub][3])
+                    for f in idx.edge_bits(fmask)
+                    if (sub := fmask & ~(1 << f)) in ev._opt
+                ]
+                before = solves[0]
+                assert ev.optimal(fmask) == direct
+                if solves[0] == before:
+                    reused_non_unique += not next(u for slack, u in slacks if slack > 0)
+                else:
+                    assert all(slack <= 0 for slack, _ in slacks)
+                    fell_through_tie += any(slack == 0 for slack, _ in slacks)
+        assert reused_non_unique > 0
+        assert fell_through_tie > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.randoms())
+    def test_any_visiting_order_matches_a_direct_solve(self, seed, shape, rnd):
+        inst, _ = cyclic_instance(*shape, cost_bound=2, seed=seed)
+        masks = list(range(1 << inst.m))
+        rnd.shuffle(masks)
+        ev = ExactEvaluator(inst)
+        for fmask in masks:
+            direct = _direct_optimum(inst._index, fmask)
+            if direct is None:
+                continue
+            assert ev.optimal(fmask) == direct
+
+
+class TestFullSolveCount:
+    """Pins how many facet subsets exact rf solves by Bellman-Ford; every
+    other subset it meets is settled by a cached subset one edge smaller."""
+
+    def test_errata_from_001(self, errata, enc, monkeypatch):
+        # the recursion meets 23 facet subsets
+        solves = _count_solves(monkeypatch)
+        assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
+        assert solves[0] == 6
+
+    def test_random_instance(self, monkeypatch):
+        # m=8; the recursion meets 35 facet subsets
+        inst = random_instance(4, 2, 9, 2)
+        solves = _count_solves(monkeypatch)
+        assert expected_pivots_rf(inst, None, _worst_tree(inst)) == 2
+        assert solves[0] == 4
 
 
 class TestExpectedPivotsRfStar:
@@ -136,3 +238,30 @@ class TestSubsetArguments:
 
 def _worst_tree(inst):
     return TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es})
+
+
+def _direct_optimum(idx, fmask):
+    """(choice, tree mask, distances, unique) by Bellman-Ford; None without a tree."""
+    try:
+        dist, tight = idx.subgraph_shortest(fmask)
+    except NoTreeInSubset:
+        return None
+    choice = idx.resolve_tree(tight)
+    return choice, sum(1 << eid for eid in choice), dist, idx.count_optimal_trees(tight) == 1
+
+
+def _slack(idx, dist, f):
+    return idx.cost[f] + idx.dget(dist, idx.head[f]) - dist[idx.tail[f]]
+
+
+def _count_solves(monkeypatch):
+    """Count _Index.subgraph_shortest calls from now to the end of the test."""
+    solves = [0]
+    solve = _Index.subgraph_shortest
+
+    def counting(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(_Index, "subgraph_shortest", counting)
+    return solves
