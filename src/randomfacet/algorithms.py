@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import PermutationDomainTooSmall
 from .graph import EdgeId, Instance, TreePolicy, facet_mask
-from .orders import count_linear_extensions
+from .orders import _count_orders
 
 RF = "rf"
 RF_STAR = "rfstar"
@@ -190,25 +190,25 @@ def steps(
 def _answers(hist: tuple, cands: list[EdgeId]) -> list[tuple]:
     """The allowed answers at a choice point, each with the history after it.
 
-    A history is (before, pairs, width).  RF allows every candidate and
-    weighs an execution 1/width, width being the product of the numbers
-    of allowed answers; its `before` is None.  A run of RF_STAR sees its
+    A history is (before, width).  RF allows every candidate and weighs
+    an execution 1/width, width being the product of the numbers of
+    allowed answers; its `before` is None.  A run of RF_STAR sees its
     permutation only through which candidate is the minimum: answering e
-    places e before every other candidate (`pairs`), a candidate placed
-    after another candidate is not allowed, and the weight is the number
-    of orders of F extending the pairs.  before[c], the mask of the
-    facets placed before c, is kept transitively closed.
+    places e before every other candidate, a candidate placed after
+    another candidate is not allowed, and the weight is the number of
+    orders of F extending before[c], the transitively closed mask of the
+    facets placed before each c (orders._count_orders).
     """
-    before, pairs, width = hist
+    before, width = hist
     if before is None:
-        return [(e, (None, (), width * len(cands))) for e in cands]
+        return [(e, (None, width * len(cands))) for e in cands]
     cmask = sum(1 << c for c in cands)
     out = []
     for e in [c for c in cands if not before[c] & cmask]:
         rest = cmask & ~(1 << e)
         below = before[e] | (1 << e)
         closed = {y: b | below if (b | 1 << y) & rest else b for y, b in before.items()}
-        out.append((e, (closed, pairs + tuple((e, c) for c in cands if c != e), width)))
+        out.append((e, (closed, width)))
     return out
 
 
@@ -222,14 +222,14 @@ def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
     pre-order: `forks` counts the forks above the segment, its events
     start with the pick of its answer (except at the root), and `weight`
     is None if it ends at a fork, whose segments follow in ascending
-    answer order; otherwise it ends an execution of that weight
-    (_answers).  RF weights are Fractions summing to one, RF_STAR
-    weights integers summing to |F|!.
+    answer order; otherwise it ends an execution of that weight, read
+    off its history (before, width) (_answers).  RF weights are
+    Fractions summing to one, RF_STAR weights integers summing to |F|!.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     ids = idx.edge_bits(fmask)
-    hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, (), 1)
+    hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, 1)
     todo = [(0, (fmask, bmask, tuple(choice), (), 0, CallKind.ROOT), hist, None)]
     while todo:
         forks, (fmask, bmask, choice, frames, depth, kind), hist, answer = todo.pop()
@@ -251,10 +251,10 @@ def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
             point = events.pop()[1]
             todo.extend((forks + 1, point, child, e) for e, child in reversed(fork))
             yield forks, events, None
-        elif hist[0] is None:  # RF: hist is (None, (), width)
-            yield forks, events, Fraction(1, hist[2])
+        elif hist[0] is None:  # RF: hist is (None, width)
+            yield forks, events, Fraction(1, hist[1])
         else:
-            yield forks, events, count_linear_extensions(len(ids), hist[1])
+            yield forks, events, _count_orders(hist[0], len(ids))
 
 
 def run_random_facet(

@@ -73,7 +73,7 @@ class ExactEvaluator:
         tmask = 0
         for eid in choice:
             tmask |= 1 << eid
-        unique = idx.count_optimal_trees(tight, limit=2) == 1
+        unique = idx.count_optimal_trees(tight) == 1
         entry = (choice, tmask, dist, unique)
         opt[fmask] = entry
         return entry
@@ -95,13 +95,17 @@ class ExactEvaluator:
         if hit is not None:
             return hit
         idx = self._idx
-        cands = idx.edge_bits(fmask & ~bmask)
-        if not cands:
+        free = fmask & ~bmask
+        if not free:
             memo[(fmask, bmask)] = (0, 1)
             return (0, 1)
         num, den = 0, 1
-        for e in cands:
-            sub = fmask & ~(1 << e)
+        rest = free
+        while rest:  # the removable edges e, ascending
+            low = rest & -rest
+            rest ^= low
+            e = low.bit_length() - 1
+            sub = fmask ^ low
             n1, d1 = self._rf(sub, bmask)
             if d1 == den:
                 num += n1
@@ -114,14 +118,14 @@ class ExactEvaluator:
                 )
             u = idx.tail[e]
             if idx.cost[e] + idx.dget(dist, idx.head[e]) < dist[u]:
-                b2 = (tmask & ~(1 << choice[u])) | (1 << e)
+                b2 = (tmask & ~(1 << choice[u])) | low
                 n2, d2 = self._rf(fmask, b2)
                 n2 += d2  # one pivot, then the pivoted tree
                 if d2 == den:
                     num += n2
                 else:
                     num, den = num * d2 + n2 * den, den * d2
-        den *= len(cands)
+        den *= free.bit_count()
         g = math.gcd(num, den)
         value = (num // g, den // g)
         memo[(fmask, bmask)] = value

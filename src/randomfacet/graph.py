@@ -327,8 +327,8 @@ class _Index:
             remaining -= len(newly)
         return choice
 
-    def count_optimal_trees(self, tight, limit: int = 2) -> int:
-        """Number of distinct optimal trees, counted up to `limit`.
+    def count_optimal_trees(self, tight) -> int:
+        """Number of distinct optimal trees, counted up to two.
 
         With zero-cost cycles a combination of tight edges may fail to be
         a tree, so candidates are enumerated and checked rather than
@@ -346,7 +346,7 @@ class _Index:
             if v == n:
                 if self.tree_distances(sum(1 << eid for eid in choice)) is not None:
                     count += 1
-                return count >= limit
+                return count >= 2
             for eid in tight[v]:
                 choice[v] = eid
                 if rec(v + 1):
@@ -474,7 +474,7 @@ def optimal_is_unique(inst: Instance, facets: Iterable[EdgeId] | None = None) ->
     """True iff the subgraph restricted to `facets` has a single optimal tree."""
     idx = inst._index
     _, tight = idx.subgraph_shortest(facet_mask(inst, facets))
-    return idx.count_optimal_trees(tight, limit=2) == 1
+    return idx.count_optimal_trees(tight) == 1
 
 
 def subgraph_distances(

@@ -151,7 +151,7 @@ def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
             _, tight = idx.subgraph_shortest(fmask)
         except NoTreeInSubset:
             continue
-        if idx.count_optimal_trees(tight, limit=2) > 1:
+        if idx.count_optimal_trees(tight) > 1:
             return False
     return True
 

@@ -1,13 +1,13 @@
 """Counting total orders that extend precedence constraints.
 
-A ConstraintSet holds ordered pairs (a, b) meaning "a before b".
-count_linear_extensions counts the total orders on a universe of a
-given size that extend the constraints, by dynamic programming over the
-sets of constrained elements already placed (the order ideals);
-elements not named by any constraint are free and only contribute a
-factorial factor.  The counts feed conditional order probabilities,
-which is exactly the posterior a fixed-but-random permutation acquires
-once part of the execution history is known.
+A ConstraintSet holds ordered pairs (a, b) meaning "a before b".  One
+dynamic program counts the orders of a poset given as {element bit:
+mask of the elements before it}: count_linear_extensions converts its
+pairs to such masks, and the rfstar history weights
+(algorithms.branches) pass their closed masks straight in.  The counts
+feed conditional order probabilities, which is exactly the posterior a
+fixed-but-random permutation acquires once part of the execution
+history is known.
 """
 from __future__ import annotations
 
@@ -93,12 +93,9 @@ def _coerce(constraints) -> ConstraintSet:
 def count_linear_extensions(universe_size: int, constraints) -> int:
     """Exact number of total orders on the universe extending the constraints.
 
-    Places the k constrained elements one at a time and memoizes the
-    count of each set of placed elements (the lattice-of-ideals method
-    of De Loof, De Meyer and De Baets), so the cost is at most 2^k * k
-    steps rather than one per extension; the n - k free elements
-    contribute the factor n!/k!.  universe_size is capped at
-    MAX_UNIVERSE.
+    Numbers the constrained elements and counts with _count_orders, in
+    at most 2^k * k steps for k constrained elements rather than one per
+    extension.  universe_size is capped at MAX_UNIVERSE.
     """
     cs = _coerce(constraints)
     if universe_size < 0:
@@ -107,36 +104,43 @@ def count_linear_extensions(universe_size: int, constraints) -> int:
         raise UniverseTooLarge(
             f"universe of {universe_size} exceeds the enumeration bound {MAX_UNIVERSE}"
         )
-    named = sorted(cs.elements(), key=str)
+    named = cs.elements()
     if len(named) > universe_size:
         raise ValueError(
             f"{len(named)} constrained elements do not fit in a universe of "
             f"{universe_size}"
         )
     index = {x: i for i, x in enumerate(named)}
-    k = len(named)
-    preds = [0] * k
+    before = dict.fromkeys(range(len(named)), 0)
     for a, b in cs.pairs:
-        if a == b:
-            return 0
-        preds[index[b]] |= 1 << index[a]
-    full = (1 << k) - 1
-    memo = {full: 1}
+        before[index[b]] |= 1 << index[a]
+    return _count_orders(before, universe_size)
 
-    def place(placed: int) -> int:
-        if placed in memo:
-            return memo[placed]
-        total = 0
-        for i in range(k):
-            bit = 1 << i
-            if placed & bit or preds[i] & ~placed:
-                continue
-            total += place(placed | bit)
-        memo[placed] = total
-        return total
 
-    # the free elements take any n - k of the n positions, in any order
-    return place(0) * math.factorial(universe_size) // math.factorial(k)
+def _count_orders(before: dict[int, int], universe_size: int) -> int:
+    """Orders of `universe_size` elements in which each element e comes
+    after every element of the mask before[e].
+
+    Places the k constrained elements (those in a mask or with a
+    non-empty one) one at a time, carrying the count of each placed set
+    (the lattice-of-ideals method of De Loof, De Meyer and De Baets); a
+    cycle leaves nothing to place and counts 0.  The n - k free elements
+    take any n - k of the n positions in any order: the factor n!/k!.
+    """
+    named = 0
+    for e, mask in before.items():
+        if mask:
+            named |= mask | 1 << e
+    preds = [(1 << e, before.get(e, 0)) for e in range(named.bit_length()) if named >> e & 1]
+    ways = {0: 1}
+    for _ in preds:
+        nxt: dict[int, int] = {}
+        for placed, w in ways.items():
+            for bit, mask in preds:
+                if not placed & bit and not mask & ~placed:
+                    nxt[placed | bit] = nxt.get(placed | bit, 0) + w
+        ways = nxt
+    return ways.get(named, 0) * math.factorial(universe_size) // math.factorial(len(preds))
 
 
 def conditional_order_probability(

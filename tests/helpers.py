@@ -13,6 +13,7 @@ from randomfacet import (
     run_random_facet_star,
     validate_instance,
 )
+from randomfacet.algorithms import start_state, steps
 
 
 class ScriptedRng:
@@ -153,6 +154,21 @@ def rfstar_by_permutations(inst, facets, start):
     for order in itertools.permutations(ids):
         sigma = Permutation.from_order(order)
         counts[run_random_facet_star(inst, ids, start, sigma).pivot_count] += 1
+    return counts
+
+
+def rfstar_histories_by_permutations(inst, facets, start):
+    """Argmin histories of the permutation-driven rule over every order of F.
+
+    Runs algorithms.steps once per permutation of F, each order's min_of
+    answering every choice point; returns a Counter mapping a pick
+    sequence to the number of orders giving it, whose values sum to |F|!.
+    """
+    idx, fmask, choice = start_state(inst, facets, start)
+    counts = Counter()
+    for order in itertools.permutations(idx.edge_bits(fmask)):
+        events = steps(idx, fmask, choice, start.mask, Permutation.from_order(order).min_of)
+        counts[tuple(ev[3] for ev in events if ev[0] == "pick")] += 1
     return counts
 
 

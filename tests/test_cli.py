@@ -195,13 +195,21 @@ class TestVerifyErrata:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        # the child imports the package from where this process found it,
+        # installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
         proc = subprocess.run(
             [sys.executable, "-m", "randomfacet.cli"],
             capture_output=True,
             text=True,
+            env=env,
         )
         # bare invocation is a usage error
         assert proc.returncode == 2

@@ -16,6 +16,7 @@ from randomfacet import (
     RandomFacetError,
     TreePolicy,
     comptree,
+    errata_instance,
     expected_pivots_rf,
     expected_pivots_rf_star,
     genericity_check,
@@ -30,6 +31,7 @@ from helpers import (
     has_zero_cost_cycle,
     rf_expectation_by_branches,
     rfstar_by_permutations,
+    rfstar_histories_by_permutations,
 )
 
 
@@ -142,6 +144,14 @@ class TestFullSolveCount:
         assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
         assert solves[0] == 6
 
+    def test_candidate_lists_are_cached_only_for_full_solves(self, enc):
+        # a fresh instance, so no other test has filled its edge_bits cache;
+        # the recursion walks F minus B by bits, and only the 6 full solves
+        # list their facet subsets
+        inst = errata_instance()
+        assert expected_pivots_rf(inst, None, enc.tree("001")) == Fraction(7, 3)
+        assert len(inst._index._bits) == 6
+
     def test_random_instance(self, monkeypatch):
         # m=8; the recursion meets 35 facet subsets
         inst = random_instance(4, 2, 9, 2)
@@ -207,6 +217,21 @@ class TestHistoryEnumeration:
             assert expected_pivots_rf_star(inst, None, start) == expected
             pmf = {k: Fraction(n, total) for k, n in orders.items()}
             assert comptree(inst, None, start, RF_STAR).leaf_distribution() == pmf
+
+    def test_history_weights_match_permutations(self, errata, enc, small_pool, cyclic_pool):
+        # each argmin history, named by its pick sequence, weighs exactly
+        # the orders whose runs make those picks
+        cases = [(errata, enc.tree(bits)) for bits in enc.all_bits()]
+        cases += [(inst, _worst_tree(inst)) for inst in small_pool]
+        cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
+        for inst, start in cases:
+            idx, fmask, choice = start_state(inst, None, start)
+            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
+            weights = {
+                tuple(ev[3] for ev in events if ev[0] == "pick"): weight
+                for weight, events in executions(segments)
+            }
+            assert weights == dict(rfstar_histories_by_permutations(inst, None, start))
 
     def test_bound_above_the_universe_cap_refuses_first(self, monkeypatch):
         # 13 facets cannot be weighed (orders.MAX_UNIVERSE is 12), so a

@@ -13,6 +13,7 @@ from randomfacet import (
     conditional_order_probability,
     count_linear_extensions,
 )
+from randomfacet.orders import _count_orders
 
 
 def brute_count(n, pairs):
@@ -85,6 +86,23 @@ class TestCountLinearExtensions:
             return
         base = count_linear_extensions(n, pairs[:-1])
         assert count_linear_extensions(n, pairs) <= base
+
+
+class TestCountOrders:
+    """The predecessor-mask counter that count_linear_extensions and the
+    rfstar history weights share."""
+
+    def test_sparse_masks_match_brute_force(self):
+        # 0 and 2 appear only inside masks; 1, 3 and 5 are free
+        pairs = [(2, 6), (4, 6), (0, 4)]
+        assert _count_orders({6: 1 << 2 | 1 << 4, 4: 1 << 0}, 7) == brute_count(7, pairs)
+        closed = {0: 0, 2: 0, 4: 1 << 0, 6: 1 << 0 | 1 << 2 | 1 << 4}
+        assert _count_orders(closed, 7) == brute_count(7, pairs)
+
+    def test_no_constraint_and_cycles(self):
+        assert _count_orders(dict.fromkeys(range(5), 0), 5) == math.factorial(5)
+        assert _count_orders({1: 1 << 2, 2: 1 << 1}, 4) == 0
+        assert _count_orders({3: 1 << 3}, 4) == 0
 
 
 class TestConstraintSet:
