@@ -159,21 +159,104 @@ class TestPerms:
         assert "a<b<c" in err
 
 
-class TestVerifyErrata:
-    def test_fresh_checkout_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-errata")
-        assert code == 0
-        lines = [l for l in out.splitlines() if l.startswith("CHECK ")]
-        assert len(lines) >= 12
-        assert all(l.endswith(" PASS") for l in lines)
+# golden stdout of verify-errata: on the fixture, and on two one-cost
+# perturbations; a refactor must keep every line byte-identical
+_VERIFY_FIXTURE = """\
+CHECK optimal_tree expected=000 got=000 PASS
+CHECK rf_from_001 expected=7/3 got=7/3 PASS
+CHECK rfstar_from_001 expected=29/12 got=29/12 PASS
+CHECK rf_from_111 expected=11/3 got=11/3 PASS
+CHECK rfstar_from_111 expected=43/12 got=43/12 PASS
+CHECK rfstar_slower_from_001 expected=True got=True PASS
+CHECK rfstar_faster_from_111 expected=True got=True PASS
+CHECK orders_from_001_path3 expected=150 got=150 PASS
+CHECK orders_from_111_path2 expected=150 got=150 PASS
+CHECK path_probability expected=5/24 got=5/24 PASS
+CHECK posterior_after_2_before_3 expected=2/3 got=2/3 PASS
+CHECK paths_001_to_000 expected=3 got=3 PASS
+CHECK paths_111_to_000 expected=3 got=3 PASS
+CHECK rfstar_001_pick_y0_after_z0 expected=5/8 got=5/8 PASS
+CHECK rfstar_001_pick_x1_after_z0 expected=3/8 got=3/8 PASS
+CHECK rf_001_pick_y0_after_z0 expected=1/2 got=1/2 PASS
+CHECK rf_001_pick_x1_after_z0 expected=1/2 got=1/2 PASS
+CHECK rfstar_111_pick_x1_after_z0 expected=5/8 got=5/8 PASS
+CHECK dashed_edge_rf_unchanged expected=True got=True PASS
+CHECK dashed_edge_rfstar_unchanged expected=True got=True PASS
+"""
 
-    def test_perturbed_fixture_fails(self, capsys, errata, monkeypatch):
-        text = dumps_instance(errata).replace("edge 1 x z 1", "edge 1 x z 2")
+_VERIFY_X1_COST_2 = """\
+CHECK optimal_tree expected=000 got=000 PASS
+CHECK rf_from_001 expected=7/3 got=error:NonGenericInstance FAIL
+CHECK rfstar_from_001 expected=29/12 got=2/1 FAIL
+CHECK rf_from_111 expected=11/3 got=error:NonGenericInstance FAIL
+CHECK rfstar_from_111 expected=43/12 got=3/1 FAIL
+CHECK rfstar_slower_from_001 expected=True got=error:NonGenericInstance FAIL
+CHECK rfstar_faster_from_111 expected=True got=error:NonGenericInstance FAIL
+CHECK orders_from_001_path3 expected=150 got=150 PASS
+CHECK orders_from_111_path2 expected=150 got=150 PASS
+CHECK path_probability expected=5/24 got=5/24 PASS
+CHECK posterior_after_2_before_3 expected=2/3 got=2/3 PASS
+CHECK paths_001_to_000 expected=3 got=error:NonGenericInstance FAIL
+CHECK paths_111_to_000 expected=3 got=error:NonGenericInstance FAIL
+CHECK rfstar_001_pick_y0_after_z0 expected=5/8 got=5/8 PASS
+CHECK rfstar_001_pick_x1_after_z0 expected=3/8 got=3/8 PASS
+CHECK rf_001_pick_y0_after_z0 expected=1/2 got=1/2 PASS
+CHECK rf_001_pick_x1_after_z0 expected=1/2 got=1/2 PASS
+CHECK rfstar_111_pick_x1_after_z0 expected=5/8 got=5/8 PASS
+CHECK dashed_edge_rf_unchanged expected=True got=error:NonGenericInstance FAIL
+CHECK dashed_edge_rfstar_unchanged expected=True got=True PASS
+"""
+
+_VERIFY_Y1_COST_0 = """\
+CHECK optimal_tree expected=000 got=010 FAIL
+CHECK rf_from_001 expected=7/3 got=error:NonGenericInstance FAIL
+CHECK rfstar_from_001 expected=29/12 got=3/2 FAIL
+CHECK rf_from_111 expected=11/3 got=error:NonGenericInstance FAIL
+CHECK rfstar_from_111 expected=43/12 got=2/1 FAIL
+CHECK rfstar_slower_from_001 expected=True got=error:NonGenericInstance FAIL
+CHECK rfstar_faster_from_111 expected=True got=error:NonGenericInstance FAIL
+CHECK orders_from_001_path3 expected=150 got=150 PASS
+CHECK orders_from_111_path2 expected=150 got=150 PASS
+CHECK path_probability expected=5/24 got=5/24 PASS
+CHECK posterior_after_2_before_3 expected=2/3 got=2/3 PASS
+CHECK paths_001_to_000 expected=3 got=error:NonGenericInstance FAIL
+CHECK paths_111_to_000 expected=3 got=error:NonGenericInstance FAIL
+CHECK rfstar_001_pick_y0_after_z0 expected=5/8 got=5/8 PASS
+CHECK rfstar_001_pick_x1_after_z0 expected=3/8 got=3/8 PASS
+CHECK rf_001_pick_y0_after_z0 expected=1/2 got=1/2 PASS
+CHECK rf_001_pick_x1_after_z0 expected=1/2 got=1/2 PASS
+CHECK rfstar_111_pick_x1_after_z0 expected=5/8 got=5/8 PASS
+CHECK dashed_edge_rf_unchanged expected=True got=error:NonGenericInstance FAIL
+CHECK dashed_edge_rfstar_unchanged expected=True got=True PASS
+"""
+
+
+class TestVerifyErrata:
+    def _verify_perturbed(self, capsys, errata, monkeypatch, old, new):
+        text = dumps_instance(errata).replace(old, new)
+        assert text != dumps_instance(errata)
         bad = validate_instance(loads_instance(text))
         monkeypatch.setattr(cli, "_load_errata", lambda: bad)
-        code, out, _ = run_cli(capsys, "verify-errata")
-        assert code == 1
-        assert " FAIL" in out
+        return run_cli(capsys, "verify-errata")
+
+    def test_fresh_checkout_passes(self, capsys):
+        code, out, err = run_cli(capsys, "verify-errata")
+        assert (code, out, err) == (0, _VERIFY_FIXTURE, "")
+        assert out.count(" PASS\n") == 20
+
+    def test_perturbed_fixture_fails(self, capsys, errata, monkeypatch):
+        code, out, _ = self._verify_perturbed(
+            capsys, errata, monkeypatch, "edge 1 x z 1", "edge 1 x z 2"
+        )
+        assert (code, out) == (1, _VERIFY_X1_COST_2)
+        assert out.count(" FAIL\n") == 9
+
+    def test_perturbed_optimum_fails(self, capsys, errata, monkeypatch):
+        code, out, _ = self._verify_perturbed(
+            capsys, errata, monkeypatch, "edge 3 y t 2", "edge 3 y t 0"
+        )
+        assert (code, out) == (1, _VERIFY_Y1_COST_0)
+        assert out.count(" FAIL\n") == 10
 
     def test_missing_fixture_falls_back_to_derivation(self, capsys, errata, monkeypatch):
         def missing():
