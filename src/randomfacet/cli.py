@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import instances
 from .algorithms import RF, RF_STAR
@@ -139,118 +138,12 @@ def _cmd_verify_errata(args) -> int:
     except FileNotFoundError:
         print("fixture missing; deriving it by exhaustive search")
         inst = _derive_errata()
-    checks = _errata_checks(inst)
     failures = 0
-    for name, expected, got in checks:
+    for name, expected, got in instances.errata_checks(inst):
         ok = expected == got
         failures += 0 if ok else 1
         print(f"CHECK {name} expected={expected} got={got} {'PASS' if ok else 'FAIL'}")
     return 0 if failures == 0 else 1
-
-
-def _errata_checks(inst: Instance) -> list[tuple[str, str, str]]:
-    """Every pinned reference quantity, evaluated on the given instance."""
-    from .cube import cube_encoding, orientation_view
-
-    checks: list[tuple[str, str, str]] = []
-
-    def run(name: str, expected: str, fn) -> None:
-        try:
-            got = str(fn())
-        except Exception as exc:  # a broken fixture must FAIL, not crash
-            got = f"error:{type(exc).__name__}"
-        checks.append((name, expected, got))
-
-    enc = cube_encoding(inst)
-    names = edge_names(inst)
-    full = None
-
-    run("optimal_tree", "000", lambda: enc.bits_of(optimal_tree(inst)))
-    run("rf_from_001", "7/3", lambda: _frac(expected_pivots_rf(inst, full, enc.tree("001"))))
-    run(
-        "rfstar_from_001",
-        "29/12",
-        lambda: _frac(expected_pivots_rf_star(inst, full, enc.tree("001"))),
-    )
-    run("rf_from_111", "11/3", lambda: _frac(expected_pivots_rf(inst, full, enc.tree("111"))))
-    run(
-        "rfstar_from_111",
-        "43/12",
-        lambda: _frac(expected_pivots_rf_star(inst, full, enc.tree("111"))),
-    )
-    run(
-        "rfstar_slower_from_001",
-        "True",
-        lambda: expected_pivots_rf_star(inst, full, enc.tree("001"))
-        > expected_pivots_rf(inst, full, enc.tree("001")),
-    )
-    run(
-        "rfstar_faster_from_111",
-        "True",
-        lambda: expected_pivots_rf_star(inst, full, enc.tree("111"))
-        < expected_pivots_rf(inst, full, enc.tree("111")),
-    )
-    run(
-        "orders_from_001_path3",
-        "150",
-        lambda: count_linear_extensions(
-            6, ConstraintSet.from_text("z0<x1,z0<y1,y0<x1")
-        ),
-    )
-    run(
-        "orders_from_111_path2",
-        "150",
-        lambda: count_linear_extensions(
-            6, ConstraintSet.from_text("z0<x0,z0<y0,x1<y0")
-        ),
-    )
-    def z0_then_y0_probability() -> str:
-        tree = comptree(inst, full, enc.tree("001"), RF_STAR)
-        region, dist = tree.pick_order_after_pivot(names["z0"])
-        assert Fraction(150, 720) == region * dist[names["y0"]]
-        return _frac(region * dist[names["y0"]])
-
-    run("path_probability", "5/24", z0_then_y0_probability)
-    run(
-        "posterior_after_2_before_3",
-        "2/3",
-        lambda: _frac(
-            conditional_order_probability(3, [("2", "3")], [("1", "3")])
-        ),
-    )
-    run("paths_001_to_000", "3", lambda: orientation_view(inst).count_paths("001", "000"))
-    run("paths_111_to_000", "3", lambda: orientation_view(inst).count_paths("111", "000"))
-
-    def pick_after_z0(bits: str, rule: str, cand: str) -> str:
-        tree = comptree(inst, full, enc.tree(bits), rule)
-        _, dist = tree.pick_order_after_pivot(names["z0"])
-        return _frac(dist[names[cand]])
-
-    run("rfstar_001_pick_y0_after_z0", "5/8", lambda: pick_after_z0("001", RF_STAR, "y0"))
-    run("rfstar_001_pick_x1_after_z0", "3/8", lambda: pick_after_z0("001", RF_STAR, "x1"))
-    run("rf_001_pick_y0_after_z0", "1/2", lambda: pick_after_z0("001", RF, "y0"))
-    run("rf_001_pick_x1_after_z0", "1/2", lambda: pick_after_z0("001", RF, "x1"))
-    run("rfstar_111_pick_x1_after_z0", "5/8", lambda: pick_after_z0("111", RF_STAR, "x1"))
-
-    def dashed_edge_equal(rule: str) -> bool:
-        from .graph import pivot
-
-        sub = inst.all_edges() - {names["z0"]}
-        before = optimal_tree(inst, sub)
-        displaced = before.edge_at("z")
-        pivoted = pivot(inst, before, names["z0"])
-        gone = inst.all_edges() - {displaced}  # the leaving edge never re-enters
-        if rule == RF:
-            return expected_pivots_rf(inst, None, pivoted) == expected_pivots_rf(
-                inst, gone, pivoted
-            )
-        return expected_pivots_rf_star(inst, None, pivoted) == expected_pivots_rf_star(
-            inst, gone, pivoted
-        )
-
-    run("dashed_edge_rf_unchanged", "True", lambda: dashed_edge_equal(RF))
-    run("dashed_edge_rfstar_unchanged", "True", lambda: dashed_edge_equal(RF_STAR))
-    return checks
 
 
 def _build_parser() -> argparse.ArgumentParser:

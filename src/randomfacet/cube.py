@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import (
@@ -119,8 +120,9 @@ class OrientationView:
             raise RandomFacetError(f"expected one sink, found {sinks}")
         return sinks[0]
 
-    def _arrow_order(self) -> list[int]:
-        """Kahn's topological order; vertices on or behind a cycle are left out."""
+    @cached_property
+    def _arrow_order(self) -> tuple[int, ...]:
+        """Kahn's topological order, cached; vertices on or behind a cycle are left out."""
         n = len(self.encoding.axes)
         indeg = [n - o.bit_count() for o in self.out]  # each cube edge points one way
         order = [v for v, d in enumerate(indeg) if not d]
@@ -129,10 +131,10 @@ class OrientationView:
                 indeg[w] -= 1
                 if not indeg[w]:
                     order.append(w)
-        return order
+        return tuple(order)
 
     def is_acyclic(self) -> bool:
-        return len(self._arrow_order()) == len(self.out)
+        return len(self._arrow_order) == len(self.out)
 
     def unique_sink_every_face(self) -> bool:
         """Szabó-Welzl: u != v always differ in an outgoing axis in u xor v."""
@@ -143,7 +145,7 @@ class OrientationView:
         """Number of directed pivot paths from src to dst."""
         n = len(self.encoding.axes)
         s, d = _vertex(src, n), _vertex(dst, n)
-        order = self._arrow_order()
+        order = self._arrow_order
         if len(order) != len(self.out):
             raise RandomFacetError("orientation has a cycle; path count undefined")
         paths = [0] * len(self.out)

@@ -3,11 +3,14 @@
 The centrepiece is derive_errata_instance: a bounded brute-force search
 over three-vertex, six-edge candidates that returns the first instance,
 in a fixed documented order, reproducing every reference quantity of
-the bundled counterexample (expected pivot counts 7/3 and 29/12 from
-start tree 001, 11/3 and 43/12 from 111, optimal tree 000, exactly
-three pivot paths from each start, genericity on every edge subset).
-The found instance is frozen in the repository as
-data/errata-cube.instance and loaded by errata_instance().
+the bundled counterexample.  It checks, in this order: a cube
+orientation without ties; acyclic, with a unique sink on every face;
+exactly three pivot paths from 001 and from 111 to 000; every line of
+errata_checks, the list verify-errata prints (optimal tree 000,
+expected pivot counts 7/3 and 29/12 from start tree 001, 11/3 and
+43/12 from 111, ...); genericity on every edge subset.  The found
+instance is frozen in the repository as data/errata-cube.instance and
+loaded by errata_instance().
 
 Text format (UTF-8, '#' starts a comment):
 
@@ -21,6 +24,7 @@ bit-exactly.
 """
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import itertools
 import random
@@ -28,19 +32,29 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .cube import orientation_view
+from .algorithms import RF, RF_STAR
+from .comptree import _frac, comptree
+from .cube import cube_encoding, orientation_view
 from .errors import (
     GenerationFailedAfterRetries,
     NonGenericInstance,
     NoTreeInSubset,
     ParseError,
-    RandomFacetError,
     SearchExhausted,
     TooLargeForExhaustiveCheck,
     WriteError,
 )
-from .exact import ExactEvaluator
-from .graph import Edge, Instance, validate_instance
+from .exact import expected_pivots_rf, expected_pivots_rf_star
+from .graph import (
+    Edge,
+    Instance,
+    TreePolicy,
+    edge_names,
+    optimal_tree,
+    pivot,
+    validate_instance,
+)
+from .orders import ConstraintSet, conditional_order_probability, count_linear_extensions
 
 FIXTURE_NAME = "errata-cube.instance"
 
@@ -188,11 +202,7 @@ def random_instance(
                 cost = rng.randrange(-cost_bound, cost_bound + 1) if cost_bound else 0
                 edges.append(Edge(id=eid, tail=v, head=head, cost=cost))
                 eid += 1
-        inst = Instance.build("t", edges)
-        try:
-            validate_instance(inst)
-        except RandomFacetError:  # pragma: no cover - impossible for this shape
-            continue
+        inst = validate_instance(Instance.build("t", edges))
         if require_generic and not genericity_check(inst):
             continue
         return inst
@@ -229,14 +239,14 @@ def errata_candidates(max_one_cost: int = 8) -> Iterator[Instance]:
 def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     """First candidate, in search order, matching every reference quantity.
 
-    The checks: no two adjacent trees tie (the cube orientation comes
-    first, as it supplies the encoding); then, in increasing cost, the
-    full-edge-set optimum is tree 000; the orientation is acyclic with a
-    unique sink on every face and exactly three pivot paths from 001 and
-    from 111 to 000; the exact expectations equal the four pinned
-    values; every edge subset is generic.  Exhausting the space raises
-    SearchExhausted, which means the bounds must be widened, never that
-    a weaker instance is acceptable.
+    The checks, cheapest first: no two adjacent trees tie (the cube
+    orientation comes first, as it supplies the encoding); the
+    orientation is acyclic with a unique sink on every face; there are
+    exactly three pivot paths from 001 and from 111 to 000; every line
+    of errata_checks passes; every edge subset is generic.  Only
+    candidates that pass the path counts reach the exact computations.
+    Exhausting the space raises SearchExhausted, which means the bounds
+    must be widened, never that a weaker instance is acceptable.
     """
     for inst in errata_candidates(max_one_cost):
         if _matches_reference(inst):
@@ -252,30 +262,92 @@ def _matches_reference(inst: Instance) -> bool:
         view = orientation_view(inst)
     except NonGenericInstance:
         return False
-    enc = view.encoding
-    ev = ExactEvaluator(inst)
-    full = inst._index.full_mask
-    choice, tmask, _, unique = ev.optimal(full)
-    if not unique or tmask != enc.tree("000").mask:
-        return False
     if not view.is_acyclic() or not view.unique_sink_every_face():
         return False
-    for (src, dst), expected in ERRATA_PATH_COUNTS.items():
-        if view.count_paths(src, dst) != expected:
-            return False
-    try:
-        for (rule, bits), expected in ERRATA_EXPECTATIONS.items():
-            if rule != "rf":
-                continue
-            if ev.expected_rf(full, enc.tree(bits).mask) != expected:
-                return False
-    except NonGenericInstance:
+    if any(view.count_paths(*ends) != n for ends, n in ERRATA_PATH_COUNTS.items()):
         return False
-    if not genericity_check(inst):
+    if any(expected != got for _, expected, got in errata_checks(inst)):
         return False
-    for (rule, bits), expected in ERRATA_EXPECTATIONS.items():
-        if rule != "rfstar":
-            continue
-        if ev.expected_rf_star(None, enc.tree(bits), bound=inst.m) != expected:
-            return False
-    return True
+    return genericity_check(inst)
+
+
+def _show(value) -> str:
+    return _frac(value) if isinstance(value, Fraction) else str(value)
+
+
+def errata_checks(inst: Instance) -> list[tuple[str, str, str]]:
+    """Every pinned reference quantity, evaluated on inst.
+
+    Returns (name, expected, got) triples in a fixed order, values as
+    printed; a quantity whose computation raises reads error:<Type>, so
+    a broken instance fails its checks instead of crashing.  Values that
+    several checks share are computed once per call; an error is not
+    kept, so each check that needs the value raises it again.
+    """
+    enc = cube_encoding(inst)
+    names = edge_names(inst)
+    checks: list[tuple[str, str, str]] = []
+
+    def check(name: str, expected, fn, *args) -> None:
+        # fn runs at once, so the lambdas below may read loop variables
+        try:
+            got = _show(fn(*args))
+        except Exception as exc:  # a broken instance must FAIL, not crash
+            got = f"error:{type(exc).__name__}"
+        checks.append((name, _show(expected), got))
+
+    def pivots(rule: str, facets, tree: TreePolicy) -> Fraction:
+        if rule == RF:
+            return expected_pivots_rf(inst, facets, tree)
+        return expected_pivots_rf_star(inst, facets, tree)
+
+    expectation = functools.cache(lambda rule, bits: pivots(rule, None, enc.tree(bits)))
+    view = functools.cache(lambda: orientation_view(inst))
+
+    @functools.cache
+    def picks_after_z0(rule: str, bits: str):
+        tree = comptree(inst, None, enc.tree(bits), rule)
+        return tree.pick_order_after_pivot(names["z0"])
+
+    @functools.cache
+    def dashed_edge():
+        # the edge z0 displaces when pivoted in never re-enters
+        before = optimal_tree(inst, inst.all_edges() - {names["z0"]})
+        gone = inst.all_edges() - {before.edge_at("z")}
+        return pivot(inst, before, names["z0"]), gone
+
+    def dashed_edge_unchanged(rule: str) -> bool:
+        pivoted, gone = dashed_edge()
+        return pivots(rule, None, pivoted) == pivots(rule, gone, pivoted)
+
+    def z0_then_y0_probability() -> Fraction:
+        region, dist = picks_after_z0(RF_STAR, "001")
+        return region * dist[names["y0"]]
+
+    check("optimal_tree", "000", lambda: enc.bits_of(optimal_tree(inst)))
+    for (rule, bits), value in ERRATA_EXPECTATIONS.items():
+        check(f"{rule}_from_{bits}", value, expectation, rule, bits)
+    check("rfstar_slower_from_001", True,
+          lambda: expectation(RF_STAR, "001") > expectation(RF, "001"))
+    check("rfstar_faster_from_111", True,
+          lambda: expectation(RF_STAR, "111") < expectation(RF, "111"))
+    for name, given in (("orders_from_001_path3", "z0<x1,z0<y1,y0<x1"),
+                        ("orders_from_111_path2", "z0<x0,z0<y0,x1<y0")):
+        check(name, 150, count_linear_extensions, 6, ConstraintSet.from_text(given))
+    check("path_probability", Fraction(5, 24), z0_then_y0_probability)
+    check("posterior_after_2_before_3", Fraction(2, 3),
+          conditional_order_probability, 3, [("2", "3")], [("1", "3")])
+    for (src, dst), count in ERRATA_PATH_COUNTS.items():
+        check(f"paths_{src}_to_{dst}", count, lambda: view().count_paths(src, dst))
+    for rule, bits, cand, value in (
+        (RF_STAR, "001", "y0", Fraction(5, 8)),
+        (RF_STAR, "001", "x1", Fraction(3, 8)),
+        (RF, "001", "y0", Fraction(1, 2)),
+        (RF, "001", "x1", Fraction(1, 2)),
+        (RF_STAR, "111", "x1", Fraction(5, 8)),
+    ):
+        check(f"{rule}_{bits}_pick_{cand}_after_z0", value,
+              lambda: picks_after_z0(rule, bits)[1][names[cand]])
+    check("dashed_edge_rf_unchanged", True, dashed_edge_unchanged, RF)
+    check("dashed_edge_rfstar_unchanged", True, dashed_edge_unchanged, RF_STAR)
+    return checks

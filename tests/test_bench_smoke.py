@@ -1,7 +1,8 @@
 """Smoke runs of the benchmark at its smallest size.
 
-Runs one pass of the rfstar-posterior and rf-exact workloads with
-tracing off and checks that every answer matched bench/reference.json.
+Runs one pass of the rfstar-posterior, rf-exact and errata workloads
+with tracing off and checks that every answer matched
+bench/reference.json.
 No timing is asserted: wall-clock figures belong to the benchmark, not
 to the tests.
 """
@@ -35,5 +36,19 @@ def test_rfstar_posterior_one_pass_is_correct():
 def test_rf_exact_one_pass_is_correct():
     # pins the three exact rf answers (26/3, 3 and 5) end to end
     last = _one_pass("rf-exact")
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+def test_errata_one_pass_is_correct():
+    # pins the derived fixture text and verify-errata's 20 passing checks
+    # end to end
+    queries = json.loads((ROOT / "bench" / "reference.json").read_text())["workloads"]["errata"]
+    fixture = ROOT / "src" / "randomfacet" / "data" / "errata-cube.instance"
+    assert [q["expect"] for q in queries] == [
+        fixture.read_text(encoding="utf-8"),
+        "exit=0 checks=20 passed=20",
+    ]
+    last = _one_pass("errata")
     assert last["correct"] is True
     assert last["failed"] == 0

@@ -73,6 +73,18 @@ class TestExact:
         assert code == 2
         assert "unknown edge" in err
 
+    def test_negative_tree_id_exits_2(self, capsys, errata_file):
+        code, out, err = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown edge id -1\n"
+
+    def test_out_of_range_facet_id_exits_2(self, capsys, errata_file):
+        code, out, err = run_cli(
+            capsys, "exact", errata_file, "--rule", "rf", "--tree", "x0,y0,z1", "--facets", "99"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: unknown edge id 99\n"
+
     def test_non_generic_instance_exits_2(self, capsys, tmp_path):
         path = tmp_path / "tied.instance"
         path.write_text("target t\nedge 0 v t 9\nedge 1 v t 3\nedge 2 v t 3\n")

@@ -19,6 +19,7 @@ from randomfacet import (
     tree_distances,
     validate_instance,
 )
+from randomfacet.graph import facet_mask
 
 
 def one_vertex():
@@ -238,6 +239,22 @@ def _trees_within(inst, F):
             yield tree, tree_distances(inst, tree)
         except NotATree:
             continue
+
+
+class TestTreePolicyFromEdgeIds:
+    def test_two_edges_leaving_one_vertex(self):
+        with pytest.raises(ValueError, match="two chosen edges leave vertex 'v'"):
+            TreePolicy.from_edge_ids(one_vertex(), [0, 1])
+
+    def test_missing_vertex(self, errata):
+        with pytest.raises(ValueError, match=r"no chosen edge for vertices \['y', 'z'\]"):
+            TreePolicy.from_edge_ids(errata, [0])
+
+
+class TestFacetMask:
+    def test_unknown_id(self, errata):
+        with pytest.raises(ValueError, match="unknown edge id 6"):
+            facet_mask(errata, [0, 6])
 
 
 class TestEdgeNames:

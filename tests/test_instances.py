@@ -1,3 +1,5 @@
+import collections
+import functools
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,13 @@ from randomfacet import (
     save_instance,
     validate_instance,
 )
-from randomfacet.instances import _matches_reference
+from randomfacet import cube, graph, instances
+from randomfacet.instances import (
+    ERRATA_EXPECTATIONS,
+    ERRATA_PATH_COUNTS,
+    _matches_reference,
+    errata_checks,
+)
 
 
 class TestParsing:
@@ -63,6 +71,21 @@ class TestParsing:
     def test_unknown_directive(self):
         with pytest.raises(ParseError):
             loads_instance("target t\nnode v\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("target t u\nedge 0 v t 1\n", 1, "target line needs exactly one name"),
+            ("target t\nedge 0 v t 1\ntarget t\n", 3, "duplicate target line"),
+            ("target t\nedge 0 v t\n", 2, "edge line needs id, tail, head and cost"),
+            ("target t\nedge zero v t 1\n", 2, "bad edge id 'zero'"),
+        ],
+    )
+    def test_malformed_line_names_source_and_line(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            loads_instance(text, source="bad.instance")
+        assert exc.value.line == line
+        assert str(exc.value) == f"bad.instance:{line}: {message}"
 
     def test_non_dense_ids(self):
         with pytest.raises(ParseError):
@@ -162,6 +185,62 @@ class TestErrataFixture:
     def test_derivation_returns_exactly_the_fixture(self, errata):
         # full search over the documented space; a few seconds
         assert derive_errata_instance() == errata
+
+    def test_derivation_work(self, monkeypatch):
+        # one Bellman-Ford solve per generic subset of the winner and a few
+        # for its checks (10 407 when every tie-free candidate was solved),
+        # and at most one Kahn order per orientation view
+        solves = []
+        original_solve = graph._Index.subgraph_shortest
+
+        def counted_solve(self, fmask):
+            solves.append(fmask)
+            return original_solve(self, fmask)
+
+        views, ordered = [], []
+        original_view = instances.orientation_view
+        original_order = cube.OrientationView._arrow_order.func
+
+        def counted_view(inst):
+            views.append(original_view(inst))
+            return views[-1]
+
+        def counted_order(view):
+            ordered.append(view)
+            return original_order(view)
+
+        order = functools.cached_property(counted_order)
+        order.__set_name__(cube.OrientationView, "_arrow_order")
+        monkeypatch.setattr(graph._Index, "subgraph_shortest", counted_solve)
+        monkeypatch.setattr(instances, "orientation_view", counted_view)
+        monkeypatch.setattr(cube.OrientationView, "_arrow_order", order)
+        derive_errata_instance()
+        assert len(solves) < 100
+        assert len({id(v) for v in ordered}) == len(ordered)
+        assert len(ordered) <= len(views)
+
+    def test_errata_checks_compute_shared_values_once(self, errata, monkeypatch):
+        calls = collections.Counter()
+        for name in ("expected_pivots_rf", "expected_pivots_rf_star", "comptree",
+                     "orientation_view"):
+            def counted(*args, _fn=getattr(instances, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(instances, name, counted)
+        checks = errata_checks(errata)
+        assert len(checks) == 20
+        assert all(expected == got for _, expected, got in checks)
+        # four start expectations plus two per dashed-edge comparison
+        assert calls == {"expected_pivots_rf": 4, "expected_pivots_rf_star": 4,
+                         "comptree": 3, "orientation_view": 1}
+
+    def test_checks_print_the_pinned_tables(self, errata):
+        got = {name: expected for name, expected, _ in errata_checks(errata)}
+        for (rule, bits), value in ERRATA_EXPECTATIONS.items():
+            assert got[f"{rule}_from_{bits}"] == f"{value.numerator}/{value.denominator}"
+        for (src, dst), count in ERRATA_PATH_COUNTS.items():
+            assert got[f"paths_{src}_to_{dst}"] == str(count)
 
     def test_perturbed_costs_break_the_reference_values(self, errata):
         text = dumps_instance(errata).replace("edge 1 x z 1", "edge 1 x z 2")
