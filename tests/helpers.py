@@ -261,6 +261,45 @@ def real_trees(inst):
     return trees
 
 
+def optima_by_real_trees(inst):
+    """Per facet mask, (distances, optimal trees) by brute force over real trees.
+
+    The candidates are the real trees inside the mask; the distances are
+    their pointwise minimum (a tuple in _Index vertex order) and the
+    optimal trees those that reach it.  A mask holding no real tree maps
+    to None.  Bellman-Ford is not involved.
+    """
+    idx = inst._index
+    trees = [(tree, idx.tree_distances(tree.mask)) for tree in real_trees(inst)]
+    optima = {}
+    for fmask in range(1 << inst.m):
+        inside = [(tree, d) for tree, d in trees if not tree.mask & ~fmask]
+        if not inside:
+            optima[fmask] = None
+            continue
+        best = tuple(map(min, zip(*(d for _, d in inside))))
+        optima[fmask] = best, [tree for tree, d in inside if d == best]
+    return optima
+
+
+def generic_by_real_trees(inst):
+    """True iff no facet subset has two real trees at its pointwise minimum."""
+    return all(o is None or len(o[1]) <= 1 for o in optima_by_real_trees(inst).values())
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name from now to the end of the test; a 1-list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def has_zero_cost_cycle(inst):
     """True iff edges of cost zero close a directed cycle (self-loops count)."""
     succ = {v: {e.head for e in es if e.cost == 0} for v, es in inst.out_edges.items()}

@@ -26,6 +26,7 @@ from randomfacet import algorithms
 from randomfacet.algorithms import branches, start_state
 from randomfacet.graph import _Index
 from helpers import (
+    count_calls,
     cyclic_instance,
     executions,
     has_zero_cost_cycle,
@@ -281,12 +282,4 @@ def _slack(idx, dist, f):
 
 def _count_solves(monkeypatch):
     """Count _Index.subgraph_shortest calls from now to the end of the test."""
-    solves = [0]
-    solve = _Index.subgraph_shortest
-
-    def counting(*args):
-        solves[0] += 1
-        return solve(*args)
-
-    monkeypatch.setattr(_Index, "subgraph_shortest", counting)
-    return solves
+    return count_calls(monkeypatch, _Index, "subgraph_shortest")

@@ -1,8 +1,12 @@
+import contextlib
+import signal
+
 import pytest
 
 from randomfacet import (
     DanglingVertex,
     Edge,
+    ExactEvaluator,
     Instance,
     NegativeCycle,
     NoTreeInSubset,
@@ -16,10 +20,28 @@ from randomfacet import (
     optimal_is_unique,
     optimal_tree,
     pivot,
+    subgraph_distances,
     tree_distances,
     validate_instance,
 )
 from randomfacet.graph import facet_mask
+from helpers import optima_by_real_trees
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body once `seconds` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def one_vertex():
@@ -183,6 +205,37 @@ class TestOptimalTree:
         with pytest.raises(NoTreeInSubset):
             optimal_tree(inst, frozenset())
 
+    def test_unvalidated_negative_cycle_raises_instead_of_hanging(self):
+        # Instance.build does not validate: x and y close a cycle of cost
+        # -2, Bellman-Ford stops after n rounds without converging and x
+        # is left with no tight edge, so resolve_tree's guard ends the solve
+        inst = Instance.build(
+            "t",
+            [Edge(0, "x", "y", -1), Edge(1, "y", "x", -1), Edge(2, "x", "t", 0), Edge(3, "y", "t", 0)],
+        )
+        with _deadline(10):
+            with pytest.raises(NoTreeInSubset):
+                optimal_tree(inst)
+            with pytest.raises(NoTreeInSubset):
+                ExactEvaluator(inst).optimal(facet_mask(inst, None))
+
+    def test_every_subset_of_the_cyclic_pool_against_real_trees(self, cyclic_pool):
+        # zero-cost cycles and ties: the optimum of each subset is found
+        # again by brute force over the real trees inside it
+        for inst, _ in cyclic_pool:
+            order = inst._index.order
+            for fmask, optimum in optima_by_real_trees(inst).items():
+                facets = [e for e in range(inst.m) if fmask >> e & 1]
+                if optimum is None:
+                    for oracle in (optimal_tree, optimal_is_unique, subgraph_distances):
+                        with pytest.raises(NoTreeInSubset):
+                            oracle(inst, facets)
+                    continue
+                dist, best = optimum
+                assert optimal_tree(inst, facets) in best
+                assert optimal_is_unique(inst, facets) == (len(best) == 1)
+                assert subgraph_distances(inst, facets) == {**dict(zip(order, dist)), inst.target: 0}
+
     def test_minimal_within_every_facet_subset(self, errata, small_pool):
         # enumerate all subsets containing a tree; the oracle's distances
         # must be pointwise minimal over every tree inside the subset
@@ -203,8 +256,6 @@ class TestOptimalTree:
                         assert all(d_best[v] <= d[v] for v in d)
 
     def test_subgraph_distances_match_the_optimal_tree(self, medium_pool):
-        from randomfacet import subgraph_distances
-
         for inst in medium_pool[:20]:
             assert subgraph_distances(inst) == tree_distances(inst, optimal_tree(inst))
 

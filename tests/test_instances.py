@@ -32,6 +32,7 @@ from randomfacet.instances import (
     _matches_reference,
     errata_checks,
 )
+from helpers import cyclic_instance, generic_by_real_trees
 
 
 class TestParsing:
@@ -119,6 +120,19 @@ class TestGenericity:
             [Edge(0, "v", "t", 3), Edge(1, "v", "t", 3), Edge(2, "v", "t", 1)],
         )
         assert not genericity_check(inst)
+
+    def test_matches_real_trees_on_the_cyclic_pool(self, cyclic_pool):
+        # a second route: no subset has two real trees at its pointwise
+        # minimum, found without Bellman-Ford
+        answers = [genericity_check(inst) for inst, _ in cyclic_pool]
+        assert answers == [generic_by_real_trees(inst) for inst, _ in cyclic_pool]
+        assert True in answers and False in answers
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (4, 2)]))
+    def test_matches_real_trees_on_cyclic_shapes(self, seed, shape):
+        inst, _ = cyclic_instance(*shape, cost_bound=2, seed=seed)
+        assert genericity_check(inst) == generic_by_real_trees(inst)
 
 
 class TestRandomInstance:

@@ -10,6 +10,7 @@ from randomfacet import (
     estimate_expected_pivots,
     expected_pivots_rf,
     expected_pivots_rf_star,
+    genericity_check,
     pivot_samples,
     random_instance,
     run_random_facet,
@@ -17,7 +18,7 @@ from randomfacet import (
 )
 from randomfacet import montecarlo
 from randomfacet.montecarlo import trial_rng
-from helpers import fisher_yates_permutation
+from helpers import fisher_yates_permutation, has_zero_cost_cycle
 
 
 @pytest.fixture()
@@ -86,6 +87,20 @@ class TestAgreement:
         for rule in (RF, RF_STAR):
             est = estimate_expected_pivots(errata, None, start, rule, 4000, 23)
             assert abs(est.mean - float(exact[rule])) < 4 * est.stderr
+
+    def test_cyclic_pool_within_four_stderr(self, cyclic_pool):
+        # the generic members up to six edges, zero-cost cycles among them
+        pool = [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
+        generic = [(inst, start) for inst, start in pool if genericity_check(inst)]
+        assert any(has_zero_cost_cycle(inst) for inst, _ in generic)
+        for k, (inst, start) in enumerate(generic):
+            exact = {
+                RF: expected_pivots_rf(inst, None, start),
+                RF_STAR: expected_pivots_rf_star(inst, None, start),
+            }
+            for rule in (RF, RF_STAR):
+                est = estimate_expected_pivots(inst, None, start, rule, 2000, 3000 + k)
+                assert abs(est.mean - float(exact[rule])) <= 4 * est.stderr, (k, rule)
 
 
 def _last_edge_tree(inst):
