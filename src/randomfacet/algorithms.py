@@ -138,13 +138,13 @@ def steps(
     pivot.  Every pivot strictly improves the tree, so it terminates.
     `choice`, the chosen edge per vertex of `bmask`, is copied first.
 
-    The candidate list is read from idx.edge_bits once per descent and
-    then shrunk by the picked edge on a copy, so `pick` sees the same
-    list at every choice point as idx.edge_bits(fmask & ~bmask) would
-    give; `pick` must return one of them or None, and must not mutate
-    the list.  None pauses the run with a last event ("pause", (fmask,
-    bmask, choice, frames, depth, kind)); steps(idx, fmask, choice,
-    bmask, pick, frames, depth, kind) resumes it, asking `pick` again.
+    The candidate list is built by idx.edge_bits once per descent and
+    then shrunk by the picked edge on a copy, so `pick` sees the list
+    idx.edge_bits(fmask & ~bmask) would give and may keep it; `pick`
+    must return one of them or None, and must not mutate the list.  None
+    pauses the run with a last event ("pause", (fmask, bmask, choice,
+    frames, depth, kind)); steps(idx, fmask, choice, bmask, pick, frames,
+    depth, kind) resumes it, asking `pick` again.
     """
     edge_bits, tree_distances = idx.edge_bits, idx.tree_distances
     tail, head, cost = idx.tail, idx.head, idx.cost
@@ -166,7 +166,7 @@ def steps(
             fmask &= ~(1 << e)
             depth += 1
             kind = first
-            cands = cands.copy()  # edge_bits' cached list stays intact
+            cands = cands.copy()  # `pick` may keep the list it was handed
             cands.remove(e)
         # base case reached: unwind until a pivot restarts the descent
         dist = tree_distances(bmask)

@@ -35,13 +35,14 @@ DEFAULT_ENUMERATION_BOUND = 10
 class ExactEvaluator:
     """Evaluation context for exact expectations on one instance.
 
-    Caches the optimum of each facet subset, derived by the lemma above
-    from a cached subset one edge smaller when it can be, and solved by
-    Bellman-Ford otherwise.  Memoizes the rf recursion on (facet mask,
-    tree mask) pairs as reduced (numerator, denominator) integer pairs;
-    a Fraction is built only at the public expected_rf.  Caches are
-    confined to this object; create one per computation or share it
-    explicitly when evaluating many start trees of the same instance.
+    Caches the optimum of each facet subset (the only such cache),
+    derived by the lemma above from a cached subset one edge smaller
+    when it can be, and from _Index.optimum otherwise.  Memoizes the rf
+    recursion on (facet mask, tree mask) pairs as reduced (numerator,
+    denominator) integer pairs; a Fraction is built only at the public
+    expected_rf.  Caches are confined to this object; create one per
+    computation or share it explicitly when evaluating many start trees
+    of the same instance.
     """
 
     def __init__(self, inst: Instance):
@@ -68,14 +69,7 @@ class ExactEvaluator:
                 if idx.cost[f] + idx.dget(dist, idx.head[f]) > dist[idx.tail[f]]:
                     opt[fmask] = entry
                     return entry
-        dist, tight = idx.subgraph_shortest(fmask)
-        choice = idx.resolve_tree(tight)
-        tmask = 0
-        for eid in choice:
-            tmask |= 1 << eid
-        unique = idx.count_optimal_trees(tight) == 1
-        entry = (choice, tmask, dist, unique)
-        opt[fmask] = entry
+        entry = opt[fmask] = idx.optimum(fmask)
         return entry
 
     def expected_rf(self, fmask: int, bmask: int) -> Fraction:

@@ -186,25 +186,16 @@ class _Index:
         for e in inst.edges:
             if e.tail != inst.target:
                 self.out[self.pos[e.tail]].append(e.id)
-        self.out_mask = [sum(1 << eid for eid in ids) for ids in self.out]
         self.full_mask = (1 << m) - 1
         self._dists: dict[int, tuple[int, ...] | None] = {}
-        self._bits: dict[int, list[EdgeId]] = {}
 
     def edge_bits(self, mask: int) -> list[EdgeId]:
-        """Edge ids in a mask, ascending; cached, callers must not mutate."""
-        hit = self._bits.get(mask)
-        if hit is not None:
-            return hit
+        """Edge ids in a mask, ascending, as a new list the caller owns."""
         ids = []
-        rest = mask
-        eid = 0
-        while rest:
-            if rest & 1:
-                ids.append(eid)
-            rest >>= 1
-            eid += 1
-        self._bits[mask] = ids
+        while mask:
+            low = mask & -mask
+            ids.append(low.bit_length() - 1)
+            mask ^= low
         return ids
 
     def choice_of_mask(self, mask: int) -> list[EdgeId] | None:
@@ -303,7 +294,9 @@ class _Index:
         Vertices are resolved in rounds against a snapshot of the already
         resolved set, each picking its smallest-id tight edge into it; on
         a generic subset every vertex has a single tight edge and the
-        tie-break never fires.
+        tie-break never fires.  Raises NoTreeInSubset if a round resolves
+        nothing: only on an unvalidated instance with a negative cycle,
+        where Bellman-Ford stops after n rounds without converging.
         """
         n = len(self.order)
         choice = [-1] * n
@@ -356,6 +349,13 @@ class _Index:
 
         rec(0)
         return count
+
+    def optimum(self, fmask: int):
+        """(choice, tree mask, distances, unique) of a facet subset, uncached."""
+        dist, tight = self.subgraph_shortest(fmask)
+        choice = self.resolve_tree(tight)
+        tmask = sum(1 << eid for eid in choice)
+        return choice, tmask, dist, self.count_optimal_trees(tight) == 1
 
     def policy_from_choice(self, choice) -> TreePolicy:
         return TreePolicy({self.order[v]: choice[v] for v in range(len(choice))})
@@ -465,16 +465,12 @@ def optimal_tree(inst: Instance, facets: Iterable[EdgeId] | None = None) -> Tree
     tie-break is never exercised.
     """
     idx = inst._index
-    fmask = facet_mask(inst, facets)
-    _, tight = idx.subgraph_shortest(fmask)
-    return idx.policy_from_choice(idx.resolve_tree(tight))
+    return idx.policy_from_choice(idx.optimum(facet_mask(inst, facets))[0])
 
 
 def optimal_is_unique(inst: Instance, facets: Iterable[EdgeId] | None = None) -> bool:
     """True iff the subgraph restricted to `facets` has a single optimal tree."""
-    idx = inst._index
-    _, tight = idx.subgraph_shortest(facet_mask(inst, facets))
-    return idx.count_optimal_trees(tight) == 1
+    return inst._index.optimum(facet_mask(inst, facets))[3]
 
 
 def subgraph_distances(
@@ -482,8 +478,7 @@ def subgraph_distances(
 ) -> DistanceMap:
     """Optimal distances within a facet subset, including the target."""
     idx = inst._index
-    dist, _ = idx.subgraph_shortest(facet_mask(inst, facets))
-    out = {idx.order[i]: dist[i] for i in range(len(dist))}
+    out = dict(zip(idx.order, idx.optimum(facet_mask(inst, facets))[2]))
     out[inst.target] = 0
     return out
 

@@ -44,7 +44,7 @@ from .errors import (
     TooLargeForExhaustiveCheck,
     WriteError,
 )
-from .exact import expected_pivots_rf, expected_pivots_rf_star
+from .exact import ExactEvaluator, expected_pivots_rf, expected_pivots_rf_star
 from .graph import (
     Edge,
     Instance,
@@ -149,24 +149,29 @@ def errata_instance() -> Instance:
 def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
     """True iff every edge subset containing a tree has a unique optimal tree.
 
-    Exhaustive over all 2^m subsets, so the instance must be desk-sized.
+    Exhaustive over the covering subsets, the only ones that can hold a
+    tree: one non-empty sub-mask of each vertex's out-edges.  Sub-masks
+    ascend, so every covering F minus {f} comes before F and
+    ExactEvaluator.optimal can settle F from it.  Desk-sized only.
     """
     m = inst.m
     if m > max_edges:
         raise TooLargeForExhaustiveCheck(
             f"{m} edges exceed the exhaustive-check bound {max_edges}"
         )
-    idx = inst._index
-    out_masks = idx.out_mask
-    for fmask in range(1, 1 << m):
-        if any(not (om & fmask) for om in out_masks):
-            continue  # some vertex has no outgoing edge: no tree inside
+    per_vertex = []
+    for ids in inst._index.out:
+        subs = [0]
+        for eid in ids:  # ascending ids give ascending sub-masks
+            subs += [s | 1 << eid for s in subs]
+        per_vertex.append(subs[1:])
+    optimal = ExactEvaluator(inst).optimal
+    for parts in itertools.product(*per_vertex):
         try:
-            _, tight = idx.subgraph_shortest(fmask)
+            if not optimal(sum(parts))[3]:
+                return False
         except NoTreeInSubset:
             continue
-        if idx.count_optimal_trees(tight) > 1:
-            return False
     return True
 
 

@@ -16,7 +16,6 @@ from randomfacet import (
     RandomFacetError,
     TreePolicy,
     comptree,
-    errata_instance,
     expected_pivots_rf,
     expected_pivots_rf_star,
     genericity_check,
@@ -145,13 +144,14 @@ class TestFullSolveCount:
         assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
         assert solves[0] == 6
 
-    def test_candidate_lists_are_cached_only_for_full_solves(self, enc):
-        # a fresh instance, so no other test has filled its edge_bits cache;
+    def test_only_full_solves_list_their_facet_subsets(self, errata, enc, monkeypatch):
         # the recursion walks F minus B by bits, and only the 6 full solves
-        # list their facet subsets
-        inst = errata_instance()
-        assert expected_pivots_rf(inst, None, enc.tree("001")) == Fraction(7, 3)
-        assert len(inst._index._bits) == 6
+        # ask edge_bits for a list of their facet subsets
+        start = enc.tree("001")
+        _, fmask, _ = start_state(errata, None, start)
+        calls = count_calls(monkeypatch, _Index, "edge_bits")
+        assert ExactEvaluator(errata).expected_rf(fmask, start.mask) == Fraction(7, 3)
+        assert calls[0] == 6
 
     def test_random_instance(self, monkeypatch):
         # m=8; the recursion meets 35 facet subsets

@@ -32,7 +32,7 @@ from randomfacet.instances import (
     _matches_reference,
     errata_checks,
 )
-from helpers import cyclic_instance, generic_by_real_trees
+from helpers import count_calls, cyclic_instance, generic_by_real_trees
 
 
 class TestParsing:
@@ -133,6 +133,13 @@ class TestGenericity:
     def test_matches_real_trees_on_cyclic_shapes(self, seed, shape):
         inst, _ = cyclic_instance(*shape, cost_bound=2, seed=seed)
         assert genericity_check(inst) == generic_by_real_trees(inst)
+
+    def test_solves_only_what_no_smaller_covering_subset_settles(self, monkeypatch):
+        # m=20: 3^10 = 59 049 covering subsets, and 1 024 full solves
+        inst = random_instance(10, 2, 9, 0, require_generic=False)
+        solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
+        assert genericity_check(inst)
+        assert solves[0] == 1024
 
 
 class TestRandomInstance:
