@@ -173,8 +173,7 @@ def steps(
         while stack:
             fmask, e, depth, kind = stack.pop()
             u = tail[e]
-            h = head[e]
-            if cost[e] + (dist[h] if h >= 0 else 0) < dist[u]:
+            if cost[e] + dist[head[e]] < dist[u]:
                 leaving = choice[u]
                 choice[u] = e
                 bmask = (bmask & ~(1 << leaving)) | (1 << e)

@@ -269,7 +269,7 @@ def comptree(
     """
     idx, fmask, choice = start_state(inst, facets, start)
     bmask = start.mask
-    check_enumeration_bound(len(idx.edge_bits(fmask)), enumeration_bound)
+    check_enumeration_bound(fmask.bit_count(), enumeration_bound)
     root = CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)
     # path[k]: the node the segments below k forks hang from, and the
     # number of pivots on the way to it

@@ -175,7 +175,7 @@ def orientation_view(inst: Instance) -> OrientationView:
         dists.append(dist)
 
     def shortens(dist, eid: EdgeId) -> bool:
-        return idx.cost[eid] + idx.dget(dist, idx.head[eid]) < dist[idx.tail[eid]]
+        return idx.cost[eid] + dist[idx.head[eid]] < dist[idx.tail[eid]]
 
     out = [0] * (1 << n)
     for v, dist in enumerate(dists):

@@ -66,7 +66,7 @@ class ExactEvaluator:
             if entry is not None:
                 f = low.bit_length() - 1
                 dist = entry[2]
-                if idx.cost[f] + idx.dget(dist, idx.head[f]) > dist[idx.tail[f]]:
+                if idx.cost[f] + dist[idx.head[f]] > dist[idx.tail[f]]:
                     opt[fmask] = entry
                     return entry
         entry = opt[fmask] = idx.optimum(fmask)
@@ -111,7 +111,7 @@ class ExactEvaluator:
                     f"facet subset {idx.edge_bits(sub)} has more than one optimal tree"
                 )
             u = idx.tail[e]
-            if idx.cost[e] + idx.dget(dist, idx.head[e]) < dist[u]:
+            if idx.cost[e] + dist[idx.head[e]] < dist[u]:
                 b2 = (tmask & ~(1 << choice[u])) | low
                 n2, d2 = self._rf(fmask, b2)
                 n2 += d2  # one pivot, then the pivoted tree
@@ -134,7 +134,7 @@ class ExactEvaluator:
         orders, over |F|!.
         """
         idx, fmask, choice = start_state(self.inst, facets, start)
-        n = len(idx.edge_bits(fmask))
+        n = fmask.bit_count()
         check_enumeration_bound(n, bound)
         total = 0
         pivots = [0]  # pivots[k]: pivots on the current path down to its k-th fork

@@ -169,11 +169,17 @@ class _Index:
     """Dense integer view of an instance plus a per-tree distance cache.
 
     Vertices are numbered 0..n-1 in sorted name order; the target is -1.
-    Facet subsets and trees travel as bit masks over edge ids, which is
-    what the runners and exact engines key their caches on.
+    Every distance list has n+1 slots and ends with the target's 0, so
+    dist[head] reads the target's distance like any other and no code
+    outside this class needs to know where the target is.  An edge out
+    of the target would make tail -1 and overwrite that slot, so such
+    instances are refused with TargetHasOutEdges.  Facet subsets and
+    trees travel as bit masks over edge ids, which is what the runners
+    and exact engines key their caches on.
     """
 
     def __init__(self, inst: Instance):
+        _refuse_target_out_edges(inst)
         self.inst = inst
         self.order = sorted(v for v in inst.vertices if v != inst.target)
         self.pos = {v: i for i, v in enumerate(self.order)}
@@ -184,8 +190,7 @@ class _Index:
         self.cost = [e.cost for e in inst.edges]
         self.out: list[list[EdgeId]] = [[] for _ in self.order]
         for e in inst.edges:
-            if e.tail != inst.target:
-                self.out[self.pos[e.tail]].append(e.id)
+            self.out[self.pos[e.tail]].append(e.id)
         self.full_mask = (1 << m) - 1
         self._dists: dict[int, tuple[int, ...] | None] = {}
 
@@ -203,10 +208,10 @@ class _Index:
         choice = [-1] * len(self.order)
         for eid in self.edge_bits(mask):
             v = self.tail[eid]
-            if v < 0 or choice[v] != -1:
+            if choice[v] != -1:
                 return None
             choice[v] = eid
-        if any(c == -1 for c in choice):
+        if -1 in choice:
             return None
         return choice
 
@@ -220,36 +225,26 @@ class _Index:
         if mask in self._dists:
             return self._dists[mask]
         choice = self.choice_of_mask(mask)
-        result: tuple[int, ...] | None
-        if choice is None:
-            result = None
-        else:
-            dist: list[int | None] = [None] * len(self.order)
-            ok = True
-            for start in range(len(self.order)):
-                if dist[start] is not None:
-                    continue
+        result: tuple[int, ...] | None = None
+        if choice is not None:
+            n = len(self.order)
+            dist: list[int | None] = [None] * n + [0]
+            for start in range(n):
                 path: list[int] = []
-                on_path: set[int] = set()
                 v = start
-                while v >= 0 and dist[v] is None and v not in on_path:
-                    on_path.add(v)
+                while dist[v] is None and v not in path:
                     path.append(v)
                     v = self.head[choice[v]]
-                if v >= 0 and v in on_path:
-                    ok = False
+                acc = dist[v]
+                if acc is None:  # the chain closed a cycle
                     break
-                acc = 0 if v < 0 else dist[v]
                 for u in reversed(path):
-                    acc = self.cost[choice[u]] + acc  # type: ignore[operator]
+                    acc += self.cost[choice[u]]
                     dist[u] = acc
-                    acc = dist[u]
-            result = tuple(dist) if ok else None  # type: ignore[arg-type]
+            else:
+                result = tuple(dist)  # type: ignore[arg-type]
         self._dists[mask] = result
         return result
-
-    def dget(self, dist, v: int) -> int:
-        return 0 if v < 0 else dist[v]
 
     def subgraph_shortest(self, fmask: int):
         """Bellman-Ford distances and per-vertex tight edges within a subset.
@@ -259,13 +254,12 @@ class _Index:
         """
         n = len(self.order)
         ids = self.edge_bits(fmask)
-        dist: list[int | None] = [None] * n
+        dist: list[int | None] = [None] * n + [0]
         for _ in range(n):
             changed = False
             for eid in ids:
                 u = self.tail[eid]
-                h = self.head[eid]
-                dh = 0 if h < 0 else dist[h]
+                dh = dist[self.head[eid]]
                 if dh is None:
                     continue
                 cand = self.cost[eid] + dh
@@ -282,9 +276,7 @@ class _Index:
         tight: list[list[EdgeId]] = [[] for _ in range(n)]
         for eid in ids:
             u = self.tail[eid]
-            h = self.head[eid]
-            dh = 0 if h < 0 else dist[h]
-            if dh is not None and self.cost[eid] + dh == dist[u]:
+            if self.cost[eid] + dist[self.head[eid]] == dist[u]:  # type: ignore[operator]
                 tight[u].append(eid)
         return tuple(dist), tuple(tuple(t) for t in tight)
 
@@ -300,7 +292,7 @@ class _Index:
         """
         n = len(self.order)
         choice = [-1] * n
-        resolved = [False] * n
+        resolved = [False] * n + [True]
         remaining = n
         while remaining:
             newly: list[tuple[int, EdgeId]] = []
@@ -308,8 +300,7 @@ class _Index:
                 if resolved[v]:
                     continue
                 for eid in tight[v]:
-                    h = self.head[eid]
-                    if h < 0 or resolved[h]:
+                    if resolved[self.head[eid]]:
                         newly.append((v, eid))
                         break
             if not newly:
@@ -320,42 +311,35 @@ class _Index:
             remaining -= len(newly)
         return choice
 
-    def count_optimal_trees(self, tight) -> int:
+    def count_optimal_trees(self, tight, choice) -> int:
         """Number of distinct optimal trees, counted up to two.
 
-        With zero-cost cycles a combination of tight edges may fail to be
-        a tree, so candidates are enumerated and checked rather than
-        multiplied out.
+        The optimal trees are the trees of tight edges, and `choice` is
+        one.  A second exists iff some tight edge v->w other than
+        choice[v] can be swapped in, that is iff w's path in `choice`
+        avoids v.  Given any other tree, follow it from a vertex where
+        the two differ to the last differing vertex on that path: past it
+        both agree, so that one swap already gives a tree.  The argument
+        is combinatorial, so zero-cost cycles need no special case.
         """
-        n = len(self.order)
-        if all(len(t) == 1 for t in tight):
-            return 1
-
-        count = 0
-        choice = [-1] * n
-
-        def rec(v: int) -> bool:
-            nonlocal count
-            if v == n:
-                if self.tree_distances(sum(1 << eid for eid in choice)) is not None:
-                    count += 1
-                return count >= 2
-            for eid in tight[v]:
-                choice[v] = eid
-                if rec(v + 1):
-                    return True
-            choice[v] = -1
-            return False
-
-        rec(0)
-        return count
+        head = self.head
+        for v, edges in enumerate(tight):
+            for eid in edges:
+                if eid == choice[v]:
+                    continue
+                w = head[eid]
+                while w >= 0 and w != v:
+                    w = head[choice[w]]
+                if w != v:
+                    return 2
+        return 1
 
     def optimum(self, fmask: int):
         """(choice, tree mask, distances, unique) of a facet subset, uncached."""
         dist, tight = self.subgraph_shortest(fmask)
         choice = self.resolve_tree(tight)
         tmask = sum(1 << eid for eid in choice)
-        return choice, tmask, dist, self.count_optimal_trees(tight) == 1
+        return choice, tmask, dist, self.count_optimal_trees(tight, choice) == 1
 
     def policy_from_choice(self, choice) -> TreePolicy:
         return TreePolicy({self.order[v]: choice[v] for v in range(len(choice))})
@@ -384,11 +368,7 @@ def validate_instance(inst: Instance) -> Instance:
     for v in sorted(inst.vertices):
         if v != inst.target and not inst.out_edges[v]:
             raise DanglingVertex(v)
-    if inst.out_edges[inst.target]:
-        raise TargetHasOutEdges(
-            f"target {inst.target!r} has outgoing edges "
-            f"{[e.id for e in inst.out_edges[inst.target]]}"
-        )
+    _refuse_target_out_edges(inst)
     dist = {v: 0 for v in inst.vertices}
     pred: dict[str, Edge] = {}
     for _ in range(inst.n):
@@ -405,6 +385,14 @@ def validate_instance(inst: Instance) -> Instance:
             pred[e.tail] = e
             raise NegativeCycle(_extract_cycle(inst, pred, e.tail))
     return inst
+
+
+def _refuse_target_out_edges(inst: Instance) -> None:
+    out = inst.out_edges[inst.target]
+    if out:
+        raise TargetHasOutEdges(
+            f"target {inst.target!r} has outgoing edges {[e.id for e in out]}"
+        )
 
 
 def _extract_cycle(inst: Instance, pred: dict[str, Edge], start: str) -> list[str]:
@@ -424,12 +412,11 @@ def _extract_cycle(inst: Instance, pred: dict[str, Edge], start: str) -> list[st
 def tree_distances(inst: Instance, policy: TreePolicy) -> DistanceMap:
     """Exact integer distance to the target for every vertex along the tree."""
     _check_policy_shape(inst, policy)
-    dt = inst._index.tree_distances(policy.mask)
+    idx = inst._index
+    dt = idx.tree_distances(policy.mask)
     if dt is None:
         raise NotATree("the policy's choices do not all reach the target")
-    out = {inst._index.order[i]: dt[i] for i in range(len(dt))}
-    out[inst.target] = 0
-    return out
+    return dict(zip(idx.order + [inst.target], dt))
 
 
 def improves(inst: Instance, policy: TreePolicy, eid: EdgeId) -> bool:
@@ -478,9 +465,7 @@ def subgraph_distances(
 ) -> DistanceMap:
     """Optimal distances within a facet subset, including the target."""
     idx = inst._index
-    out = dict(zip(idx.order, idx.optimum(facet_mask(inst, facets))[2]))
-    out[inst.target] = 0
-    return out
+    return dict(zip(idx.order + [inst.target], idx.optimum(facet_mask(inst, facets))[2]))
 
 
 def edge_names(inst: Instance) -> dict[str, EdgeId]:

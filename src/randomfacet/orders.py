@@ -77,12 +77,6 @@ class ConstraintSet:
 
         return any(state.get(x) is None and dfs(x) for x in succ)
 
-    def __iter__(self):
-        return iter(sorted(self.pairs, key=str))
-
-    def __len__(self):
-        return len(self.pairs)
-
 
 def _coerce(constraints) -> ConstraintSet:
     if isinstance(constraints, ConstraintSet):

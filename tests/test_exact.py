@@ -273,11 +273,11 @@ def _direct_optimum(idx, fmask):
     except NoTreeInSubset:
         return None
     choice = idx.resolve_tree(tight)
-    return choice, sum(1 << eid for eid in choice), dist, idx.count_optimal_trees(tight) == 1
+    return choice, sum(1 << eid for eid in choice), dist, idx.count_optimal_trees(tight, choice) == 1
 
 
 def _slack(idx, dist, f):
-    return idx.cost[f] + idx.dget(dist, idx.head[f]) - dist[idx.tail[f]]
+    return idx.cost[f] + dist[idx.head[f]] - dist[idx.tail[f]]
 
 
 def _count_solves(monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import random
 import signal
 
 import pytest
@@ -12,20 +13,25 @@ from randomfacet import (
     NoTreeInSubset,
     NotATree,
     NotImproving,
+    RF,
     TargetHasOutEdges,
     TreePolicy,
     edge_names,
+    expected_pivots_rf,
+    expected_pivots_rf_star,
     genericity_check,
     improves,
     optimal_is_unique,
     optimal_tree,
     pivot,
+    pivot_samples,
+    run_random_facet,
     subgraph_distances,
     tree_distances,
     validate_instance,
 )
 from randomfacet.graph import facet_mask
-from helpers import optima_by_real_trees
+from helpers import cyclic_instance, optima_by_real_trees
 
 
 @contextlib.contextmanager
@@ -219,10 +225,33 @@ class TestOptimalTree:
             with pytest.raises(NoTreeInSubset):
                 ExactEvaluator(inst).optimal(facet_mask(inst, None))
 
+    def test_unvalidated_edge_out_of_the_target_is_refused(self):
+        # the edge t->v would overwrite the target's distance slot; {v: 0}
+        # is a tree, but every engine refuses the instance before solving
+        inst = Instance.build("t", [Edge(0, "v", "t", 5), Edge(1, "t", "v", -100)])
+        start = TreePolicy({"v": 0})
+        engines = [
+            lambda: optimal_tree(inst),
+            lambda: subgraph_distances(inst),
+            lambda: run_random_facet(inst, None, start, random.Random(0)),
+            lambda: expected_pivots_rf(inst, None, start),
+            lambda: expected_pivots_rf_star(inst, None, start),
+            lambda: pivot_samples(inst, None, start, RF, 1, 0),
+        ]
+        for engine in engines:
+            with pytest.raises(TargetHasOutEdges):
+                engine()
+
     def test_every_subset_of_the_cyclic_pool_against_real_trees(self, cyclic_pool):
         # zero-cost cycles and ties: the optimum of each subset is found
-        # again by brute force over the real trees inside it
-        for inst, _ in cyclic_pool:
+        # again by brute force over the real trees inside it; with every
+        # cost 0 every edge is tight and zero-cost cycles are everywhere
+        all_zero = [
+            cyclic_instance(*shape, cost_bound=0, seed=seed)
+            for shape in [(2, 2), (2, 3), (3, 2), (3, 3)]
+            for seed in range(3)
+        ]
+        for inst, _ in cyclic_pool + all_zero:
             order = inst._index.order
             for fmask, optimum in optima_by_real_trees(inst).items():
                 facets = [e for e in range(inst.m) if fmask >> e & 1]
