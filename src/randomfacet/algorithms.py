@@ -5,18 +5,18 @@ smaller problem, and pivot e back in if it improves the tree.  steps()
 runs it with an explicit stack and yields an event at every choice
 point and after every exchange; only the chooser differs between the
 rules.  Within one descent B is fixed and each level removes only the
-picked edge, so steps() lists F minus B once per descent (at the start
-and after each pivot) and drops the picked edge at each level; `pick`
-still sees exactly F minus B in ascending id order.  A chooser that
-answers None pauses the run, and steps() resumes it from the saved
-choice point.  run_random_facet draws a fresh uniformly random facet at
-every choice point; run_random_facet_star is deterministic and always
-removes the facet ranked first by a fixed permutation.  Both fold the
-events into a RunResult, counting one pivot per exchange.  branches()
-walks the tree of every execution of a rule once, depth first: it
-pauses steps() where executions part and resumes the saved point once
-per answer.  Exact rfstar and both computation trees consume it, and
-Monte Carlo consumes steps() directly.
+picked edge, so the descent's picks are one ordering of F minus B, and
+steps() asks the chooser for it once per descent (at the start and
+after each pivot).  A shorter ordering pauses the run, and steps()
+resumes it from the saved choice point.  run_random_facet draws a fresh
+uniformly random facet at every choice point; run_random_facet_star is
+deterministic and always removes the facet ranked first by a fixed
+permutation, so each descent is F minus B sorted by rank.  Both fold
+the events into a RunResult, counting one pivot per exchange.
+branches() walks the tree of every execution of a rule once, depth
+first: it pauses steps() where executions part and resumes the saved
+point once per answer.  Exact rfstar and both computation trees
+consume it, and Monte Carlo consumes steps() directly.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -96,8 +96,9 @@ class Permutation:
     def rank(self, eid: EdgeId) -> int:
         return self._rank[eid]
 
-    def min_of(self, candidates: Iterable[EdgeId]) -> EdgeId:
-        return min(candidates, key=self._rank.__getitem__)
+    def sort(self, candidates: Iterable[EdgeId]) -> list[EdgeId]:
+        """The candidates ranked first to last: an rfstar descent's picks."""
+        return sorted(candidates, key=self._rank.__getitem__)
 
     def __len__(self) -> int:
         return len(self._rank)
@@ -125,26 +126,26 @@ def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePoli
 
 
 def steps(
-    idx, fmask: int, choice, bmask: int, pick, frames=(), depth=0, kind=CallKind.ROOT
+    idx, fmask: int, choice, bmask: int, order, frames=(), depth=0, kind=CallKind.ROOT
 ) -> Iterator[tuple]:
     """Events of one run from tree mask `bmask` within facet mask `fmask`.
 
-    At each choice point `pick(candidates)` names the edge to remove,
-    the candidates being F minus B in ascending id order, and
-    ("pick", fmask, bmask, e) is yielded with the state before removal.
-    After each exchange ("pivot", entering, leaving, depth, kind, fmask,
-    bmask) is yielded with the state after it; depth and kind describe
-    the call that pivoted.  The run ends when no enclosing call can
-    pivot.  Every pivot strictly improves the tree, so it terminates.
-    `choice`, the chosen edge per vertex of `bmask`, is copied first.
+    Once per descent `order(candidates)` names the edges the descent
+    removes, in order, the candidates being F minus B in ascending id
+    order, as a list `order` owns and may change.  Each removal is a
+    choice point, and ("pick", fmask, bmask, e) is yielded with the state
+    before it.  After each exchange ("pivot", entering, leaving, depth,
+    kind, fmask, bmask) is yielded with the state after it; depth and
+    kind describe the call that pivoted.  The run ends when no enclosing
+    call can pivot.  Every pivot strictly improves the tree, so it
+    terminates.  `choice`, the chosen edge per vertex of `bmask`, is
+    copied first.
 
-    The candidate list is built by idx.edge_bits once per descent and
-    then shrunk by the picked edge on a copy, so `pick` sees the list
-    idx.edge_bits(fmask & ~bmask) would give and may keep it; `pick`
-    must return one of them or None, and must not mutate the list.  None
-    pauses the run with a last event ("pause", (fmask, bmask, choice,
-    frames, depth, kind)); steps(idx, fmask, choice, bmask, pick, frames,
-    depth, kind) resumes it, asking `pick` again.
+    An ordering shorter than the candidates pauses the run at the next
+    choice point with a last event ("pause", (fmask, bmask, choice,
+    frames, depth, kind)); steps(idx, fmask, choice, bmask, order,
+    frames, depth, kind) resumes it, asking `order` about the rest of
+    the descent.
     """
     edge_bits, tree_distances = idx.edge_bits, idx.tree_distances
     tail, head, cost = idx.tail, idx.head, idx.cost
@@ -155,19 +156,15 @@ def steps(
     stack: list[tuple[int, EdgeId, int, CallKind]] = list(frames)
     cands = edge_bits(fmask & ~bmask)
     while True:
-        # one descent: B is fixed, so F minus B loses only the picked edge
-        while cands:
-            e = pick(cands)
-            if e is None:
-                yield ("pause", (fmask, bmask, tuple(choice), tuple(stack), depth, kind))
-                return
+        for e in order(cands):
             yield ("pick", fmask, bmask, e)
             stack.append((fmask, e, depth, kind))
             fmask &= ~(1 << e)
             depth += 1
             kind = first
-            cands = cands.copy()  # `pick` may keep the list it was handed
-            cands.remove(e)
+        if fmask & ~bmask:  # the order was short
+            yield ("pause", (fmask, bmask, tuple(choice), tuple(stack), depth, kind))
+            return
         # base case reached: unwind until a pivot restarts the descent
         dist = tree_distances(bmask)
         while stack:
@@ -234,18 +231,23 @@ def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
         forks, (fmask, bmask, choice, frames, depth, kind), hist, answer = todo.pop()
         fork = None
 
-        def pick(cands: list[EdgeId]) -> EdgeId | None:
+        def order(cands: list[EdgeId]) -> list[EdgeId]:
+            # the answers up to the next fork
             nonlocal answer, fork, hist
-            e, answer = answer, None  # a fork's answer is already in `hist`
-            if e is None:
-                options = _answers(hist, cands)
-                if len(options) > 1:
-                    fork = options
-                    return None
-                e, hist = options[0]
-            return e
+            out = []
+            while cands:
+                e, answer = answer, None  # a fork's answer is already in `hist`
+                if e is None:
+                    options = _answers(hist, cands)
+                    if len(options) > 1:
+                        fork = options
+                        break
+                    e, hist = options[0]
+                out.append(e)
+                cands.remove(e)
+            return out
 
-        events = list(steps(idx, fmask, choice, bmask, pick, frames, depth, kind))
+        events = list(steps(idx, fmask, choice, bmask, order, frames, depth, kind))
         if fork is not None:
             point = events.pop()[1]
             todo.extend((forks + 1, point, child, e) for e, child in reversed(fork))
@@ -268,11 +270,7 @@ def run_random_facet(
     are reproducible from a seeded random.Random on any platform.
     """
     idx, fmask, choice = start_state(inst, facets, start)
-
-    def pick(cands: list[EdgeId]) -> EdgeId:
-        return cands[rng.randrange(len(cands))]
-
-    return _run(idx, fmask, choice, start.mask, pick)
+    return _run(idx, fmask, choice, start.mask, random_order(rng.randrange))
 
 
 def run_random_facet_star(
@@ -285,7 +283,7 @@ def run_random_facet_star(
 
     The same permutation is consulted at every choice point; recursive
     calls restrict it implicitly by taking the minimum over the current
-    candidate set.
+    candidate set, so each descent removes F minus B in rank order.
     """
     idx, fmask, choice = start_state(inst, facets, start)
     ids = idx.edge_bits(fmask)
@@ -294,14 +292,19 @@ def run_random_facet_star(
         raise PermutationDomainTooSmall(
             f"permutation does not rank facet edges {missing}"
         )
-    return _run(idx, fmask, choice, start.mask, sigma.min_of)
+    return _run(idx, fmask, choice, start.mask, sigma.sort)
 
 
-def _run(idx, fmask, choice, bmask, pick) -> RunResult:
+def random_order(draw):
+    """rf's chooser: pop cands[draw(k)] for k = len(cands) down to 1."""
+    return lambda cands: [cands.pop(draw(k)) for k in range(len(cands), 0, -1)]
+
+
+def _run(idx, fmask, choice, bmask, order) -> RunResult:
     """Fold the pivot events of one run into its result."""
     tail = idx.tail
     trace: list[PivotEvent] = []
-    for ev in steps(idx, fmask, choice, bmask, pick):
+    for ev in steps(idx, fmask, choice, bmask, order):
         if ev[0] == "pivot":
             _, entering, leaving, depth, kind, _, _ = ev
             trace.append(PivotEvent(entering, leaving, depth, kind))

@@ -7,10 +7,11 @@ always sees the same randomness no matter who runs it.
 
 The start tree is validated once per estimate, before the first trial;
 each trial then drives algorithms.steps directly and counts its pivot
-events.  A Random-Facet trial draws one rng.randrange per choice point,
-exactly as run_random_facet does; a Random-Facet* trial draws a uniform
-order of all edges by Fisher-Yates and always removes the candidate
-ranked first, exactly as run_random_facet_star does with that order.
+events; steps asks a trial's chooser once per descent.  A Random-Facet
+trial makes one rng.randrange draw per choice point, exactly as
+run_random_facet does; a Random-Facet* trial draws a uniform order of
+all edges by Fisher-Yates and sorts each descent by it, exactly as
+run_random_facet_star does with that order.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
-from .algorithms import RF, RF_STAR, start_state, steps
+from .algorithms import RF, RF_STAR, random_order, start_state, steps
 from .errors import ZeroTrials
 from .graph import EdgeId, Instance, TreePolicy
 
@@ -45,17 +47,28 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _random_ranks(rng: random.Random, m: int) -> list[int]:
-    # Fisher-Yates over the edge ids, one randrange per position, high
-    # index first; rank[e] is e's position in the shuffled order
+def _bounded_draw(rng: random.Random):
+    """draw(k) returning rng.randrange(k), by the same rejection sampling
+    on getrandbits(k.bit_length()) but without randrange's call chain."""
+    getrandbits = rng.getrandbits
+
+    def draw(k: int) -> int:
+        r = getrandbits(k.bit_length())
+        while r >= k:
+            r = getrandbits(k.bit_length())
+        return r
+
+    return draw
+
+
+def _random_ranks(draw, m: int) -> list[int]:
+    # Fisher-Yates over the edge ids, one draw per position, high index
+    # first; rank[e] is e's position in the shuffled order
     order = list(range(m))
     for i in range(m - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        j = draw(i + 1)
         order[i], order[j] = order[j], order[i]
-    rank = [0] * m
-    for pos, eid in enumerate(order):
-        rank[eid] = pos
-    return rank
+    return sorted(range(m), key=order.__getitem__)
 
 
 def pivot_samples(
@@ -79,19 +92,13 @@ def pivot_samples(
     bmask = start.mask
     samples = []
     for i in range(trials):
-        rng = trial_rng(seed, i)
+        draw = _bounded_draw(trial_rng(seed, i))
         if rule == RF:
-            randrange = rng.randrange
-
-            def pick(cands: list[EdgeId]) -> EdgeId:
-                return cands[randrange(len(cands))]
+            order = random_order(draw)
         else:
-            rank = _random_ranks(rng, inst.m)
-
-            def pick(cands: list[EdgeId]) -> EdgeId:
-                return min(cands, key=rank.__getitem__)
+            order = partial(sorted, key=_random_ranks(draw, inst.m).__getitem__)
         pivots = 0
-        for ev in steps(idx, fmask, choice, bmask, pick):
+        for ev in steps(idx, fmask, choice, bmask, order):
             if ev[0] == "pivot":
                 pivots += 1
         samples.append(pivots)

@@ -160,14 +160,14 @@ def rfstar_by_permutations(inst, facets, start):
 def rfstar_histories_by_permutations(inst, facets, start):
     """Argmin histories of the permutation-driven rule over every order of F.
 
-    Runs algorithms.steps once per permutation of F, each order's min_of
-    answering every choice point; returns a Counter mapping a pick
+    Runs algorithms.steps once per permutation of F, each descent
+    removing F minus B in that order; returns a Counter mapping a pick
     sequence to the number of orders giving it, whose values sum to |F|!.
     """
     idx, fmask, choice = start_state(inst, facets, start)
     counts = Counter()
     for order in itertools.permutations(idx.edge_bits(fmask)):
-        events = steps(idx, fmask, choice, start.mask, Permutation.from_order(order).min_of)
+        events = steps(idx, fmask, choice, start.mask, Permutation.from_order(order).sort)
         counts[tuple(ev[3] for ev in events if ev[0] == "pick")] += 1
     return counts
 

@@ -20,7 +20,8 @@ from randomfacet import (
     run_random_facet,
     run_random_facet_star,
 )
-from randomfacet.algorithms import RF, _run, branches, start_state, steps
+from randomfacet import algorithms, montecarlo
+from randomfacet.algorithms import RF, RF_STAR, branches, start_state, steps
 from helpers import executions, rf_branches
 
 
@@ -37,7 +38,7 @@ class TestPermutation:
         p = Permutation.from_order([4, 2, 0])
         assert p.order == (4, 2, 0)
         assert p.rank(2) == 2
-        assert p.min_of([0, 2]) == 2
+        assert p.sort([0, 2, 4]) == [4, 2, 0]
 
 
 class TestRunRandomFacet:
@@ -217,77 +218,130 @@ def _bits_of(mask):
     return [e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
+def _random_chooser(rng, log):
+    """An rf chooser that logs (handed list, returned order) per call."""
+
+    def order(cands):
+        handed = list(cands)
+        out = [cands.pop(rng.randrange(k)) for k in range(len(cands), 0, -1)]
+        log.append((handed, out))
+        return out
+
+    return order
+
+
+def _replay(picks):
+    """A chooser answering with `picks` in turn, short once they run out."""
+    script = iter(picks)
+    return lambda cands: list(itertools.islice(script, len(cands)))
+
+
 class TestStepsContract:
-    """steps() hands `pick` exactly F minus B, in lists that never change afterwards."""
+    """steps() asks `order` once per descent for an ordering of F minus B."""
 
     @staticmethod
     def _cases(errata, enc, medium_pool):
         cases = [(errata, enc.tree(bits)) for bits in ("001", "010", "011", "101", "110", "111")]
         return cases + [(inst, _some_tree(inst)) for inst in medium_pool[:30]]
 
-    def test_pick_sees_f_minus_b(self, errata, enc, medium_pool):
+    def test_order_sees_f_minus_b_once_per_descent(self, errata, enc, medium_pool):
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
             idx, fmask, choice = start_state(inst, None, start)
-            rng = random.Random(k)
-            seen = []
-
-            def pick(cands):
-                seen.append(cands)
-                return cands[rng.randrange(len(cands))]
-
-            events = list(steps(idx, fmask, choice, start.mask, pick))
+            log = []
+            order = _random_chooser(random.Random(k), log)
+            events = list(steps(idx, fmask, choice, start.mask, order))
             picks = [ev for ev in events if ev[0] == "pick"]
-            assert len(picks) == len(seen)
-            for (_, f, b, e), cands in zip(picks, seen):
-                assert cands == _bits_of(f & ~b)
-                assert cands == idx.edge_bits(f & ~b)
-                assert e in cands
+            assert [ev[3] for ev in picks] == [e for _, out in log for e in out]
+            at = 0
+            for handed, out in log:
+                _, f, b, _ = picks[at]  # the state at the descent's first choice point
+                assert handed == _bits_of(f & ~b)
+                assert handed == idx.edge_bits(f & ~b)
+                assert sorted(out) == handed
+                at += len(out)
 
-    def test_lists_handed_to_pick_never_change(self, errata, enc, medium_pool):
-        # `pick` may keep every list it is handed: steps shrinks a copy
+    def test_order_may_mutate_its_list(self, errata, enc, medium_pool):
+        # the list handed to `order` is its own: scrambling it after
+        # answering leaves the run as it was
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
             idx, fmask, choice = start_state(inst, None, start)
             rng = random.Random(k)
-            kept = []
 
-            def pick(cands):
-                kept.append((cands, list(cands)))
-                return cands[rng.randrange(len(cands))]
+            def keeping(cands):
+                rest = list(cands)
+                return [rest.pop(rng.randrange(j)) for j in range(len(rest), 0, -1)]
 
-            _run(idx, fmask, list(choice), start.mask, pick)
-            assert kept
-            for cands, snapshot in kept:
-                assert cands == snapshot
+            def scrambling(cands):
+                out = keeping(cands)
+                cands[:] = [-1] * (len(cands) + 1)
+                return out
+
+            kept = list(steps(idx, fmask, choice, start.mask, keeping))
+            rng.seed(k)
+            assert list(steps(idx, fmask, choice, start.mask, scrambling)) == kept
 
     def test_pause_and_resume_reproduce_the_run(self, errata, enc, medium_pool):
-        # pause at every choice point in turn, then resume the saved point
-        # twice with the remaining answers
+        # stop answering before every choice point in turn, then resume the
+        # saved point twice with the remaining answers
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
             idx, fmask, choice = start_state(inst, None, start)
-            rng = random.Random(k)
-            answers = []
-
-            def pick(cands):
-                answers.append(cands[rng.randrange(len(cands))])
-                return answers[-1]
-
-            whole = list(steps(idx, fmask, choice, start.mask, pick))
+            order = _random_chooser(random.Random(k), [])
+            whole = list(steps(idx, fmask, choice, start.mask, order))
+            answers = [ev[3] for ev in whole if ev[0] == "pick"]
+            at_pick = [i for i, ev in enumerate(whole) if ev[0] == "pick"]
             for at in range(len(answers)):
-                script = iter(answers[:at] + [None])
-                head = list(steps(idx, fmask, choice, start.mask, lambda cands: next(script)))
+                head = list(steps(idx, fmask, choice, start.mask, _replay(answers[:at])))
                 kind, point = head.pop()
                 assert kind == "pause"
+                assert head == whole[: at_pick[at]]
                 f, b, c, frames, depth, call = point
+                assert (f, b) == whole[at_pick[at]][1:3]
                 assert isinstance(c, tuple) and isinstance(frames, tuple)
-                tails = []
-                for _ in range(2):
-                    rest = iter(answers[at:])
-                    tails.append(
-                        list(steps(idx, f, c, b, lambda cands: next(rest), frames, depth, call))
-                    )
-                    assert next(rest, None) is None
+                tails = [
+                    list(steps(idx, f, c, b, _replay(answers[at:]), frames, depth, call))
+                    for _ in range(2)
+                ]
                 assert tails[0] == tails[1]
                 assert head + tails[0] == whole
+
+
+def test_one_order_call_per_descent(errata, enc, medium_pool, monkeypatch):
+    # a run asks its chooser at the start and after each pivot, never per
+    # choice point; every consumer of steps is checked run by run
+    real_steps = algorithms.steps
+    runs = [0]
+
+    def counting_steps(idx, fmask, choice, bmask, order, *resume):
+        calls = [0]
+
+        def counted(cands):
+            calls[0] += 1
+            return order(cands)
+
+        events = list(real_steps(idx, fmask, choice, bmask, counted, *resume))
+        pivots = sum(ev[0] == "pivot" for ev in events)
+        assert calls[0] <= 1 + pivots
+        runs[0] += 1
+        yield from events
+
+    monkeypatch.setattr(algorithms, "steps", counting_steps)
+    monkeypatch.setattr(montecarlo, "steps", counting_steps)
+    cases = [(errata, enc.tree("001")), (errata, enc.tree("111"))]
+    cases += [(inst, _some_tree(inst)) for inst in medium_pool]
+    for k, (inst, start) in enumerate(cases):
+        sigma = Permutation.from_order(sorted(inst.all_edges(), reverse=True))
+        idx, fmask, choice = start_state(inst, None, start)
+        runs[0] = 0
+        run_random_facet(inst, None, start, random.Random(k))
+        run_random_facet_star(inst, None, start, sigma)
+        for rule in (RF, RF_STAR):
+            montecarlo.pivot_samples(inst, None, start, rule, 3, k)
+        assert runs[0] == 8
+        if k < 40 and inst.m <= 6:
+            for rule in (RF, RF_STAR):
+                for _ in branches(idx, fmask, choice, start.mask, rule):
+                    pass
+            assert runs[0] > 8
 
 
 def _pivot_sequence(events):

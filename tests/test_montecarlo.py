@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from randomfacet import (
@@ -75,6 +77,30 @@ class TestSubstreams:
         full = pivot_samples(errata, None, start, RF_STAR, 100, 17)
         merged = full[:50] + full[50:]
         assert sum(merged) / 100 == sum(full) / 100
+
+
+class TestBoundedDraw:
+    """montecarlo._bounded_draw is random.Random.randrange, value for value."""
+
+    def test_first_draw_of_every_small_bound(self):
+        for seed in range(100):
+            for k in range(1, 65):
+                draw = montecarlo._bounded_draw(random.Random(seed))
+                assert draw(k) == random.Random(seed).randrange(k), (seed, k)
+
+    def test_long_runs_of_mixed_bounds(self):
+        # bounds at and around powers of two, where rejection is likeliest,
+        # and far beyond any facet count; the generators end in one state
+        bounds = random.Random(0)
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            draw = montecarlo._bounded_draw(ours)
+            for _ in range(5000):
+                k = max(1, (1 << bounds.randrange(12)) + bounds.randrange(-2, 3))
+                assert draw(k) == ref.randrange(k)
+                k = bounds.randrange(1, 1 << 70)
+                assert draw(k) == ref.randrange(k)
+            assert ours.getstate() == ref.getstate()
 
 
 class TestAgreement:
