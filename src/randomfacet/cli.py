@@ -55,8 +55,7 @@ def _edge_ids(inst: Instance, text: str) -> list[int]:
             continue
         if token.lstrip("-").isdigit():
             eid = int(token)
-            if not 0 <= eid < inst.m:
-                raise ValueError(f"unknown edge id {eid}")
+            inst.edge(eid)  # refuses unknown ids
         elif token in names:
             eid = names[token]
         else:

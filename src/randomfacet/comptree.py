@@ -9,22 +9,23 @@ pivot counts reproduce the exact expectations.
 
 Both rules are built the same way, in one depth-first walk of
 algorithms.branches: each segment of events hangs below the fork it
-resumes, each execution ends in a leaf, and a node's probability is its
-mass (the weight of the executions below it) over its parent's.  For
-the randomized rule each decision branch weighs the product of
-1/|candidates| over its choice points, so each choice point branches
-uniformly.  For the permutation-driven rule each argmin history weighs
-the number of orderings of the |F| facets that produce it; a branch
-probability is then the number of orderings consistent with the history
-and choosing that facet next, divided by the number consistent with the
-history.
+resumes and each execution ends in a leaf, so the nodes arrive in
+pre-order and the tree is kept as that list, each node holding its
+parent's index.  A node's mass is the weight of the executions below
+it and its probability is its mass over its parent's; a path's
+probability is its leaf's mass over the root's.  For the randomized
+rule each decision branch weighs the product of 1/|candidates| over its
+choice points, so each choice point branches uniformly.  For the
+permutation-driven rule each argmin history weighs the number of
+orderings of the |F| facets that produce it; a branch probability is
+then the number of orderings consistent with the history and choosing
+that facet next, divided by the number consistent with the history.
 Facets that can never re-enter a tree (the edge displaced by a pivot)
 are kept in the tree rather than merged away; queries such as
 pick_order_after_pivot marginalize over them on demand.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -41,7 +42,10 @@ class CompNode:
     kind is "root", "pick", "pivot" or "leaf".  `prob` is conditional
     on reaching the parent; pivot and leaf nodes always carry 1.
     `facets` and `tree` are edge-id masks of the state at the event
-    (after the pivot, for pivot nodes).
+    (after the pivot, for pivot nodes).  `parent` is the parent's index
+    in CompTree.nodes (None at the root) and `mass` the summed weight
+    of the executions below the node: 1 at an rf root, |F|! at an
+    rfstar root.
     """
 
     kind: str
@@ -53,46 +57,51 @@ class CompNode:
     leaving: EdgeId | None = None
     depth: int | None = None
     pivots: int | None = None
+    parent: int | None = None
+    mass: Fraction | int = 0
     children: list["CompNode"] = field(default_factory=list)
 
 
 @dataclass
 class CompTree:
-    """Computation tree of one rule from a start tree within a facet set."""
+    """Computation tree of one rule from a start tree within a facet set.
+
+    `nodes` lists every node in pre-order, so each parent precedes its
+    children.
+    """
 
     rule: str
     instance: Instance
     facets: frozenset[EdgeId]
     start: TreePolicy
-    root: CompNode
+    nodes: list[CompNode]
+
+    @property
+    def root(self) -> CompNode:
+        return self.nodes[0]
 
     def paths(self) -> Iterator[tuple[Fraction, tuple[CompNode, ...]]]:
         """All root-to-leaf event paths with their probabilities."""
-
-        def walk(node: CompNode, prob: Fraction, prefix: tuple[CompNode, ...]):
-            here = prefix + (node,)
+        nodes, total = self.nodes, self.root.mass
+        for node in nodes:
             if node.kind == "leaf":
-                yield prob, here
-                return
-            for child in node.children:
-                yield from walk(child, prob * child.prob, here)
-
-        yield from walk(self.root, Fraction(1), ())
+                path = [node]
+                while path[-1].parent is not None:
+                    path.append(nodes[path[-1].parent])
+                yield Fraction(node.mass, total), tuple(reversed(path))
 
     def leaf_distribution(self) -> dict[int, Fraction]:
         """Probability mass of the total pivot count."""
-        pmf: dict[int, Fraction] = {}
-        for prob, nodes in self.paths():
-            k = nodes[-1].pivots
-            pmf[k] = pmf.get(k, Fraction(0)) + prob
-        return pmf
+        masses: dict[int, Fraction | int] = {}
+        for node in self.nodes:
+            if node.kind == "leaf":
+                masses[node.pivots] = masses.get(node.pivots, 0) + node.mass
+        return {k: Fraction(m, self.root.mass) for k, m in masses.items()}
 
     def expectation(self) -> Fraction:
         """Probability-weighted total pivot count over all leaves."""
-        total = Fraction(0)
-        for prob, nodes in self.paths():
-            total += prob * nodes[-1].pivots
-        return total
+        total = sum(n.mass * n.pivots for n in self.nodes if n.kind == "leaf")
+        return Fraction(total, self.root.mass)
 
     def root_distribution(self) -> dict[EdgeId, Fraction]:
         """Probability of each facet being removed first."""
@@ -124,27 +133,30 @@ class CompTree:
     ) -> dict[EdgeId, tuple[Fraction, dict[EdgeId | None, Fraction]]]:
         """pick_order_after_pivot for every edge pivoted at `pivot_depth`.
 
-        One walk of the tree.  Along each path, the first pivot of an
+        One pass over the nodes.  Along each path, the first pivot of an
         edge at that depth opens its region; the first later pick among
-        its candidates closes it, adding the probability of reaching
-        that pick to the class of the picked edge, and a leaf adds its
-        probability to class None of every region still open.  Each
-        region's classes partition it, so their sum is the region.
+        its candidates closes it, adding the mass of that pick to the
+        class of the picked edge, and a leaf adds its mass to class None
+        of every region still open.  Each region's classes partition it,
+        so their sum is the region.
         """
         edge_bits = self.instance._index.edge_bits
-        buckets: dict[EdgeId, dict[EdgeId | None, Fraction]] = {}
+        buckets: dict[EdgeId, dict[EdgeId | None, Fraction | int]] = {}
 
-        def add(pivot_edge: EdgeId, chosen: EdgeId | None, prob: Fraction) -> None:
+        def add(pivot_edge: EdgeId, chosen: EdgeId | None, mass: Fraction | int) -> None:
             dist = buckets.setdefault(pivot_edge, {})
-            dist[chosen] = dist.get(chosen, Fraction(0)) + prob
+            dist[chosen] = dist.get(chosen, 0) + mass
 
-        # seen: pivot edges already matched on this path; waiting: those
-        # still open, with their candidate sets
-        def walk(node: CompNode, prob: Fraction, seen: frozenset, waiting: dict) -> None:
+        # states[i] = (seen, waiting) below node i: seen holds the pivot
+        # edges already matched on its path, waiting those still open,
+        # with their candidate sets
+        states = [(frozenset(), {})]
+        for node in self.nodes[1:]:
+            seen, waiting = states[node.parent]
             if node.kind == "pick":
                 closed = [x for x, cands in waiting.items() if node.edge in cands]
                 for x in closed:
-                    add(x, node.edge, prob)
+                    add(x, node.edge, node.mass)
                 if closed:
                     waiting = {x: c for x, c in waiting.items() if x not in closed}
             elif node.kind == "pivot" and node.depth == pivot_depth and node.entering not in seen:
@@ -157,16 +169,16 @@ class CompTree:
                 waiting = {**waiting, node.entering: cands}
             elif node.kind == "leaf":
                 for x in waiting:
-                    add(x, None, prob)
-            for child in node.children:
-                walk(child, prob * child.prob, seen, waiting)
-
-        walk(self.root, Fraction(1), frozenset(), {})
+                    add(x, None, node.mass)
+            states.append((seen, waiting))
         found = {}
         for x, dist in buckets.items():
             region = sum(dist.values())
             if region:
-                found[x] = (region, {e: p / region for e, p in dist.items()})
+                found[x] = (
+                    Fraction(region, self.root.mass),
+                    {e: Fraction(m, region) for e, m in dist.items()},
+                )
         return found
 
     def to_text(self) -> str:
@@ -182,10 +194,7 @@ class CompTree:
             f"tree={{{_set_str(self.start.edge_ids, names)}}}",
             "# columns: id parent kind label prob pivots",
         ]
-        counter = itertools.count()
-
-        def emit(node: CompNode, parent: int | None):
-            nid = next(counter)
+        for nid, node in enumerate(self.nodes):
             if node.kind == "pick":
                 label = names.get(node.edge, str(node.edge))
             elif node.kind == "pivot":
@@ -196,14 +205,8 @@ class CompTree:
             else:
                 label = "-"
             pivots = str(node.pivots) if node.kind == "leaf" else "-"
-            parent_s = "-" if parent is None else str(parent)
-            lines.append(
-                f"{nid} {parent_s} {node.kind} {label} {_frac(node.prob)} {pivots}"
-            )
-            for child in node.children:
-                emit(child, nid)
-
-        emit(self.root, None)
+            parent = "-" if node.parent is None else str(node.parent)
+            lines.append(f"{nid} {parent} {node.kind} {label} {_frac(node.prob)} {pivots}")
         after = self._picks_after_pivots(None, 0)
         for entering in sorted(after):
             region, dist = after[entering]
@@ -222,10 +225,7 @@ class CompTree:
         """Graphviz rendering: squares for picks, labelled with the state."""
         names = _name_map(self.instance)
         out = ["digraph comptree {", "  node [fontname=monospace];"]
-        counter = itertools.count()
-
-        def emit(node: CompNode, parent: int | None):
-            nid = next(counter)
+        for nid, node in enumerate(self.nodes):
             if node.kind in ("root", "pick"):
                 avail = _set_str(self.instance._index.edge_bits(node.facets & ~node.tree), names)
                 if node.kind == "root":
@@ -245,12 +245,8 @@ class CompTree:
                 label = f"pivots = {node.pivots}"
                 shape = "ellipse"
             out.append(f'  n{nid} [shape={shape}, label="{label}"];')
-            if parent is not None:
-                out.append(f"  n{parent} -> n{nid};")
-            for child in node.children:
-                emit(child, nid)
-
-        emit(self.root, None)
+            if node.parent is not None:
+                out.append(f"  n{node.parent} -> n{nid};")
         out.append("}")
         return "\n".join(out) + "\n"
 
@@ -270,45 +266,41 @@ def comptree(
     idx, fmask, choice = start_state(inst, facets, start)
     bmask = start.mask
     check_enumeration_bound(fmask.bit_count(), enumeration_bound)
-    root = CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)
-    # path[k]: the node the segments below k forks hang from, and the
-    # number of pivots on the way to it
-    path = [(root, 0)]
+    nodes = [CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)]
+    # path[k]: the index of the node the segments below k forks hang
+    # from, and the number of pivots on the way to it
+    path = [(0, 0)]
     for forks, events, weight in branches(idx, fmask, choice, bmask, rule):
-        node, pivots = path[forks]
+        at, pivots = path[forks]
         del path[forks + 1 :]
-        for ev in events:  # _normalize sets the probabilities
+        for ev in events:  # probabilities are set once every mass is known
             if ev[0] == "pick":  # ("pick", fmask, bmask, e)
-                child = CompNode("pick", 1, ev[1], ev[2], edge=ev[3])
+                nodes.append(CompNode("pick", 1, ev[1], ev[2], edge=ev[3], parent=at))
             else:
                 _, entering, leaving, depth, _, f, b = ev
-                child = CompNode("pivot", 1, f, b, entering=entering, leaving=leaving, depth=depth)
+                nodes.append(CompNode("pivot", 1, f, b, entering=entering, leaving=leaving,
+                                      depth=depth, parent=at))
                 pivots += 1
-            node.children.append(child)
-            node = child
-        path.append((node, pivots))
-        if weight is not None:  # the leaf holds the weight until _normalize
-            node.children.append(CompNode(kind="leaf", prob=weight, pivots=pivots))
-    _normalize(root)
+            at = len(nodes) - 1
+        path.append((at, pivots))
+        if weight is not None:
+            nodes.append(CompNode("leaf", 1, pivots=pivots, parent=at, mass=weight))
+    # children follow their parent, so one backward pass totals the
+    # masses and one forward pass links the children in order
+    for node in reversed(nodes):
+        if node.parent is not None:
+            nodes[node.parent].mass += node.mass
+    for node in nodes[1:]:
+        parent = nodes[node.parent]
+        parent.children.append(node)
+        node.prob = Fraction(node.mass, parent.mass)
     return CompTree(
         rule=rule,
         instance=inst,
         facets=frozenset(idx.edge_bits(fmask)),
         start=start,
-        root=root,
+        nodes=nodes,
     )
-
-
-def _normalize(node: CompNode) -> Fraction | int:
-    """Set each child's probability below `node` to its mass over its
-    parent's, starting from the leaf weights; returns the node's mass."""
-    if node.kind == "leaf":
-        return node.prob
-    masses = [_normalize(child) for child in node.children]
-    total = sum(masses)
-    for child, mass in zip(node.children, masses):
-        child.prob = Fraction(mass, total)
-    return total
 
 
 def _name_map(inst: Instance) -> dict[EdgeId, str]:

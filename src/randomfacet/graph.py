@@ -82,6 +82,9 @@ class Instance:
         return len(self.edges)
 
     def edge(self, eid: EdgeId) -> Edge:
+        """The edge with id `eid`; ValueError for ids outside 0..m-1."""
+        if not 0 <= eid < self.m:
+            raise ValueError(f"unknown edge id {eid}")
         return self.edges[eid]
 
     def all_edges(self) -> frozenset[EdgeId]:
@@ -351,8 +354,7 @@ def facet_mask(inst: Instance, facets: Iterable[EdgeId] | None) -> int:
         return inst._index.full_mask
     mask = 0
     for eid in facets:
-        if not 0 <= eid < inst.m:
-            raise ValueError(f"unknown edge id {eid}")
+        inst.edge(eid)  # refuses unknown ids
         mask |= 1 << eid
     return mask
 

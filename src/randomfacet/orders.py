@@ -56,26 +56,26 @@ class ConstraintSet:
         return ConstraintSet(self.pairs | other.pairs)
 
     def is_contradictory(self) -> bool:
-        """True iff the relation has a cycle (including a before a)."""
+        """True iff the relation has a cycle (including a before a).
+
+        Kahn's algorithm: repeatedly drop an element with no remaining
+        predecessor; the relation is acyclic iff every element drops.
+        """
         succ: dict = {}
+        preds: dict = {}
         for a, b in self.pairs:
-            if a == b:
-                return True
-            succ.setdefault(a, set()).add(b)
-        state: dict = {}
-
-        def dfs(x) -> bool:
-            state[x] = 1
-            for y in succ.get(x, ()):
-                s = state.get(y)
-                if s == 1:
-                    return True
-                if s is None and dfs(y):
-                    return True
-            state[x] = 2
-            return False
-
-        return any(state.get(x) is None and dfs(x) for x in succ)
+            succ.setdefault(a, []).append(b)
+            preds.setdefault(a, 0)
+            preds[b] = preds.get(b, 0) + 1
+        ready = [x for x, n in preds.items() if n == 0]
+        dropped = 0
+        while ready:
+            dropped += 1
+            for y in succ.get(ready.pop(), ()):
+                preds[y] -= 1
+                if not preds[y]:
+                    ready.append(y)
+        return dropped < len(preds)
 
 
 def _coerce(constraints) -> ConstraintSet:

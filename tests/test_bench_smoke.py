@@ -1,8 +1,7 @@
 """Smoke runs of the benchmark at its smallest size.
 
-Runs one pass of the rfstar-posterior, rf-exact and errata workloads
-with tracing off and checks that every answer matched
-bench/reference.json.
+Runs one pass of each workload with tracing off and checks that every
+answer matched bench/reference.json.
 No timing is asserted: wall-clock figures belong to the benchmark, not
 to the tests.
 """
@@ -50,5 +49,13 @@ def test_errata_one_pass_is_correct():
         "exit=0 checks=20 passed=20",
     ]
     last = _one_pass("errata")
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+def test_simulate_one_pass_is_correct():
+    # pins the seeded Monte Carlo estimates of both rules, on errata and
+    # on an m=40 instance, end to end
+    last = _one_pass("simulate")
     assert last["correct"] is True
     assert last["failed"] == 0

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,43 @@ class TestStructure:
             for _, nodes in tree.paths():
                 pivots = sum(1 for n in nodes if n.kind == "pivot")
                 assert nodes[-1].pivots == pivots
+
+
+@pytest.fixture(scope="module")
+def node_list_trees(errata, enc, medium_pool):
+    starts = [(errata, enc.tree(bits)) for bits in ("001", "111")]
+    starts += [
+        (inst, TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es}))
+        for inst in medium_pool[:20]
+    ]
+    return [
+        (rule, comptree(inst, None, start, rule)) for inst, start in starts for rule in (RF, RF_STAR)
+    ]
+
+
+class TestNodeList:
+    def test_nodes_are_the_pre_order_walk(self, node_list_trees):
+        def walk(node):
+            yield node
+            for child in node.children:
+                yield from walk(child)
+
+        for _, tree in node_list_trees:
+            assert tree.nodes[0] is tree.root and tree.root.parent is None
+            assert all(node.parent < i for i, node in enumerate(tree.nodes) if i)
+            walked = list(walk(tree.root))
+            assert len(walked) == len(tree.nodes)
+            assert all(a is b for a, b in zip(walked, tree.nodes))
+
+    def test_masses_and_probabilities(self, node_list_trees):
+        for rule, tree in node_list_trees:
+            nodes = tree.nodes
+            assert tree.root.mass == (1 if rule == RF else math.factorial(len(tree.facets)))
+            for node in nodes:
+                if node.children:
+                    assert node.mass == sum(c.mass for c in node.children)
+                if node.parent is not None:
+                    assert node.prob == Fraction(node.mass, nodes[node.parent].mass)
 
 
 class TestExpectations:

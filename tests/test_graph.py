@@ -143,6 +143,11 @@ class TestImproves:
         assert not improves(inst, TreePolicy({"v": 1}), 0)
         assert not improves(inst, TreePolicy({"v": 0}), 1)
 
+    def test_unknown_edge_id_refused(self, errata, enc):
+        # a negative id used to index from the end and answer for edge 5
+        with pytest.raises(ValueError, match="unknown edge id -1"):
+            improves(errata, enc.tree("001"), -1)
+
 
 class TestPivot:
     def test_one_vertex_exchange(self):
@@ -156,6 +161,10 @@ class TestPivot:
         inst = one_vertex()
         with pytest.raises(NotImproving):
             pivot(inst, TreePolicy({"v": 0}), 1)
+
+    def test_unknown_edge_id_refused(self, errata, enc):
+        with pytest.raises(ValueError, match="unknown edge id -2"):
+            pivot(errata, enc.tree("001"), -2)
 
     def test_pivot_weakly_decreases_all_distances(self, medium_pool):
         # strict at the entering edge's tail, weak everywhere else
@@ -329,6 +338,10 @@ class TestTreePolicyFromEdgeIds:
     def test_missing_vertex(self, errata):
         with pytest.raises(ValueError, match=r"no chosen edge for vertices \['y', 'z'\]"):
             TreePolicy.from_edge_ids(errata, [0])
+
+    def test_unknown_edge_id(self, errata):
+        with pytest.raises(ValueError, match="unknown edge id 6"):
+            TreePolicy.from_edge_ids(errata, [0, 2, 6])
 
 
 class TestFacetMask:
