@@ -103,14 +103,11 @@ class OrientationView:
     encoding: CubeEncoding
     out: tuple[int, ...]
 
-    def _heads(self, v: int) -> list[int]:
-        """Vertices that an arrow from v points at, in ascending order."""
-        out, n = self.out[v], len(self.encoding.axes)
-        return sorted(v ^ (1 << k) for k in range(n) if out >> k & 1)
-
     def successors(self, bits: str) -> list[str]:
         n = len(self.encoding.axes)
-        return [_bit_string(w, n) for w in self._heads(_vertex(bits, n))]
+        v = _vertex(bits, n)
+        out = self.out[v]
+        return sorted(_bit_string(v ^ (1 << k), n) for k in range(n) if out >> k & 1)
 
     def sink(self) -> str:
         """The unique vertex of the full cube with no outgoing arrow."""
@@ -123,11 +120,15 @@ class OrientationView:
     @cached_property
     def _arrow_order(self) -> tuple[int, ...]:
         """Kahn's topological order, cached; vertices on or behind a cycle are left out."""
-        n = len(self.encoding.axes)
-        indeg = [n - o.bit_count() for o in self.out]  # each cube edge points one way
+        out, n = self.out, len(self.encoding.axes)
+        indeg = [n - o.bit_count() for o in out]  # each cube edge points one way
         order = [v for v, d in enumerate(indeg) if not d]
         for v in order:  # the list grows while it is read
-            for w in self._heads(v):
+            arrows = out[v]
+            while arrows:
+                low = arrows & -arrows
+                arrows ^= low
+                w = v ^ low
                 indeg[w] -= 1
                 if not indeg[w]:
                     order.append(w)
@@ -145,50 +146,55 @@ class OrientationView:
         """Number of directed pivot paths from src to dst."""
         n = len(self.encoding.axes)
         s, d = _vertex(src, n), _vertex(dst, n)
-        order = self._arrow_order
-        if len(order) != len(self.out):
+        out, order = self.out, self._arrow_order
+        if len(order) != len(out):
             raise RandomFacetError("orientation has a cycle; path count undefined")
-        paths = [0] * len(self.out)
+        paths = [0] * len(out)
         for v in reversed(order):
-            paths[v] = 1 if v == d else sum(paths[w] for w in self._heads(v))
+            if v == d:
+                paths[v] = 1
+                continue
+            arrows, total = out[v], 0
+            while arrows:
+                low = arrows & -arrows
+                arrows ^= low
+                total += paths[v ^ low]
+            paths[v] = total
         return paths[s]
 
 
 def orientation_view(inst: Instance) -> OrientationView:
     """Orient every cube edge between adjacent trees in the improving direction.
 
-    Each tree's distances are read once.  A tie (neither direction
-    improves) means two adjacent trees have equal distance at the
-    flipped vertex, which only happens on non-generic instances.
+    The 2^n tree masks are built by doubling over the pairs, and each
+    tree's distances are read once; each axis reads its pair's tail,
+    heads and costs once.  A tie (neither direction improves) means two
+    adjacent trees have equal distance at the flipped vertex, which only
+    happens on non-generic instances.
     """
     enc = cube_encoding(inst)
     idx = inst._index
     n = len(enc.pairs)
-    dists = []
-    for v in range(1 << n):
-        mask = 0
-        for j, pair in enumerate(enc.pairs):
-            mask |= 1 << pair[v >> (n - 1 - j) & 1]
-        dist = idx.tree_distances(mask)
-        if dist is None:
-            raise NotATree(f"tree {_bit_string(v, n)} does not reach the target")
-        dists.append(dist)
-
-    def shortens(dist, eid: EdgeId) -> bool:
-        return idx.cost[eid] + dist[idx.head[eid]] < dist[idx.tail[eid]]
-
+    masks = [0]
+    for zero, one in enc.pairs:  # an earlier pair is a higher bit of v
+        masks = [mask | bit for mask in masks for bit in (1 << zero, 1 << one)]
+    dists = [idx.tree_distances(mask) for mask in masks]
+    if None in dists:
+        raise NotATree(f"tree {_bit_string(dists.index(None), n)} does not reach the target")
+    tail, head, cost = idx.tail, idx.head, idx.cost
     out = [0] * (1 << n)
-    for v, dist in enumerate(dists):
-        for j, (zero, one) in enumerate(enc.pairs):
-            axis = 1 << (n - 1 - j)
+    for j, (zero, one) in enumerate(enc.pairs):
+        axis = 1 << (n - 1 - j)
+        x, h0, c0, h1, c1 = tail[zero], head[zero], cost[zero], head[one], cost[one]
+        for v in range(1 << n):
             if v & axis:
                 continue
-            w = v | axis
-            v_to_w = shortens(dist, one)
-            if v_to_w == shortens(dists[w], zero):
+            dv, dw = dists[v], dists[v | axis]
+            v_to_w = c1 + dv[h1] < dv[x]
+            if v_to_w == (c0 + dw[h0] < dw[x]):
                 raise NonGenericInstance(
-                    f"adjacent trees {_bit_string(v, n)} and {_bit_string(w, n)} "
+                    f"adjacent trees {_bit_string(v, n)} and {_bit_string(v | axis, n)} "
                     "have no improving direction"
                 )
-            out[v if v_to_w else w] |= axis
+            out[v if v_to_w else v | axis] |= axis
     return OrientationView(encoding=enc, out=tuple(out))

@@ -208,12 +208,16 @@ class _Index:
 
     def choice_of_mask(self, mask: int) -> list[EdgeId] | None:
         """Per-vertex chosen edge for a tree mask; None if not one-per-vertex."""
+        tail = self.tail
         choice = [-1] * len(self.order)
-        for eid in self.edge_bits(mask):
-            v = self.tail[eid]
+        while mask:
+            low = mask & -mask
+            eid = low.bit_length() - 1
+            v = tail[eid]
             if choice[v] != -1:
                 return None
             choice[v] = eid
+            mask ^= low
         if -1 in choice:
             return None
         return choice
@@ -221,28 +225,32 @@ class _Index:
     def tree_distances(self, mask: int) -> tuple[int, ...] | None:
         """Exact distances to the target along the tree; None if not a tree.
 
-        Resolved by following choice chains once per vertex, which is a
-        reverse-topological pass in disguise; results are cached per mask
-        so repeated runs on the same instance stay cheap.
+        The choice is read off the mask in one low-bit walk.  Each vertex
+        then follows its chain of choices, marking the vertices it passes,
+        until a known distance ends the chain; reaching a marked vertex
+        instead means the chain closed a cycle.  Results, None included,
+        are cached per mask, for repeated runs on the same instance.
         """
         if mask in self._dists:
             return self._dists[mask]
         choice = self.choice_of_mask(mask)
         result: tuple[int, ...] | None = None
         if choice is not None:
-            n = len(self.order)
+            head, cost, n = self.head, self.cost, len(choice)
             dist: list[int | None] = [None] * n + [0]
+            marked = [False] * n
             for start in range(n):
                 path: list[int] = []
                 v = start
-                while dist[v] is None and v not in path:
+                while dist[v] is None and not marked[v]:  # the target's 0 ends every chain
+                    marked[v] = True
                     path.append(v)
-                    v = self.head[choice[v]]
+                    v = head[choice[v]]
                 acc = dist[v]
                 if acc is None:  # the chain closed a cycle
                     break
                 for u in reversed(path):
-                    acc += self.cost[choice[u]]
+                    acc += cost[choice[u]]
                     dist[u] = acc
             else:
                 result = tuple(dist)  # type: ignore[arg-type]

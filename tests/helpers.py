@@ -251,12 +251,20 @@ def cyclic_instance(n, out_degree, cost_bound, seed):
 
 
 def real_trees(inst):
-    """Every tree policy of inst whose choices all reach the target."""
+    """Every tree policy of inst whose choices all reach the target.
+
+    Decided by following the choices from each vertex for at most n
+    steps, without the library's distance routine.
+    """
     idx = inst._index
+    n = len(idx.order)
     trees = []
-    for ids in itertools.product(*(idx.out[v] for v in range(len(idx.order)))):
-        mask = sum(1 << eid for eid in ids)
-        if idx.tree_distances(mask) is not None:
+    for ids in itertools.product(*(idx.out[v] for v in range(n))):
+        nxt = {idx.tail[eid]: idx.head[eid] for eid in ids}
+        ends = list(range(n))
+        for _ in range(n):
+            ends = [v if v < 0 else nxt[v] for v in ends]
+        if all(v < 0 for v in ends):
             trees.append(TreePolicy.from_edge_ids(inst, ids))
     return trees
 

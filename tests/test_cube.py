@@ -1,8 +1,16 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from helpers import cube_faces, has_cycle_by_dfs, paths_by_enumeration, unique_sink_by_faces
+from helpers import (
+    cube_faces,
+    cyclic_instance,
+    has_cycle_by_dfs,
+    paths_by_enumeration,
+    real_trees,
+    unique_sink_by_faces,
+)
 from randomfacet import (
     CubeEncoding,
     Edge,
@@ -14,6 +22,8 @@ from randomfacet import (
     OrientationView,
     RandomFacetError,
     cube_encoding,
+    errata_candidates,
+    improves,
     optimal_tree,
     orientation_view,
 )
@@ -150,3 +160,61 @@ def test_acyclicity_and_path_counts_agree_with_the_dfs_oracle(
             assert view.count_paths(src, bottom) == paths_by_enumeration(view, src, bottom)
         total += view.count_paths(top, bottom)
     assert (found, usos, total) == (acyclic, acyclic_usos, paths_top_to_bottom)
+
+
+def out_map_by_improves(inst):
+    """orientation_view's out-map by graph.improves, or the error it must raise.
+
+    NotATree when some bit string's tree is not a real tree, else
+    NonGenericInstance when some adjacent pair has no single improving
+    direction, else the out-map: axis j leaves v iff v's tree improves
+    by pivoting in the other edge of pair j.
+    """
+    enc = cube_encoding(inst)
+    n = len(enc.axes)
+    trees = [enc.tree(format(v, f"0{n}b") if n else "") for v in range(1 << n)]
+    real = set(real_trees(inst))
+    if any(tree not in real for tree in trees):
+        return NotATree
+    out = [0] * (1 << n)
+    for j, (zero, one) in enumerate(enc.pairs):
+        axis = 1 << (n - 1 - j)
+        for v in range(1 << n):
+            if v & axis:
+                continue
+            up, down = improves(inst, trees[v], one), improves(inst, trees[v | axis], zero)
+            if up == down:
+                return NonGenericInstance
+            out[v if up else v | axis] |= axis
+    return tuple(out)
+
+
+def orientation_outcome(inst):
+    try:
+        return orientation_view(inst).out
+    except (NotATree, NonGenericInstance) as exc:
+        return type(exc)
+
+
+def test_orientation_agrees_with_improves_on_every_small_errata_candidate():
+    kinds = Counter()
+    for inst in errata_candidates(2):
+        expected = out_map_by_improves(inst)
+        assert orientation_outcome(inst) == expected
+        kinds[expected if expected is NonGenericInstance else "view"] += 1
+        if expected is not NonGenericInstance:
+            # why the derivation tests unique sinks after the path counts
+            view = orientation_view(inst)
+            assert view.is_acyclic() and view.unique_sink_every_face()
+    assert kinds == {"view": 192, NonGenericInstance: 96}
+
+
+def test_orientation_agrees_with_improves_on_cyclic_cubes():
+    # two out-edges per vertex with back edges and self-loops, costs 0..2
+    kinds = Counter()
+    for seed in range(150):
+        inst, _ = cyclic_instance(1 + seed % 3, 2, 2, seed)
+        expected = out_map_by_improves(inst)
+        assert orientation_outcome(inst) == expected
+        kinds[expected if expected in (NotATree, NonGenericInstance) else "view"] += 1
+    assert min(kinds[NotATree], kinds[NonGenericInstance], kinds["view"]) >= 10, kinds

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import random
 import signal
@@ -30,8 +31,8 @@ from randomfacet import (
     tree_distances,
     validate_instance,
 )
-from randomfacet.graph import facet_mask
-from helpers import cyclic_instance, optima_by_real_trees
+from randomfacet.graph import _Index, facet_mask
+from helpers import cyclic_instance, has_zero_cost_cycle, optima_by_real_trees, real_trees
 
 
 @contextlib.contextmanager
@@ -120,6 +121,32 @@ class TestTreeDistances:
         )
         with pytest.raises(NotATree):
             tree_distances(inst, TreePolicy({"a": 0, "b": 1}))
+
+    def test_every_mask_of_the_cyclic_pool_against_bellman_ford(self, cyclic_pool):
+        # a real tree's distances are the Bellman-Ford distances of the
+        # subgraph of its own edges; every other mask has none
+        seen = collections.Counter()
+        for inst, _ in cyclic_pool:
+            if inst.m > 8:
+                continue
+            idx = _Index(inst)  # a fresh, empty distance cache
+            trees = {tree.mask for tree in real_trees(inst)}
+            for mask in range(1 << inst.m):
+                got = idx.tree_distances(mask)
+                assert idx.tree_distances(mask) is got  # the cached value
+                if mask in trees:
+                    assert got == idx.subgraph_shortest(mask)[0]
+                    seen["tree"] += 1
+                    continue
+                assert got is None
+                tails = [idx.tail[e] for e in range(inst.m) if mask >> e & 1]
+                if len(set(tails)) < len(tails):
+                    seen["two edges at one tail"] += 1
+                elif len(tails) < inst.n:
+                    seen["uncovered vertex"] += 1
+                else:
+                    seen["cycle", has_zero_cost_cycle(_subgraph(inst, mask))] += 1
+        assert len(seen) == 5 and min(seen.values()) >= 20, seen
 
     def test_errata_tree_000_is_pointwise_minimal(self, errata, enc):
         # brute force over all 2^3 trees
@@ -312,6 +339,14 @@ class TestOptimalTree:
         assert optimal_is_unique(inst)
         assert optimal_tree(inst) == TreePolicy({"x": 1, "y": 2})
         assert genericity_check(inst)
+
+
+def _subgraph(inst, mask):
+    """The edges of mask as an instance of their own, ids renumbered."""
+    edges = [e for e in inst.edges if mask >> e.id & 1]
+    return Instance.build(
+        inst.target, [Edge(k, e.tail, e.head, e.cost) for k, e in enumerate(edges)]
+    )
 
 
 def _trees_within(inst, F):

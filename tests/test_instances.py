@@ -210,7 +210,9 @@ class TestErrataFixture:
     def test_derivation_work(self, monkeypatch):
         # one Bellman-Ford solve per generic subset of the winner and a few
         # for its checks (10 407 when every tie-free candidate was solved),
-        # and at most one Kahn order per orientation view
+        # at most one Kahn order and two path counts per orientation view,
+        # and the unique-sink test, which no tie-free candidate fails, only
+        # for the winner: the path counts reject every other candidate
         solves = []
         original_solve = graph._Index.subgraph_shortest
 
@@ -230,6 +232,14 @@ class TestErrataFixture:
             ordered.append(view)
             return original_order(view)
 
+        counted = collections.Counter()
+        for name in ("count_paths", "unique_sink_every_face"):
+            def counting(view, *args, _fn=getattr(cube.OrientationView, name), _name=name):
+                counted[_name, id(view)] += 1
+                return _fn(view, *args)
+
+            monkeypatch.setattr(cube.OrientationView, name, counting)
+
         order = functools.cached_property(counted_order)
         order.__set_name__(cube.OrientationView, "_arrow_order")
         monkeypatch.setattr(graph._Index, "subgraph_shortest", counted_solve)
@@ -239,6 +249,9 @@ class TestErrataFixture:
         assert len(solves) < 100
         assert len({id(v) for v in ordered}) == len(ordered)
         assert len(ordered) <= len(views)
+        assert len(views) > 10_000
+        assert [n for (name, _), n in counted.items() if name == "unique_sink_every_face"] == [1]
+        assert max(n for (name, _), n in counted.items() if name == "count_paths") <= 2
 
     def test_errata_checks_compute_shared_values_once(self, errata, monkeypatch):
         calls = collections.Counter()
