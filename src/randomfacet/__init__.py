@@ -35,6 +35,7 @@ from .errors import (
     PermutationDomainTooSmall,
     RandomFacetError,
     SearchExhausted,
+    StateBudgetExceeded,
     TargetHasOutEdges,
     TooLargeForExhaustiveCheck,
     UniverseTooLarge,

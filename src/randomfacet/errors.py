@@ -56,6 +56,10 @@ class EnumerationBoundExceeded(RandomFacetError):
     """An exact enumeration was requested beyond the configured bound."""
 
 
+class StateBudgetExceeded(RandomFacetError):
+    """Exact rf needed more memo states than exact.RF_STATE_BUDGET."""
+
+
 class UniverseTooLarge(RandomFacetError):
     """Linear-extension counting over more than orders.MAX_UNIVERSE elements."""
 

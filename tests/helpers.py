@@ -7,6 +7,7 @@ from fractions import Fraction
 from randomfacet import (
     Edge,
     Instance,
+    NonGenericInstance,
     Permutation,
     TreePolicy,
     run_random_facet,
@@ -76,6 +77,39 @@ def rf_expectation_by_branches(inst, facets, start):
         mass += prob
     assert mass == 1
     return total
+
+
+def rf_expectation_by_subset_solves(inst, facets, start):
+    """Exact rf by the plain memoized recursion over (facet mask, tree mask).
+
+    Memoizes values only: no stop at an already optimal tree and no
+    optimum cache, so each choice point solves its subset afresh with
+    _Index.optimum.  Like the library, it raises NonGenericInstance at
+    the first subset it meets with two optimal trees, removable edges
+    taken in ascending order.
+    """
+    idx, fmask, _ = start_state(inst, facets, start)
+    memo = {}
+
+    def rf(f, b):
+        if (f, b) not in memo:
+            free = idx.edge_bits(f & ~b)
+            total = Fraction(0)
+            for e in free:
+                sub = f & ~(1 << e)
+                total += rf(sub, b)
+                choice, tmask, dist, unique = idx.optimum(sub)
+                if not unique:
+                    raise NonGenericInstance(
+                        f"facet subset {idx.edge_bits(sub)} has more than one optimal tree"
+                    )
+                u = idx.tail[e]
+                if idx.cost[e] + dist[idx.head[e]] < dist[u]:
+                    total += 1 + rf(f, tmask & ~(1 << choice[u]) | 1 << e)
+            memo[f, b] = total / len(free) if free else Fraction(0)
+        return memo[f, b]
+
+    return rf(fmask, start.mask)
 
 
 def cube_faces(n):

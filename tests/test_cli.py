@@ -1,6 +1,6 @@
 import pytest
 
-from randomfacet import cli, dumps_instance, loads_instance, validate_instance
+from randomfacet import cli, dumps_instance, exact, loads_instance, validate_instance
 
 
 @pytest.fixture()
@@ -67,6 +67,13 @@ class TestExact:
         code, _, err = run_cli(capsys, "exact", errata_file, "--rule", "rfstar", "--tree", "x0,y0,z1")
         assert code == 2
         assert "enumeration bound" in err
+
+    def test_rf_state_budget_exits_2(self, capsys, errata_file, monkeypatch):
+        # exact rf from 001 needs 35 memo states
+        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 34)
+        code, out, err = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", "x0,y0,z1")
+        assert (code, out) == (2, "")
+        assert "more than 34 memo states" in err
 
     def test_unknown_edge_name(self, capsys, errata_file):
         code, _, err = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", "q7")

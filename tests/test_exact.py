@@ -14,6 +14,7 @@ from randomfacet import (
     NonGenericInstance,
     NoTreeInSubset,
     RandomFacetError,
+    StateBudgetExceeded,
     TreePolicy,
     comptree,
     expected_pivots_rf,
@@ -21,7 +22,7 @@ from randomfacet import (
     genericity_check,
     random_instance,
 )
-from randomfacet import algorithms
+from randomfacet import algorithms, exact
 from randomfacet.algorithms import branches, start_state
 from randomfacet.graph import _Index
 from helpers import (
@@ -30,6 +31,7 @@ from helpers import (
     executions,
     has_zero_cost_cycle,
     rf_expectation_by_branches,
+    rf_expectation_by_subset_solves,
     rfstar_by_permutations,
     rfstar_histories_by_permutations,
 )
@@ -55,6 +57,16 @@ class TestExpectedPivotsRf:
         with pytest.raises(NonGenericInstance):
             expected_pivots_rf(tied, None, TreePolicy({"v": 1}))
 
+    def test_unvalidated_negative_cycle_refused(self):
+        # a -> b -> a costs -1; pivoting to a -> b closes it, so the
+        # pivoted tree does not reach the target
+        inst = Instance.build(
+            "t",
+            [Edge(0, "a", "t", 0), Edge(1, "a", "b", -2), Edge(2, "b", "t", 0), Edge(3, "b", "a", 1)],
+        )
+        with pytest.raises(NoTreeInSubset):
+            expected_pivots_rf(inst, None, TreePolicy({"a": 0, "b": 2}))
+
     def test_matches_branch_enumeration(self, small_pool):
         for inst in small_pool[:12]:
             start = _worst_tree(inst)
@@ -72,6 +84,54 @@ class TestExpectedPivotsRf:
             assert expected_pivots_rf(inst, None, start) == rf_expectation_by_branches(
                 inst, None, start
             )
+
+
+class TestOptimalTreeStop:
+    """expected_pivots_rf stops at a state whose tree is strictly optimal
+    and records that optimum; the plain recursion of tests/helpers solves
+    every subset it meets and never stops early.  Values must be equal,
+    and where one refuses the other must refuse with the same message."""
+
+    def test_matches_subset_solves_on_the_cyclic_pool(self, errata, enc, cyclic_pool):
+        cases = [(errata, enc.tree(bits)) for bits in enc.all_bits()] + cyclic_pool
+        refused = 0
+        for inst, start in cases:
+            got = _rf_or_refusal(expected_pivots_rf, inst, start)
+            assert got == _rf_or_refusal(rf_expectation_by_subset_solves, inst, start)
+            refused += isinstance(got, str)
+        assert 0 < refused < len(cases)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (4, 2)]),
+        st.integers(0, 1),
+    )
+    def test_matches_subset_solves_where_ties_are_everywhere(self, seed, shape, cost_bound):
+        inst, start = cyclic_instance(*shape, cost_bound=cost_bound, seed=seed)
+        assert _rf_or_refusal(expected_pivots_rf, inst, start) == _rf_or_refusal(
+            rf_expectation_by_subset_solves, inst, start
+        )
+
+
+class TestStateBudget:
+    def test_errata_fits_its_own_state_count(self, errata, enc, monkeypatch):
+        # exact rf from 001 needs 35 memo states
+        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 35)
+        assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
+        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 34)
+        with pytest.raises(StateBudgetExceeded) as exc:
+            expected_pivots_rf(errata, None, enc.tree("001"))
+        assert "more than 34 memo states" in str(exc.value)
+
+    def test_large_instance_refuses_instead_of_running_on(self, monkeypatch):
+        # m=40, where the unbounded recursion gave no result in minutes
+        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 20_000)
+        inst = random_instance(20, 2, 9, 1, require_generic=False)
+        ev = ExactEvaluator(inst)
+        with pytest.raises(StateBudgetExceeded):
+            ev.expected_rf(inst._index.full_mask, _worst_tree(inst).mask)
+        assert len(ev._memo) < 20_000
 
 
 class TestOptimumReuse:
@@ -135,30 +195,41 @@ class TestOptimumReuse:
 
 
 class TestFullSolveCount:
-    """Pins how many facet subsets exact rf solves by Bellman-Ford; every
-    other subset it meets is settled by a cached subset one edge smaller."""
+    """Pins how much work exact rf does on generic instances without
+    zero-cost cycles.  The recursion from (F minus e, B) reaches a state
+    whose tree is F minus e's unique optimum and records it there, so
+    every facet subset the loop asks about is already cached and none is
+    solved by Bellman-Ford."""
 
     def test_errata_from_001(self, errata, enc, monkeypatch):
-        # the recursion meets 23 facet subsets
+        # the recursion meets 19 facet subsets
         solves = _count_solves(monkeypatch)
         assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
-        assert solves[0] == 6
+        assert solves[0] == 0
 
     def test_only_full_solves_list_their_facet_subsets(self, errata, enc, monkeypatch):
-        # the recursion walks F minus B by bits, and only the 6 full solves
-        # ask edge_bits for a list of their facet subsets
+        # the recursion walks F minus B by bits; only a full solve would
+        # ask edge_bits for a list of its facet subset, and none is needed
         start = enc.tree("001")
         _, fmask, _ = start_state(errata, None, start)
         calls = count_calls(monkeypatch, _Index, "edge_bits")
         assert ExactEvaluator(errata).expected_rf(fmask, start.mask) == Fraction(7, 3)
-        assert calls[0] == 6
+        assert calls[0] == 0
 
     def test_random_instance(self, monkeypatch):
-        # m=8; the recursion meets 35 facet subsets
+        # m=8; the recursion meets 16 facet subsets
         inst = random_instance(4, 2, 9, 2)
         solves = _count_solves(monkeypatch)
         assert expected_pivots_rf(inst, None, _worst_tree(inst)) == 2
-        assert solves[0] == 4
+        assert solves[0] == 0
+
+    def test_errata_memo_states(self, errata, enc):
+        for bits, states, value in (("001", 35, Fraction(7, 3)), ("111", 38, Fraction(11, 3))):
+            start = enc.tree(bits)
+            _, fmask, _ = start_state(errata, None, start)
+            ev = ExactEvaluator(errata)
+            assert ev.expected_rf(fmask, start.mask) == value
+            assert len(ev._memo) == states
 
 
 class TestExpectedPivotsRfStar:
@@ -254,12 +325,23 @@ class TestSubsetArguments:
     def test_tree_outside_facets_rejected(self, errata, enc, names):
         with pytest.raises(ValueError):
             expected_pivots_rf(errata, errata.all_edges() - {names["z1"]}, enc.tree("001"))
+        fmask = errata._index.full_mask & ~(1 << names["z1"])
+        with pytest.raises(ValueError):
+            ExactEvaluator(errata).expected_rf(fmask, enc.tree("001").mask)
 
     def test_restricting_to_a_face(self, errata, enc, names):
         # within the face that forces z1, the optimum is 011
         face = errata.all_edges() - {names["z0"]}
         assert expected_pivots_rf(errata, face, enc.tree("011")) == 0
         assert expected_pivots_rf_star(errata, face, enc.tree("011")) == 0
+
+
+def _rf_or_refusal(rf, inst, start):
+    """rf(inst, None, start), or the text of the NonGenericInstance it raises."""
+    try:
+        return rf(inst, None, start)
+    except NonGenericInstance as exc:
+        return f"NonGenericInstance: {exc}"
 
 
 def _worst_tree(inst):
