@@ -15,10 +15,8 @@ differ, in whether an arrow leaves them along it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .errors import (
     NonGenericInstance,
@@ -27,7 +25,7 @@ from .errors import (
     NotCubeShaped,
     RandomFacetError,
 )
-from .graph import EdgeId, Instance, TreePolicy
+from .graph import EdgeId, Instance, TreePolicy, _Index
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,6 @@ class CubeEncoding:
                 for j, axis in enumerate(self.axes)
             }
         )
-
-    def all_bits(self) -> Iterator[str]:
-        for combo in itertools.product("01", repeat=len(self.axes)):
-            yield "".join(combo)
 
 
 def cube_encoding(inst: Instance) -> CubeEncoding:
@@ -164,26 +158,32 @@ class OrientationView:
 
 
 def orientation_view(inst: Instance) -> OrientationView:
-    """Orient every cube edge between adjacent trees in the improving direction.
+    """Orient every cube edge between adjacent trees in the improving direction."""
+    enc = cube_encoding(inst)
+    return OrientationView(encoding=enc, out=orientation_out(enc.pairs, inst._index))
+
+
+def orientation_out(pairs: tuple[tuple[EdgeId, EdgeId], ...], idx: _Index) -> tuple[int, ...]:
+    """The out-map of OrientationView, from an encoding's pairs and an index.
 
     The 2^n tree masks are built by doubling over the pairs, and each
     tree's distances are read once; each axis reads its pair's tail,
-    heads and costs once.  A tie (neither direction improves) means two
-    adjacent trees have equal distance at the flipped vertex, which only
-    happens on non-generic instances.
+    heads and costs once.  Only the index's costs and distance cache
+    are read per call, so a search can hand in twins of one index that
+    differ in their costs (`_Index.with_costs`).  A tie (neither
+    direction improves) means two adjacent trees have equal distance at
+    the flipped vertex, which only happens on non-generic instances.
     """
-    enc = cube_encoding(inst)
-    idx = inst._index
-    n = len(enc.pairs)
+    n = len(pairs)
     masks = [0]
-    for zero, one in enc.pairs:  # an earlier pair is a higher bit of v
+    for zero, one in pairs:  # an earlier pair is a higher bit of v
         masks = [mask | bit for mask in masks for bit in (1 << zero, 1 << one)]
     dists = [idx.tree_distances(mask) for mask in masks]
     if None in dists:
         raise NotATree(f"tree {_bit_string(dists.index(None), n)} does not reach the target")
     tail, head, cost = idx.tail, idx.head, idx.cost
     out = [0] * (1 << n)
-    for j, (zero, one) in enumerate(enc.pairs):
+    for j, (zero, one) in enumerate(pairs):
         axis = 1 << (n - 1 - j)
         x, h0, c0, h1, c1 = tail[zero], head[zero], cost[zero], head[one], cost[one]
         for v in range(1 << n):
@@ -197,4 +197,4 @@ def orientation_view(inst: Instance) -> OrientationView:
                     "have no improving direction"
                 )
             out[v if v_to_w else v | axis] |= axis
-    return OrientationView(encoding=enc, out=tuple(out))
+    return tuple(out)

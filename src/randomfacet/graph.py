@@ -183,7 +183,6 @@ class _Index:
 
     def __init__(self, inst: Instance):
         _refuse_target_out_edges(inst)
-        self.inst = inst
         self.order = sorted(v for v in inst.vertices if v != inst.target)
         self.pos = {v: i for i, v in enumerate(self.order)}
         self.pos[inst.target] = -1
@@ -196,6 +195,21 @@ class _Index:
             self.out[self.pos[e.tail]].append(e.id)
         self.full_mask = (1 << m) - 1
         self._dists: dict[int, tuple[int, ...] | None] = {}
+
+    def with_costs(self, cost: list[int]) -> "_Index":
+        """Twin index with other edge costs and an empty distance cache.
+
+        The fields that do not depend on costs are shared with self,
+        which stays untouched, so a twin costs no graph walk.  A field
+        added to __init__ must be added here too, or twins lack it.
+        """
+        twin = object.__new__(_Index)
+        twin.order, twin.pos, twin.tail, twin.head, twin.out, twin.full_mask = (
+            self.order, self.pos, self.tail, self.head, self.out, self.full_mask
+        )
+        twin.cost = list(cost)
+        twin._dists = {}
+        return twin
 
     def edge_bits(self, mask: int) -> list[EdgeId]:
         """Edge ids in a mask, ascending, as a new list the caller owns."""

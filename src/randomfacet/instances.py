@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .algorithms import RF, RF_STAR
 from .comptree import _frac, comptree
-from .cube import cube_encoding, orientation_view
+from .cube import OrientationView, cube_encoding, orientation_out, orientation_view
 from .errors import (
     GenerationFailedAfterRetries,
     NonGenericInstance,
@@ -223,6 +223,28 @@ _TARGET = "t"
 _DOWNSTREAM = {"x": ("t", "y", "z"), "y": ("t", "z"), "z": ("t",)}
 
 
+def _candidate_space(
+    max_one_cost: int,
+) -> Iterator[tuple[tuple[str, ...], list[tuple[int, ...]]]]:
+    """(heads, cost tuples) per head layout, both in search order."""
+    head_space = [_DOWNSTREAM[v] for v in _AXES for _ in (0, 1)]
+    cost_space = list(itertools.product(range(1, max_one_cost + 1), repeat=3))
+    for heads in itertools.product(*head_space):
+        yield heads, cost_space
+
+
+def _edge_costs(costs: tuple[int, ...]) -> list[int]:
+    """Per-edge costs by id: each vertex's 0-edge is free, its 1-edge costs costs[k]."""
+    return [c for one in costs for c in (0, one)]
+
+
+def _candidate(heads: tuple[str, ...], costs: tuple[int, ...]) -> Instance:
+    cost = _edge_costs(costs)
+    return Instance.build(
+        _TARGET, [Edge(eid, _AXES[eid // 2], head, cost[eid]) for eid, head in enumerate(heads)]
+    )
+
+
 def errata_candidates(max_one_cost: int = 8) -> Iterator[Instance]:
     """Candidate instances in the documented deterministic search order.
 
@@ -231,15 +253,9 @@ def errata_candidates(max_one_cost: int = 8) -> Iterator[Instance]:
     costs, both in ascending (lexicographic) order over the tuples
     (x0, x1, y0, y1, z0, z1) and (cost x1, cost y1, cost z1).
     """
-    edge = functools.cache(Edge)  # one object per distinct edge; Edge is frozen
-    head_space = [_DOWNSTREAM[v] for v in _AXES for _ in (0, 1)]
-    for heads in itertools.product(*head_space):
-        for costs in itertools.product(range(1, max_one_cost + 1), repeat=3):
-            edges = []
-            for k, v in enumerate(_AXES):
-                edges.append(edge(2 * k, v, heads[2 * k], 0))
-                edges.append(edge(2 * k + 1, v, heads[2 * k + 1], costs[k]))
-            yield Instance.build(_TARGET, edges)
+    for heads, cost_space in _candidate_space(max_one_cost):
+        for costs in cost_space:
+            yield _candidate(heads, costs)
 
 
 def derive_errata_instance(max_one_cost: int = 8) -> Instance:
@@ -251,12 +267,17 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     and from 111 to 000; it has a unique sink on every face; every line
     of errata_checks passes; every edge subset is generic.  No tie-free
     candidate of the space fails the unique-sink test, so it runs after
-    the path counts, which reject all but the winner.  Only candidates
-    that pass the path counts reach the exact computations.
-    Exhausting the space raises SearchExhausted, which means the bounds
-    must be widened, never that a weaker instance is acceptable.
+    the path counts, which reject all but the winner.
+
+    The cheap cube tests run in _cube_survivors, on one index per head
+    layout with each candidate's costs swapped in; an Instance is built
+    only for a candidate that passes them, and it then goes through
+    every check again, so only such candidates reach the exact
+    computations.  Exhausting the space raises SearchExhausted, which
+    means the bounds must be widened, never that a weaker instance is
+    acceptable.
     """
-    for inst in errata_candidates(max_one_cost):
+    for inst in _cube_survivors(max_one_cost):
         if _matches_reference(inst):
             return validate_instance(inst)
     raise SearchExhausted(
@@ -265,14 +286,38 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     )
 
 
+def _cube_survivors(max_one_cost: int) -> Iterator[Instance]:
+    """The candidates, in search order, that pass the cheap cube tests.
+
+    One Instance, _Index and CubeEncoding serve a whole head layout: a
+    candidate differs from its layout's template in the three 1-edge
+    costs only, so its out-map is read from a twin index with its costs.
+    """
+    for heads, cost_space in _candidate_space(max_one_cost):
+        template = _candidate(heads, cost_space[0])
+        idx, enc = template._index, cube_encoding(template)
+        for costs in cost_space:
+            try:
+                out = orientation_out(enc.pairs, idx.with_costs(_edge_costs(costs)))
+            except NonGenericInstance:
+                continue
+            if _passes_cube_tests(OrientationView(encoding=enc, out=out)):
+                yield _candidate(heads, costs)
+
+
+def _passes_cube_tests(view: OrientationView) -> bool:
+    """Acyclic, with the pinned number of pivot paths between each pair of ends."""
+    return view.is_acyclic() and all(
+        view.count_paths(*ends) == n for ends, n in ERRATA_PATH_COUNTS.items()
+    )
+
+
 def _matches_reference(inst: Instance) -> bool:
     try:
         view = orientation_view(inst)
     except NonGenericInstance:
         return False
-    if not view.is_acyclic():
-        return False
-    if any(view.count_paths(*ends) != n for ends, n in ERRATA_PATH_COUNTS.items()):
+    if not _passes_cube_tests(view):
         return False
     if not view.unique_sink_every_face():  # no tie-free candidate fails it
         return False

@@ -146,6 +146,12 @@ def unique_sink_by_faces(view):
     return True
 
 
+def all_bits(enc):
+    """Every bit string of the encoding's cube, in ascending binary order."""
+    for combo in itertools.product("01", repeat=len(enc.axes)):
+        yield "".join(combo)
+
+
 def has_cycle_by_dfs(view):
     """True iff the view's arrows close a directed cycle.
 
@@ -162,7 +168,7 @@ def has_cycle_by_dfs(view):
         state[bits] = "done"
         return False
 
-    return any(bits not in state and dfs(bits) for bits in view.encoding.all_bits())
+    return any(bits not in state and dfs(bits) for bits in all_bits(view.encoding))
 
 
 def paths_by_enumeration(view, src, dst):

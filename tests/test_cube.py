@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    all_bits,
     cube_faces,
     cyclic_instance,
     has_cycle_by_dfs,
@@ -23,17 +24,20 @@ from randomfacet import (
     RandomFacetError,
     cube_encoding,
     errata_candidates,
+    dumps_instance,
     improves,
     optimal_tree,
     orientation_view,
 )
+from randomfacet.cube import orientation_out
+from randomfacet.instances import ERRATA_PATH_COUNTS, _cube_survivors
 
 
 class TestCubeEncoding:
     def test_bijection_on_the_errata_cube(self, errata, enc):
-        for bits in enc.all_bits():
+        for bits in all_bits(enc):
             assert enc.bits_of(enc.tree(bits)) == bits
-        assert len(list(enc.all_bits())) == 8
+        assert len(list(all_bits(enc))) == 8
 
     def test_named_trees(self, errata, enc, names):
         assert enc.tree("001").edge_ids == {names["x0"], names["y0"], names["z1"]}
@@ -156,7 +160,7 @@ def test_acyclicity_and_path_counts_agree_with_the_dfs_oracle(
             continue
         found += 1
         usos += view.unique_sink_every_face()
-        for src in view.encoding.all_bits():
+        for src in all_bits(view.encoding):
             assert view.count_paths(src, bottom) == paths_by_enumeration(view, src, bottom)
         total += view.count_paths(top, bottom)
     assert (found, usos, total) == (acyclic, acyclic_usos, paths_top_to_bottom)
@@ -218,3 +222,45 @@ def test_orientation_agrees_with_improves_on_cyclic_cubes():
         assert orientation_outcome(inst) == expected
         kinds[expected if expected in (NotATree, NonGenericInstance) else "view"] += 1
     assert min(kinds[NotATree], kinds[NonGenericInstance], kinds["view"]) >= 10, kinds
+
+
+def out_map_or_refusal(compute):
+    """The out-map compute() returns, or the NonGenericInstance text it raises."""
+    try:
+        return compute()
+    except NonGenericInstance as exc:
+        return NonGenericInstance, str(exc)
+
+
+def test_twin_index_out_maps_agree_with_orientation_view_on_every_candidate():
+    # the search's route (one index per head layout, costs swapped in)
+    # against a fresh Instance per candidate, on 36 layouts x 27 costs
+    layouts, kinds, survivors = 0, Counter(), []
+    by_heads = itertools.groupby(errata_candidates(3), key=lambda c: [e.head for e in c.edges])
+    for _, group in by_heads:
+        layouts += 1
+        group = list(group)
+        template = Instance.build("t", group[0].edges)
+        idx, enc = template._index, cube_encoding(template)
+        out_map_or_refusal(lambda: orientation_out(enc.pairs, idx))  # fills idx._dists
+        before = (list(idx.cost), dict(idx._dists))
+        for cand in group:
+            twin = idx.with_costs([e.cost for e in cand.edges])
+            assert [twin.order, twin.pos, twin.tail, twin.head, twin.out] == [
+                idx.order, idx.pos, idx.tail, idx.head, idx.out
+            ]
+            assert twin.head is idx.head and twin.cost is not idx.cost and not twin._dists
+            got = out_map_or_refusal(lambda: orientation_out(enc.pairs, twin))
+            assert got == out_map_or_refusal(lambda: orientation_view(cand).out)
+            kinds[got[0] if got[0] is NonGenericInstance else "view"] += 1
+            if got[0] is NonGenericInstance:
+                continue
+            view = orientation_view(cand)
+            if view.is_acyclic() and all(
+                view.count_paths(*ends) == n for ends, n in ERRATA_PATH_COUNTS.items()
+            ):
+                survivors.append(dumps_instance(cand))
+        assert (list(idx.cost), dict(idx._dists)) == before
+    assert layouts == 36 and sum(kinds.values()) == 36 * 27
+    assert min(kinds.values()) >= 100, kinds
+    assert survivors and [dumps_instance(i) for i in _cube_survivors(3)] == survivors

@@ -26,6 +26,7 @@ from randomfacet import algorithms, exact
 from randomfacet.algorithms import branches, start_state
 from randomfacet.graph import _Index
 from helpers import (
+    all_bits,
     count_calls,
     cyclic_instance,
     executions,
@@ -93,7 +94,7 @@ class TestOptimalTreeStop:
     and where one refuses the other must refuse with the same message."""
 
     def test_matches_subset_solves_on_the_cyclic_pool(self, errata, enc, cyclic_pool):
-        cases = [(errata, enc.tree(bits)) for bits in enc.all_bits()] + cyclic_pool
+        cases = [(errata, enc.tree(bits)) for bits in all_bits(enc)] + cyclic_pool
         refused = 0
         for inst, start in cases:
             got = _rf_or_refusal(expected_pivots_rf, inst, start)
@@ -293,7 +294,7 @@ class TestHistoryEnumeration:
     def test_history_weights_match_permutations(self, errata, enc, small_pool, cyclic_pool):
         # each argmin history, named by its pick sequence, weighs exactly
         # the orders whose runs make those picks
-        cases = [(errata, enc.tree(bits)) for bits in enc.all_bits()]
+        cases = [(errata, enc.tree(bits)) for bits in all_bits(enc)]
         cases += [(inst, _worst_tree(inst)) for inst in small_pool]
         cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
         for inst, start in cases:

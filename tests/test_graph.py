@@ -32,7 +32,13 @@ from randomfacet import (
     validate_instance,
 )
 from randomfacet.graph import _Index, facet_mask
-from helpers import cyclic_instance, has_zero_cost_cycle, optima_by_real_trees, real_trees
+from helpers import (
+    all_bits,
+    cyclic_instance,
+    has_zero_cost_cycle,
+    optima_by_real_trees,
+    real_trees,
+)
 
 
 @contextlib.contextmanager
@@ -151,7 +157,7 @@ class TestTreeDistances:
     def test_errata_tree_000_is_pointwise_minimal(self, errata, enc):
         # brute force over all 2^3 trees
         best = tree_distances(errata, enc.tree("000"))
-        for bits in enc.all_bits():
+        for bits in all_bits(enc):
             d = tree_distances(errata, enc.tree(bits))
             assert all(best[v] <= d[v] for v in d)
 

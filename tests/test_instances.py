@@ -1,5 +1,7 @@
 import collections
 import functools
+import hashlib
+import importlib.resources
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from randomfacet import (
     GenerationFailedAfterRetries,
     Instance,
     ParseError,
+    SearchExhausted,
     TooLargeForExhaustiveCheck,
     WriteError,
     derive_errata_instance,
@@ -29,6 +32,7 @@ from randomfacet import cube, graph, instances
 from randomfacet.instances import (
     ERRATA_EXPECTATIONS,
     ERRATA_PATH_COUNTS,
+    FIXTURE_NAME,
     _matches_reference,
     errata_checks,
 )
@@ -209,24 +213,19 @@ class TestErrataFixture:
 
     def test_derivation_work(self, monkeypatch):
         # one Bellman-Ford solve per generic subset of the winner and a few
-        # for its checks (10 407 when every tie-free candidate was solved),
-        # at most one Kahn order and two path counts per orientation view,
-        # and the unique-sink test, which no tie-free candidate fails, only
-        # for the winner: the path counts reject every other candidate
-        solves = []
-        original_solve = graph._Index.subgraph_shortest
-
-        def counted_solve(self, fmask):
-            solves.append(fmask)
-            return original_solve(self, fmask)
-
-        views, ordered = [], []
-        original_view = instances.orientation_view
+        # for its checks (10 407 when every tie-free candidate was solved);
+        # one out-map per candidate scanned, on a twin of its layout's index,
+        # and an Instance only per layout and per candidate that passes the
+        # cube tests; at most one Kahn order and two path counts per
+        # orientation view, and the unique-sink test, which no tie-free
+        # candidate fails, only for the winner: the path counts reject
+        # every other candidate
+        solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
+        out_maps = count_calls(monkeypatch, instances, "orientation_out")
+        passed = count_calls(monkeypatch, instances, "_matches_reference")
+        builds = count_calls(monkeypatch, graph.Instance, "build")
+        ordered = []
         original_order = cube.OrientationView._arrow_order.func
-
-        def counted_view(inst):
-            views.append(original_view(inst))
-            return views[-1]
 
         def counted_order(view):
             ordered.append(view)
@@ -242,16 +241,30 @@ class TestErrataFixture:
 
         order = functools.cached_property(counted_order)
         order.__set_name__(cube.OrientationView, "_arrow_order")
-        monkeypatch.setattr(graph._Index, "subgraph_shortest", counted_solve)
-        monkeypatch.setattr(instances, "orientation_view", counted_view)
         monkeypatch.setattr(cube.OrientationView, "_arrow_order", order)
         derive_errata_instance()
-        assert len(solves) < 100
+        layouts = -(-out_maps[0] // 8**3)  # 8**3 cost tuples per head layout
+        assert solves[0] < 100
+        assert out_maps[0] > 10_000
+        assert builds[0] <= layouts + passed[0]
         assert len({id(v) for v in ordered}) == len(ordered)
-        assert len(ordered) <= len(views)
-        assert len(views) > 10_000
         assert [n for (name, _), n in counted.items() if name == "unique_sink_every_face"] == [1]
         assert max(n for (name, _), n in counted.items() if name == "count_paths") <= 2
+
+    def test_search_bounds_too_tight_are_exhausted(self):
+        with pytest.raises(SearchExhausted, match="in 1..2 reproduces .*; widen the bounds$"):
+            derive_errata_instance(2)
+
+    def test_the_fixture_is_first_within_cost_bound_3(self):
+        fixture = importlib.resources.files("randomfacet").joinpath(f"data/{FIXTURE_NAME}")
+        assert dumps_instance(derive_errata_instance(3)) == fixture.read_text()
+
+    def test_candidate_order_is_pinned(self):
+        # 36 head layouts x 8 cost tuples; the search walks the same order
+        texts = [dumps_instance(inst) for inst in errata_candidates(2)]
+        assert len(texts) == 288
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == "2a5be7e8b680c5e163aa5ef4f055d68ed032042be9b962368af3a249ac975c3f"
 
     def test_errata_checks_compute_shared_values_once(self, errata, monkeypatch):
         calls = collections.Counter()
