@@ -103,10 +103,6 @@ class CompTree:
         total = sum(n.mass * n.pivots for n in self.nodes if n.kind == "leaf")
         return Fraction(total, self.root.mass)
 
-    def root_distribution(self) -> dict[EdgeId, Fraction]:
-        """Probability of each facet being removed first."""
-        return {c.edge: c.prob for c in self.root.children if c.kind == "pick"}
-
     def pick_order_after_pivot(
         self,
         pivot_edge: EdgeId,

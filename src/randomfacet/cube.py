@@ -59,16 +59,13 @@ class CubeEncoding:
 
 def cube_encoding(inst: Instance) -> CubeEncoding:
     """Encoding for an instance with exactly two outgoing edges per vertex."""
-    axes = tuple(sorted(v for v in inst.vertices if v != inst.target))
-    pairs = []
-    for v in axes:
-        out = inst.out_edges[v]
+    idx = inst._index
+    for v, out in zip(idx.order, idx.out):
         if len(out) != 2:
             raise NotCubeShaped(
                 f"vertex {v!r} has {len(out)} outgoing edges, expected 2"
             )
-        pairs.append((out[0].id, out[1].id))
-    return CubeEncoding(axes=axes, pairs=tuple(pairs))
+    return CubeEncoding(axes=tuple(idx.order), pairs=tuple(map(tuple, idx.out)))
 
 
 def _vertex(bits: str, n: int) -> int:

@@ -55,28 +55,6 @@ class ConstraintSet:
     def union(self, other: "ConstraintSet") -> "ConstraintSet":
         return ConstraintSet(self.pairs | other.pairs)
 
-    def is_contradictory(self) -> bool:
-        """True iff the relation has a cycle (including a before a).
-
-        Kahn's algorithm: repeatedly drop an element with no remaining
-        predecessor; the relation is acyclic iff every element drops.
-        """
-        succ: dict = {}
-        preds: dict = {}
-        for a, b in self.pairs:
-            succ.setdefault(a, []).append(b)
-            preds.setdefault(a, 0)
-            preds[b] = preds.get(b, 0) + 1
-        ready = [x for x, n in preds.items() if n == 0]
-        dropped = 0
-        while ready:
-            dropped += 1
-            for y in succ.get(ready.pop(), ()):
-                preds[y] -= 1
-                if not preds[y]:
-                    ready.append(y)
-        return dropped < len(preds)
-
 
 def _coerce(constraints) -> ConstraintSet:
     if isinstance(constraints, ConstraintSet):

@@ -5,10 +5,13 @@ from collections import Counter
 from fractions import Fraction
 
 from randomfacet import (
+    DanglingVertex,
     Edge,
     Instance,
+    NegativeCycle,
     NonGenericInstance,
     Permutation,
+    TargetHasOutEdges,
     TreePolicy,
     run_random_facet,
     run_random_facet_star,
@@ -362,3 +365,43 @@ def has_zero_cost_cycle(inst):
         return False
 
     return any(v not in state and dfs(v) for v in succ)
+
+
+def validate_by_vertex_names(inst):
+    """validate_instance by a Bellman-Ford keyed by vertex names.
+
+    Same checks, order, witness cycle and messages as the library, but
+    it reads Instance.out_edges and Edge tuples instead of the integer
+    index.  Distances start at zero everywhere, so negative cycles that
+    cannot reach the target are found too.
+    """
+    for v in sorted(inst.vertices):
+        if v != inst.target and not inst.out_edges[v]:
+            raise DanglingVertex(v)
+    out = inst.out_edges[inst.target]
+    if out:
+        raise TargetHasOutEdges(f"target {inst.target!r} has outgoing edges {[e.id for e in out]}")
+    dist = {v: 0 for v in inst.vertices}
+    pred = {}
+    for _ in range(inst.n):
+        changed = False
+        for e in inst.edges:
+            if dist[e.tail] > e.cost + dist[e.head]:
+                dist[e.tail] = e.cost + dist[e.head]
+                pred[e.tail] = e
+                changed = True
+        if not changed:
+            break
+    for e in inst.edges:
+        if dist[e.tail] > e.cost + dist[e.head]:
+            pred[e.tail] = e
+            v = e.tail
+            for _ in range(inst.n):  # n steps land on the cycle
+                v = pred[v].head
+            cycle, u = [v], pred[v].head
+            while u != v:
+                cycle.append(u)
+                u = pred[u].head
+            cycle.reverse()
+            raise NegativeCycle(cycle)
+    return inst

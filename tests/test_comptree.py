@@ -54,8 +54,8 @@ class TestStructure:
         walk(trees_001[RF].root)
 
     def test_rfstar_root_choice_is_uniform(self, trees_001):
-        dist = trees_001[RF_STAR].root_distribution()
-        assert set(dist.values()) == {Fraction(1, 3)}
+        picks = [c for c in trees_001[RF_STAR].root.children if c.kind == "pick"]
+        assert len(picks) == 3 and {c.prob for c in picks} == {Fraction(1, 3)}
 
     def test_leaf_payload_counts_pivots_on_path(self, trees_001):
         for tree in trees_001.values():

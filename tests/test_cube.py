@@ -249,6 +249,7 @@ def test_twin_index_out_maps_agree_with_orientation_view_on_every_candidate():
             assert [twin.order, twin.pos, twin.tail, twin.head, twin.out] == [
                 idx.order, idx.pos, idx.tail, idx.head, idx.out
             ]
+            assert vars(twin).keys() == vars(idx).keys()
             assert twin.head is idx.head and twin.cost is not idx.cost and not twin._dists
             got = out_map_or_refusal(lambda: orientation_out(enc.pairs, twin))
             assert got == out_map_or_refusal(lambda: orientation_view(cand).out)

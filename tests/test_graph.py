@@ -15,6 +15,7 @@ from randomfacet import (
     NotATree,
     NotImproving,
     RF,
+    RandomFacetError,
     TargetHasOutEdges,
     TreePolicy,
     edge_names,
@@ -38,6 +39,7 @@ from helpers import (
     has_zero_cost_cycle,
     optima_by_real_trees,
     real_trees,
+    validate_by_vertex_names,
 )
 
 
@@ -101,6 +103,46 @@ class TestValidate:
             [Edge(0, "a", "b", 1), Edge(1, "b", "a", -1), Edge(2, "a", "t", 0), Edge(3, "b", "t", 0)],
         )
         assert validate_instance(inst) is inst
+
+    def test_negative_cycle_that_cannot_reach_the_target(self):
+        # relaxing from the target alone would never reach a or b
+        inst = Instance.build("t", [Edge(0, "a", "b", -3), Edge(1, "b", "a", 1), Edge(2, "c", "t", 0)])
+        with pytest.raises(NegativeCycle, match="^negative-cost cycle: a -> b$") as exc:
+            validate_instance(inst)
+        assert exc.value.cycle == ["a", "b"]
+
+    def test_dangling_vertex_is_reported_before_a_target_out_edge(self):
+        inst = Instance.build(
+            "t", [Edge(0, "v", "t", 1), Edge(1, "t", "v", 1)], extra_vertices=["lonely"]
+        )
+        with pytest.raises(DanglingVertex, match="'lonely'"):
+            validate_instance(inst)
+
+    def test_agrees_with_the_vertex_name_oracle_on_random_graphs(self):
+        # same instance back, or the same error type, message and witness
+        def outcome(check, inst):
+            try:
+                return check(inst)
+            except RandomFacetError as exc:
+                return type(exc), str(exc), getattr(exc, "cycle", None)
+
+        rng = random.Random(18)
+        seen = collections.Counter()
+        for _ in range(2000):
+            names = [f"v{i}" for i in range(rng.randint(1, 5))]
+            edges = []
+            for eid in range(rng.randint(1, 11)):
+                tail = names[eid] if eid < len(names) else rng.choice(names)
+                if rng.random() < 0.02:
+                    tail = "t"
+                edges.append(Edge(eid, tail, rng.choice(names + ["t"]), rng.randint(-4, 4)))
+            inst = Instance.build("t", edges, ["lonely"] if rng.random() < 0.05 else ())
+            got = outcome(validate_instance, inst)
+            assert got == outcome(validate_by_vertex_names, inst)
+            seen["ok" if got is inst else got[0].__name__] += 1
+            if got is not inst and got[2] and len(got[2]) > 1:
+                seen["witness of two or more"] += 1
+        assert min(seen.values()) >= 100 and len(seen) == 5, seen
 
 
 class TestTreeDistances:
@@ -394,6 +436,12 @@ class TestFacetMask:
 class TestEdgeNames:
     def test_errata_names(self, errata, names):
         assert names == {"x0": 0, "x1": 1, "y0": 2, "y1": 3, "z0": 4, "z1": 5}
+
+    def test_edge_out_of_the_target_is_refused(self):
+        # an unvalidated instance; the names come from the same index as every engine
+        inst = Instance.build("t", [Edge(0, "v", "t", 1), Edge(1, "t", "v", 1)])
+        with pytest.raises(TargetHasOutEdges, match=r"^target 't' has outgoing edges \[1\]$"):
+            edge_names(inst)
 
     def test_names_cover_all_edges(self, medium_pool):
         for inst in medium_pool[:10]:

@@ -116,17 +116,6 @@ class TestConstraintSet:
             with pytest.raises(ValueError):
                 ConstraintSet.from_text(text)
 
-    def test_contradiction_detection(self):
-        assert ConstraintSet.from_pairs([("a", "b"), ("b", "c"), ("c", "a")]).is_contradictory()
-        assert not ConstraintSet.from_pairs([("a", "b"), ("b", "c")]).is_contradictory()
-        assert ConstraintSet.from_pairs([("a", "a")]).is_contradictory()
-
-    def test_long_chain_and_cycle(self):
-        # deeper than the interpreter's recursion limit
-        chain = [(i, i + 1) for i in range(3000)]
-        assert not ConstraintSet.from_pairs(chain).is_contradictory()
-        assert ConstraintSet.from_pairs(chain + [(3000, 0)]).is_contradictory()
-
 
 class TestConditionalOrderProbability:
     def test_reference_posterior(self):
