@@ -157,28 +157,40 @@ class OrientationView:
 def orientation_view(inst: Instance) -> OrientationView:
     """Orient every cube edge between adjacent trees in the improving direction."""
     enc = cube_encoding(inst)
-    return OrientationView(encoding=enc, out=orientation_out(enc.pairs, inst._index))
+    idx = inst._index
+    dists = [idx.tree_distances(mask) for mask in tree_masks(enc.pairs)]
+    if None in dists:
+        v = dists.index(None)
+        raise NotATree(f"tree {_bit_string(v, len(enc.pairs))} does not reach the target")
+    return OrientationView(encoding=enc, out=orientation_out(enc.pairs, idx, idx.cost, dists))
 
 
-def orientation_out(pairs: tuple[tuple[EdgeId, EdgeId], ...], idx: _Index) -> tuple[int, ...]:
-    """The out-map of OrientationView, from an encoding's pairs and an index.
-
-    The 2^n tree masks are built by doubling over the pairs, and each
-    tree's distances are read once; each axis reads its pair's tail,
-    heads and costs once.  Only the index's costs and distance cache
-    are read per call, so a search can hand in twins of one index that
-    differ in their costs (`_Index.with_costs`).  A tie (neither
-    direction improves) means two adjacent trees have equal distance at
-    the flipped vertex, which only happens on non-generic instances.
-    """
-    n = len(pairs)
+def tree_masks(pairs: tuple[tuple[EdgeId, EdgeId], ...]) -> list[int]:
+    """The tree mask of every cube vertex v, built by doubling over the pairs."""
     masks = [0]
     for zero, one in pairs:  # an earlier pair is a higher bit of v
         masks = [mask | bit for mask in masks for bit in (1 << zero, 1 << one)]
-    dists = [idx.tree_distances(mask) for mask in masks]
-    if None in dists:
-        raise NotATree(f"tree {_bit_string(dists.index(None), n)} does not reach the target")
-    tail, head, cost = idx.tail, idx.head, idx.cost
+    return masks
+
+
+def orientation_out(
+    pairs: tuple[tuple[EdgeId, EdgeId], ...],
+    idx: _Index,
+    cost: list[int],
+    dists: list[tuple[int, ...]],
+) -> tuple[int, ...]:
+    """The out-map of OrientationView, from per-edge costs and tree distances.
+
+    `dists[v]` are the distances of tree v (tree_masks order) under
+    `cost`; of the index only the cost-free tail and head are read, so
+    a search can keep one index per head layout and hand in each
+    candidate's costs and distances.  Each axis reads its pair's tail,
+    heads and costs once.  A tie (neither direction improves) means two
+    adjacent trees have equal distance at the flipped vertex, which only
+    happens on non-generic instances.
+    """
+    n = len(pairs)
+    tail, head = idx.tail, idx.head
     out = [0] * (1 << n)
     for j, (zero, one) in enumerate(pairs):
         axis = 1 << (n - 1 - j)

@@ -197,20 +197,6 @@ class _Index:
         self.full_mask = (1 << m) - 1
         self._dists: dict[int, tuple[int, ...] | None] = {}
 
-    def with_costs(self, cost: list[int]) -> "_Index":
-        """Twin index with other edge costs and an empty distance cache.
-
-        The fields that do not depend on costs are shared with self,
-        which stays untouched, so a twin costs no graph walk.
-        """
-        twin = object.__new__(_Index)
-        # one by one: after a bulk vars(twin).update the errata search ran ~10% slower
-        for name, value in vars(self).items():
-            setattr(twin, name, value)
-        twin.cost = list(cost)
-        twin._dists = {}
-        return twin
-
     def edge_bits(self, mask: int) -> list[EdgeId]:
         """Edge ids in a mask, ascending, as a new list the caller owns."""
         ids = []
@@ -236,38 +222,56 @@ class _Index:
             return None
         return choice
 
-    def tree_distances(self, mask: int) -> tuple[int, ...] | None:
-        """Exact distances to the target along the tree; None if not a tree.
+    def tree_plan(self, mask: int) -> list[tuple[int, EdgeId]] | None:
+        """The tree's (vertex, edge) pairs, each edge's head the target or placed earlier.
 
         The choice is read off the mask in one low-bit walk.  Each vertex
         then follows its chain of choices, marking the vertices it passes,
-        until a known distance ends the chain; reaching a marked vertex
-        instead means the chain closed a cycle.  Results, None included,
-        are cached per mask, for repeated runs on the same instance.
+        until a placed vertex or the target ends the chain, and the chain
+        is placed backwards; reaching a vertex of the chain itself instead
+        means the chain closed a cycle.  None if the mask is not a tree.
+        The plan depends on heads only, so it serves any cost list
+        (plan_distances).
+        """
+        choice = self.choice_of_mask(mask)
+        if choice is None:
+            return None
+        head, n = self.head, len(choice)
+        state = [0] * n + [2]  # 0 unseen, 1 on the current chain, 2 placed (the target)
+        plan: list[tuple[int, EdgeId]] = []
+        for start in range(n):
+            path: list[int] = []
+            v = start
+            while not state[v]:
+                state[v] = 1
+                path.append(v)
+                v = head[choice[v]]
+            if state[v] == 1:  # the chain closed a cycle
+                return None
+            for u in reversed(path):
+                plan.append((u, choice[u]))
+                state[u] = 2
+        return plan
+
+    def plan_distances(self, plan: list[tuple[int, EdgeId]], cost: list[int]) -> tuple[int, ...]:
+        """Distances to the target along a tree_plan, under per-edge costs `cost`."""
+        head = self.head
+        dist = [0] * (len(self.order) + 1)
+        for v, eid in plan:
+            dist[v] = cost[eid] + dist[head[eid]]
+        return tuple(dist)
+
+    def tree_distances(self, mask: int) -> tuple[int, ...] | None:
+        """Exact distances to the target along the tree; None if not a tree.
+
+        A miss evaluates the mask's tree_plan under the index's costs.
+        Results, None included, are cached per mask, for repeated runs
+        on the same instance.
         """
         if mask in self._dists:
             return self._dists[mask]
-        choice = self.choice_of_mask(mask)
-        result: tuple[int, ...] | None = None
-        if choice is not None:
-            head, cost, n = self.head, self.cost, len(choice)
-            dist: list[int | None] = [None] * n + [0]
-            marked = [False] * n
-            for start in range(n):
-                path: list[int] = []
-                v = start
-                while dist[v] is None and not marked[v]:  # the target's 0 ends every chain
-                    marked[v] = True
-                    path.append(v)
-                    v = head[choice[v]]
-                acc = dist[v]
-                if acc is None:  # the chain closed a cycle
-                    break
-                for u in reversed(path):
-                    acc += cost[choice[u]]
-                    dist[u] = acc
-            else:
-                result = tuple(dist)  # type: ignore[arg-type]
+        plan = self.tree_plan(mask)
+        result = None if plan is None else self.plan_distances(plan, self.cost)
         self._dists[mask] = result
         return result
 

@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .algorithms import RF, RF_STAR
 from .comptree import _frac, comptree
-from .cube import OrientationView, cube_encoding, orientation_out, orientation_view
+from .cube import OrientationView, cube_encoding, orientation_out, orientation_view, tree_masks
 from .errors import (
     GenerationFailedAfterRetries,
     NonGenericInstance,
@@ -269,13 +269,13 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     candidate of the space fails the unique-sink test, so it runs after
     the path counts, which reject all but the winner.
 
-    The cheap cube tests run in _cube_survivors, on one index per head
-    layout with each candidate's costs swapped in; an Instance is built
-    only for a candidate that passes them, and it then goes through
-    every check again, so only such candidates reach the exact
-    computations.  Exhausting the space raises SearchExhausted, which
-    means the bounds must be widened, never that a weaker instance is
-    acceptable.
+    The cheap cube tests run in _cube_survivors, which reads tree plans
+    once per head layout and tests each distinct out-map once; an
+    Instance is built only for a candidate that passes them, and it then
+    goes through every check again, so only such candidates reach the
+    exact computations.  Exhausting the space raises SearchExhausted,
+    which means the bounds must be widened, never that a weaker instance
+    is acceptable.
     """
     for inst in _cube_survivors(max_one_cost):
         if _matches_reference(inst):
@@ -289,19 +289,29 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
 def _cube_survivors(max_one_cost: int) -> Iterator[Instance]:
     """The candidates, in search order, that pass the cheap cube tests.
 
-    One Instance, _Index and CubeEncoding serve a whole head layout: a
-    candidate differs from its layout's template in the three 1-edge
-    costs only, so its out-map is read from a twin index with its costs.
+    A candidate differs from the others of its head layout in the three
+    1-edge costs only, so one cost-free template Instance, _Index,
+    CubeEncoding and its 2^3 tree plans serve the whole layout; a
+    candidate's tree distances are its plans evaluated under its costs.
+    Many candidates share an out-map, so the cube tests run once per
+    distinct out-map of a search.
     """
+    verdicts: dict[tuple[int, ...], bool] = {}
     for heads, cost_space in _candidate_space(max_one_cost):
-        template = _candidate(heads, cost_space[0])
+        template = _candidate(heads, (0, 0, 0))  # a plan needs heads only
         idx, enc = template._index, cube_encoding(template)
+        # downstream heads: every choice is a tree, so no plan is None
+        plans = [idx.tree_plan(mask) for mask in tree_masks(enc.pairs)]
         for costs in cost_space:
+            cost = _edge_costs(costs)
+            dists = [idx.plan_distances(plan, cost) for plan in plans]
             try:
-                out = orientation_out(enc.pairs, idx.with_costs(_edge_costs(costs)))
+                out = orientation_out(enc.pairs, idx, cost, dists)
             except NonGenericInstance:
                 continue
-            if _passes_cube_tests(OrientationView(encoding=enc, out=out)):
+            if out not in verdicts:
+                verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))
+            if verdicts[out]:
                 yield _candidate(heads, costs)
 
 

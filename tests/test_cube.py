@@ -29,7 +29,7 @@ from randomfacet import (
     optimal_tree,
     orientation_view,
 )
-from randomfacet.cube import orientation_out
+from randomfacet.cube import orientation_out, tree_masks
 from randomfacet.instances import ERRATA_PATH_COUNTS, _cube_survivors
 
 
@@ -106,7 +106,9 @@ class TestOrientationView:
 
     def test_tied_adjacent_trees_are_non_generic(self):
         inst = Instance.build("t", [Edge(0, "v", "t", 3), Edge(1, "v", "t", 3)])
-        with pytest.raises(NonGenericInstance):
+        with pytest.raises(
+            NonGenericInstance, match="^adjacent trees 0 and 1 have no improving direction$"
+        ):
             orientation_view(inst)
 
     def test_non_tree_bit_string_raises(self):
@@ -115,7 +117,7 @@ class TestOrientationView:
             "t",
             [Edge(0, "x", "t", 1), Edge(1, "x", "y", 0), Edge(2, "y", "t", 2), Edge(3, "y", "x", 0)],
         )
-        with pytest.raises(NotATree):
+        with pytest.raises(NotATree, match="^tree 11 does not reach the target$"):
             orientation_view(inst)
 
 
@@ -232,26 +234,23 @@ def out_map_or_refusal(compute):
         return NonGenericInstance, str(exc)
 
 
-def test_twin_index_out_maps_agree_with_orientation_view_on_every_candidate():
-    # the search's route (one index per head layout, costs swapped in)
-    # against a fresh Instance per candidate, on 36 layouts x 27 costs
+def test_plan_out_maps_agree_with_orientation_view_on_every_candidate():
+    # the search's route (one cost-free index and its tree plans per head
+    # layout, each candidate's costs evaluated on the plans) against a
+    # fresh Instance per candidate, on 36 layouts x 27 costs
     layouts, kinds, survivors = 0, Counter(), []
     by_heads = itertools.groupby(errata_candidates(3), key=lambda c: [e.head for e in c.edges])
     for _, group in by_heads:
         layouts += 1
         group = list(group)
-        template = Instance.build("t", group[0].edges)
+        template = Instance.build("t", [Edge(e.id, e.tail, e.head, 0) for e in group[0].edges])
         idx, enc = template._index, cube_encoding(template)
-        out_map_or_refusal(lambda: orientation_out(enc.pairs, idx))  # fills idx._dists
-        before = (list(idx.cost), dict(idx._dists))
+        plans = [idx.tree_plan(mask) for mask in tree_masks(enc.pairs)]
+        assert None not in plans
         for cand in group:
-            twin = idx.with_costs([e.cost for e in cand.edges])
-            assert [twin.order, twin.pos, twin.tail, twin.head, twin.out] == [
-                idx.order, idx.pos, idx.tail, idx.head, idx.out
-            ]
-            assert vars(twin).keys() == vars(idx).keys()
-            assert twin.head is idx.head and twin.cost is not idx.cost and not twin._dists
-            got = out_map_or_refusal(lambda: orientation_out(enc.pairs, twin))
+            cost = [e.cost for e in cand.edges]
+            dists = [idx.plan_distances(plan, cost) for plan in plans]
+            got = out_map_or_refusal(lambda: orientation_out(enc.pairs, idx, cost, dists))
             assert got == out_map_or_refusal(lambda: orientation_view(cand).out)
             kinds[got[0] if got[0] is NonGenericInstance else "view"] += 1
             if got[0] is NonGenericInstance:
@@ -261,7 +260,7 @@ def test_twin_index_out_maps_agree_with_orientation_view_on_every_candidate():
                 view.count_paths(*ends) == n for ends, n in ERRATA_PATH_COUNTS.items()
             ):
                 survivors.append(dumps_instance(cand))
-        assert (list(idx.cost), dict(idx._dists)) == before
+        assert idx.cost == [0] * 6 and not idx._dists
     assert layouts == 36 and sum(kinds.values()) == 36 * 27
     assert min(kinds.values()) >= 100, kinds
     assert survivors and [dumps_instance(i) for i in _cube_survivors(3)] == survivors

@@ -196,6 +196,29 @@ class TestTreeDistances:
                     seen["cycle", has_zero_cost_cycle(_subgraph(inst, mask))] += 1
         assert len(seen) == 5 and min(seen.values()) >= 20, seen
 
+    def test_every_mask_of_the_cyclic_pool_has_a_plan_iff_it_is_a_tree(self, cyclic_pool):
+        # a plan lists the tree's edges once each, every head placed
+        # before its tail, and evaluates to the cached tree distances
+        plans = 0
+        for inst, _ in cyclic_pool:
+            if inst.m > 8:
+                continue
+            idx = _Index(inst)
+            for mask in range(1 << inst.m):
+                plan = idx.tree_plan(mask)
+                if plan is None:
+                    assert idx.tree_distances(mask) is None
+                    continue
+                plans += 1
+                assert sorted(v for v, _ in plan) == list(range(inst.n))
+                assert sum(1 << eid for _, eid in plan) == mask
+                placed = {-1}
+                for v, eid in plan:
+                    assert idx.tail[eid] == v and idx.head[eid] in placed
+                    placed.add(v)
+                assert idx.plan_distances(plan, idx.cost) == idx.tree_distances(mask)
+        assert plans >= 100, plans
+
     def test_errata_tree_000_is_pointwise_minimal(self, errata, enc):
         # brute force over all 2^3 trees
         best = tree_distances(errata, enc.tree("000"))

@@ -214,15 +214,20 @@ class TestErrataFixture:
     def test_derivation_work(self, monkeypatch):
         # one Bellman-Ford solve per generic subset of the winner and a few
         # for its checks (10 407 when every tie-free candidate was solved);
-        # one out-map per candidate scanned, on a twin of its layout's index,
-        # and an Instance only per layout and per candidate that passes the
-        # cube tests; at most one Kahn order and two path counts per
-        # orientation view, and the unique-sink test, which no tie-free
+        # one out-map per candidate scanned, from its layout's tree plans,
+        # so tree distances only for the winner's checks (91 105 when every
+        # candidate read its 8 trees); the cube tests once per distinct
+        # out-map of the search (10 of 10 373 tie-free ones) and once for
+        # the winner; an Instance only per layout and per candidate that
+        # passes the cube tests; at most one Kahn order and two path counts
+        # per orientation view, and the unique-sink test, which no tie-free
         # candidate fails, only for the winner: the path counts reject
         # every other candidate
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
         out_maps = count_calls(monkeypatch, instances, "orientation_out")
         passed = count_calls(monkeypatch, instances, "_matches_reference")
+        cube_tests = count_calls(monkeypatch, instances, "_passes_cube_tests")
+        distances = count_calls(monkeypatch, graph._Index, "tree_distances")
         builds = count_calls(monkeypatch, graph.Instance, "build")
         ordered = []
         original_order = cube.OrientationView._arrow_order.func
@@ -246,6 +251,8 @@ class TestErrataFixture:
         layouts = -(-out_maps[0] // 8**3)  # 8**3 cost tuples per head layout
         assert solves[0] < 100
         assert out_maps[0] > 10_000
+        assert distances[0] < 2_000
+        assert cube_tests[0] == 10 + passed[0]
         assert builds[0] <= layouts + passed[0]
         assert len({id(v) for v in ordered}) == len(ordered)
         assert [n for (name, _), n in counted.items() if name == "unique_sink_every_face"] == [1]
@@ -254,6 +261,11 @@ class TestErrataFixture:
     def test_search_bounds_too_tight_are_exhausted(self):
         with pytest.raises(SearchExhausted, match="in 1..2 reproduces .*; widen the bounds$"):
             derive_errata_instance(2)
+
+    @pytest.mark.parametrize("max_one_cost", [0, -1])
+    def test_an_empty_cost_space_is_exhausted(self, max_one_cost):
+        with pytest.raises(SearchExhausted, match="; widen the bounds$"):
+            derive_errata_instance(max_one_cost)
 
     def test_the_fixture_is_first_within_cost_bound_3(self):
         fixture = importlib.resources.files("randomfacet").joinpath(f"data/{FIXTURE_NAME}")
