@@ -9,9 +9,16 @@ its expectation is a sum over histories of those answers, each weighted
 by the number of orders of the facet set that extend it
 (algorithms.branches).  All arithmetic is exact rational.
 
-The randomized rule's recursion needs the optimal tree of many facet
-subsets.  The second lemma below records most of them, and the others
-mostly follow from a smaller one.  The first lemma: let
+The randomized rule's recursion keeps, beside each state's value, a
+final tree: one where a run from the state ends, hence an optimal tree
+of its facet set.  At a choice point it reads the optimum of F minus e
+off the final tree of (F minus e, B): by that tree's own distances e
+improves iff it is strictly better, and F minus e has a second optimal
+tree iff a tight edge swaps in (_Index.count_optimal_trees), which is
+refused as NonGenericInstance.  No facet subset is solved.
+
+ExactEvaluator.optimal, the facet-subset oracle of genericity_check,
+answers from its cache, by a first lemma, or by Bellman-Ford.  Let
 F minus {f} have optimal distances d.  If cost(f) + d(head f) > d(tail f),
 d is still a feasible potential on F and f is not tight, so F has the
 same distances, the same tight edges and hence the same optimal trees
@@ -19,19 +26,15 @@ same distances, the same tight edges and hence the same optimal trees
 has one).  This needs no acyclicity, so it holds with zero-cost cycles
 too.  A tie or an improving f settles nothing, and F is solved afresh.
 
-A second lemma settles whole rf states.  Let B be a tree inside F whose
-own distances d_B make every edge e of F minus B strictly worse:
-cost(e) + d_B(head e) > d_B(tail e).  Then d_B is a feasible potential
-on F whose only tight edges are B's, so B is the unique optimal tree of
-F and of every subset between B and F.  No candidate below (F, B) ever
-improves, so its rf expectation is 0, and no state below it meets a
-subset with two optimal trees.  The recursion stops at such a state and
-records B as F's optimum.  On a generic instance without zero-cost
-cycles every edge outside a subset's optimum is strictly worse, and the
-recursion from (F minus e, B) reaches F minus e's optimum as a tree, so
-that optimum is cached when the loop asks for it.  A tie is not strictly
-worse: it may give F a second optimal tree, which the recursion must
-meet to refuse.
+A second lemma settles whole rf states.  Let B be a tree inside F such
+that, by B's own distances d_B, no edge of F minus B improves B and no
+tight one swaps in a second tree.  Then d_B is a feasible potential on
+F and B is the only tree of F's tight edges, so B is the unique optimal
+tree of F and of every subset between B and F.  No candidate below
+(F, B) ever improves, so its rf expectation is 0, its final tree is B,
+and no state below it meets a subset with two optimal trees.  The
+recursion stops at such a state; the tight edges the swap test lets
+pass close zero-cost cycles.
 """
 from __future__ import annotations
 
@@ -59,26 +62,24 @@ _Optimum = tuple[list[EdgeId], int, tuple[int, ...], bool]
 class ExactEvaluator:
     """Evaluation context for exact expectations on one instance.
 
-    Caches the optimum of each facet subset (the only such cache).  The
-    rf recursion records it at every state the second lemma settles;
-    any other subset is derived by the first lemma from a cached subset
-    one edge smaller when it can be, and from _Index.optimum otherwise.
-    Keeps per tree mask the mask of edges strictly worse than the tree
-    and the tree's optimum entry.  Memoizes the rf recursion on (facet
-    mask, tree mask) pairs as reduced (numerator, denominator) integer
-    pairs; a Fraction is built only at the public expected_rf.  Counts
-    the new memo states against RF_STATE_BUDGET and raises
-    StateBudgetExceeded past it.  Caches are confined to this object;
-    create one per computation or share it explicitly when evaluating
-    many start trees of the same instance.
+    Memoizes the rf recursion on (facet mask, tree mask) pairs as a
+    reduced (numerator, denominator) integer pair and a final tree; a
+    Fraction is built only at the public expected_rf.  Keeps per tree
+    mask the masks of the edges strictly worse and strictly better than
+    the tree by its own distances, and its edge per vertex.  Counts the
+    new memo states against RF_STATE_BUDGET and raises
+    StateBudgetExceeded past it.  Caches the optimum of each facet subset
+    that optimal is asked for; the rf recursion never asks.  Caches are
+    confined to this object; create one per computation or share it
+    explicitly when evaluating many start trees of the same instance.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._idx = inst._index
         self._opt: dict[int, _Optimum] = {}
-        self._trees: dict[int, tuple[int, _Optimum]] = {}
-        self._memo: dict[tuple[int, int], tuple[int, int]] = {}
+        self._trees: dict[int, tuple[int, int, list[EdgeId]]] = {}
+        self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._states = 0
 
     def optimal(self, fmask: int):
@@ -105,20 +106,27 @@ class ExactEvaluator:
     def expected_rf(self, fmask: int, bmask: int) -> Fraction:
         """Expected pivots of the randomized rule from (fmask, bmask).
 
-        bmask must be a tree inside fmask: a mask outside it raises
-        ValueError, one that is not a tree NoTreeInSubset.  Recursion:
-        zero when every edge of F minus B is strictly worse than B (the
-        second lemma), otherwise the uniform average over removable
+        fmask must name edges of the instance only and bmask must be a
+        tree inside fmask: a mask outside either raises ValueError, one
+        that is not a tree NoTreeInSubset.  Recursion: zero when no edge
+        of F minus B improves B and no tight one swaps in a second tree
+        (the second lemma), otherwise the uniform average over removable
         edges e of the subproblem without e, plus, when e improves the
-        unique optimum of that subproblem, one pivot and the expectation
-        from the pivoted tree.
+        tree where that subproblem's runs end (its unique optimum), one
+        pivot and the expectation from the pivoted tree.
         """
+        if fmask & ~self._idx.full_mask:
+            raise ValueError("facet set names an edge that is not in the instance")
         if bmask & ~fmask:
             raise ValueError("start tree is not contained in the facet set")
-        return Fraction(*self._rf(fmask, bmask))
+        return Fraction(*self._rf(fmask, bmask)[:2])
 
-    def _rf(self, fmask: int, bmask: int) -> tuple[int, int]:
-        """expected_rf as a reduced (numerator, denominator) pair."""
+    def _rf(self, fmask: int, bmask: int) -> tuple[int, int, int]:
+        """expected_rf as a reduced (numerator, denominator) pair, and a final tree.
+
+        The final tree is where a run from (F, B) ends: B at a stop, else
+        the last branch's.  Every run ends at an optimum of F, so any will do.
+        """
         memo = self._memo
         hit = memo.get((fmask, bmask))
         if hit is not None:
@@ -129,34 +137,33 @@ class ExactEvaluator:
                 f"exact rf needs more than {RF_STATE_BUDGET} memo states; "
                 "use Monte Carlo estimation instead"
             )
-        worse, entry = self._trees.get(bmask) or self._tree(bmask)
-        free = fmask & ~bmask
-        if not free & ~worse:  # the second lemma: B is F's unique optimum
-            self._opt[fmask] = entry
-            memo[(fmask, bmask)] = (0, 1)
-            return (0, 1)
+        trees = self._trees
+        worse, better, choice = trees.get(bmask) or self._tree(bmask)
         idx = self._idx
+        free = fmask & ~bmask
+        tight = free & ~worse
+        if not tight or not tight & better and idx.count_optimal_trees(tight, choice) == 1:
+            value = memo[(fmask, bmask)] = (0, 1, bmask)  # the second lemma
+            return value
         num, den = 0, 1
         rest = free
         while rest:  # the removable edges e, ascending
             low = rest & -rest
             rest ^= low
-            e = low.bit_length() - 1
             sub = fmask ^ low
-            n1, d1 = self._rf(sub, bmask)
+            n1, d1, final = self._rf(sub, bmask)
             if d1 == den:
                 num += n1
             else:
                 num, den = num * d1 + n1 * den, den * d1
-            choice, tmask, dist, unique = self.optimal(sub)
-            if not unique:
+            worse, better, choice = trees[final]  # final is an optimum of sub
+            if idx.count_optimal_trees(sub & ~final & ~worse, choice) == 2:
                 raise NonGenericInstance(
                     f"facet subset {idx.edge_bits(sub)} has more than one optimal tree"
                 )
-            u = idx.tail[e]
-            if idx.cost[e] + dist[idx.head[e]] < dist[u]:
-                b2 = (tmask & ~(1 << choice[u])) | low
-                n2, d2 = self._rf(fmask, b2)
+            if better & low:
+                b2 = (final & ~(1 << choice[idx.tail[low.bit_length() - 1]])) | low
+                n2, d2, final = self._rf(fmask, b2)
                 n2 += d2  # one pivot, then the pivoted tree
                 if d2 == den:
                     num += n2
@@ -164,28 +171,28 @@ class ExactEvaluator:
                     num, den = num * d2 + n2 * den, den * d2
         den *= free.bit_count()
         g = math.gcd(num, den)
-        value = (num // g, den // g)
-        memo[(fmask, bmask)] = value
+        value = memo[(fmask, bmask)] = (num // g, den // g, final)
         return value
 
-    def _tree(self, bmask: int) -> tuple[int, _Optimum]:
-        """(mask of the edges strictly worse than tree B, B's optimum entry).
+    def _tree(self, bmask: int) -> tuple[int, int, list[EdgeId]]:
+        """(worse, better, choice): edges strictly worse and better than B by its distances.
 
-        The entry is (choice, bmask, d_B, True), what optimal returns for
-        every facet set that the second lemma settles with B.  Past a
-        valid start, a pivot can leave a mask that does not reach the
-        target only on an unvalidated instance with a negative cycle;
-        that raises NoTreeInSubset, as the subset solves there do.
+        Past a valid start, a pivot can leave a mask that does not reach
+        the target only on an unvalidated instance with a negative cycle;
+        that raises NoTreeInSubset.
         """
         idx = self._idx
         dist = idx.tree_distances(bmask)
         if dist is None:
             raise NoTreeInSubset(f"tree {idx.edge_bits(bmask)} does not reach the target")
-        worse = 0
+        worse = better = 0
         for e, (u, h, c) in enumerate(zip(idx.tail, idx.head, idx.cost)):
-            if c + dist[h] > dist[u]:
+            d = c + dist[h]
+            if d > dist[u]:
                 worse |= 1 << e
-        data = self._trees[bmask] = (worse, (idx.choice_of_mask(bmask), bmask, dist, True))
+            elif d < dist[u]:
+                better |= 1 << e
+        data = self._trees[bmask] = (worse, better, idx.choice_of_mask(bmask))
         return data
 
     def expected_rf_star(
@@ -235,8 +242,8 @@ def expected_pivots_rf(
     Requires a generic instance: every facet subset met during the
     recursion must have a unique optimal tree, otherwise
     NonGenericInstance is raised.  Subsets below a state whose tree is
-    already strictly optimal are not met, since the second lemma makes
-    them unique.  More than RF_STATE_BUDGET memo states raise
+    already its facet set's unique optimum are not met, since the second
+    lemma makes them unique.  More than RF_STATE_BUDGET memo states raise
     StateBudgetExceeded.
     """
     _, fmask, _ = start_state(inst, facets, start)

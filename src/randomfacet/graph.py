@@ -340,27 +340,28 @@ class _Index:
             remaining -= len(newly)
         return choice
 
-    def count_optimal_trees(self, tight, choice) -> int:
+    def count_optimal_trees(self, tight: int, choice) -> int:
         """Number of distinct optimal trees, counted up to two.
 
-        The optimal trees are the trees of tight edges, and `choice` is
-        one.  A second exists iff some tight edge v->w other than
-        choice[v] can be swapped in, that is iff w's path in `choice`
-        avoids v.  Given any other tree, follow it from a vertex where
-        the two differ to the last differing vertex on that path: past it
-        both agree, so that one swap already gives a tree.  The argument
-        is combinatorial, so zero-cost cycles need no special case.
+        The optimal trees are the trees of tight edges, `choice` is one,
+        and `tight` is the mask of the other tight edges.  A second tree
+        exists iff some edge v->w of `tight` can be swapped in, that is
+        iff w's path in `choice` avoids v.  Given any other tree, follow
+        it from a vertex where the two differ to the last differing
+        vertex on that path: past it both agree, so that one swap already
+        gives a tree.  The argument is combinatorial, so zero-cost cycles
+        need no special case.
         """
-        head = self.head
-        for v, edges in enumerate(tight):
-            for eid in edges:
-                if eid == choice[v]:
-                    continue
-                w = head[eid]
-                while w >= 0 and w != v:
-                    w = head[choice[w]]
-                if w != v:
-                    return 2
+        head, tail = self.head, self.tail
+        while tight:
+            low = tight & -tight
+            tight ^= low
+            eid = low.bit_length() - 1
+            v, w = tail[eid], head[eid]
+            while w >= 0 and w != v:
+                w = head[choice[w]]
+            if w != v:
+                return 2
         return 1
 
     def optimum(self, fmask: int):
@@ -368,7 +369,8 @@ class _Index:
         dist, tight = self.subgraph_shortest(fmask)
         choice = self.resolve_tree(tight)
         tmask = sum(1 << eid for eid in choice)
-        return choice, tmask, dist, self.count_optimal_trees(tight, choice) == 1
+        others = sum(1 << eid for edges in tight for eid in edges) & ~tmask
+        return choice, tmask, dist, self.count_optimal_trees(others, choice) == 1
 
     def policy_from_choice(self, choice) -> TreePolicy:
         return TreePolicy({self.order[v]: choice[v] for v in range(len(choice))})

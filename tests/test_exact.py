@@ -88,9 +88,10 @@ class TestExpectedPivotsRf:
 
 
 class TestOptimalTreeStop:
-    """expected_pivots_rf stops at a state whose tree is strictly optimal
-    and records that optimum; the plain recursion of tests/helpers solves
-    every subset it meets and never stops early.  Values must be equal,
+    """expected_pivots_rf stops at a state whose tree is its facet set's
+    unique optimum and reads each subset's optimum off a final tree; the
+    plain recursion of tests/helpers solves every subset it meets and
+    never stops early.  Values must be equal,
     and where one refuses the other must refuse with the same message."""
 
     def test_matches_subset_solves_on_the_cyclic_pool(self, errata, enc, cyclic_pool):
@@ -136,21 +137,31 @@ class TestStateBudget:
 
 
 class TestOptimumReuse:
-    """ExactEvaluator.optimal derives an optimum from a cached subset one
-    edge smaller when that edge is strictly slack; every entry it returns
-    must equal a direct solve, whichever way it was reached."""
+    """Every final tree in the rf memo is an optimum of its facet set, and
+    ExactEvaluator.optimal derives an optimum from a cached subset one
+    edge smaller when that edge is strictly slack; each must match a
+    direct solve, whichever way it was reached."""
 
     def test_recursion_entries_match_a_direct_solve(self, small_pool, medium_pool, cyclic_pool):
         pool = [(inst, _worst_tree(inst)) for inst in small_pool + medium_pool[:60]]
+        entries = unique = 0
         for inst, start in pool + cyclic_pool:
+            idx = inst._index
             ev = ExactEvaluator(inst)
             _, fmask, _ = start_state(inst, None, start)
             try:
                 ev.expected_rf(fmask, start.mask)
             except NonGenericInstance:
                 pass
-            for sub, entry in ev._opt.items():
-                assert entry == _direct_optimum(inst._index, sub)
+            for (f, _), (_, _, final) in ev._memo.items():
+                _, tmask, dist, is_unique = _direct_optimum(idx, f)
+                assert final & ~f == 0
+                assert idx.tree_distances(final) == dist
+                if is_unique:
+                    assert final == tmask
+                    unique += 1
+                entries += 1
+        assert 0 < unique < entries
 
     def test_every_subset_through_ties_and_non_unique_parents(self, cyclic_pool, monkeypatch):
         # in ascending order every subset one edge smaller comes first, so
@@ -196,17 +207,25 @@ class TestOptimumReuse:
 
 
 class TestFullSolveCount:
-    """Pins how much work exact rf does on generic instances without
-    zero-cost cycles.  The recursion from (F minus e, B) reaches a state
-    whose tree is F minus e's unique optimum and records it there, so
-    every facet subset the loop asks about is already cached and none is
-    solved by Bellman-Ford."""
+    """Pins how much work exact rf does.  The loop reads the optimum of
+    F minus e off the tree where the recursion from (F minus e, B) ends,
+    so no facet subset is solved by Bellman-Ford or asked of the subset
+    oracle ExactEvaluator.optimal, zero-cost cycles included."""
 
     def test_errata_from_001(self, errata, enc, monkeypatch):
-        # the recursion meets 19 facet subsets
+        # the loop asks about 18 facet subsets and solves none
         solves = _count_solves(monkeypatch)
         assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
         assert solves[0] == 0
+
+    def test_generic_cyclic_pool_never_asks_for_a_subset(self, cyclic_pool, monkeypatch):
+        generic = [(inst, start) for inst, start in cyclic_pool if genericity_check(inst)]
+        assert any(has_zero_cost_cycle(inst) for inst, _ in generic)
+        solves = _count_solves(monkeypatch)
+        asked = count_calls(monkeypatch, ExactEvaluator, "optimal")
+        for inst, start in generic:
+            expected_pivots_rf(inst, None, start)
+        assert (solves[0], asked[0]) == (0, 0)
 
     def test_only_full_solves_list_their_facet_subsets(self, errata, enc, monkeypatch):
         # the recursion walks F minus B by bits; only a full solve would
@@ -218,7 +237,7 @@ class TestFullSolveCount:
         assert calls[0] == 0
 
     def test_random_instance(self, monkeypatch):
-        # m=8; the recursion meets 16 facet subsets
+        # m=8; the loop asks about 15 facet subsets and solves none
         inst = random_instance(4, 2, 9, 2)
         solves = _count_solves(monkeypatch)
         assert expected_pivots_rf(inst, None, _worst_tree(inst)) == 2
@@ -330,6 +349,14 @@ class TestSubsetArguments:
         with pytest.raises(ValueError):
             ExactEvaluator(errata).expected_rf(fmask, enc.tree("001").mask)
 
+    def test_facet_mask_outside_the_instance_rejected(self, errata, enc):
+        # an edge id past the last one, and -1, whose bits never end
+        ev = ExactEvaluator(errata)
+        start = enc.tree("001").mask
+        for fmask in (errata._index.full_mask | 1 << errata.m, -1):
+            with pytest.raises(ValueError, match="not in the instance"):
+                ev.expected_rf(fmask, start)
+
     def test_restricting_to_a_face(self, errata, enc, names):
         # within the face that forces z1, the optimum is 011
         face = errata.all_edges() - {names["z0"]}
@@ -356,7 +383,9 @@ def _direct_optimum(idx, fmask):
     except NoTreeInSubset:
         return None
     choice = idx.resolve_tree(tight)
-    return choice, sum(1 << eid for eid in choice), dist, idx.count_optimal_trees(tight, choice) == 1
+    tmask = sum(1 << eid for eid in choice)
+    others = sum(1 << eid for edges in tight for eid in edges) & ~tmask
+    return choice, tmask, dist, idx.count_optimal_trees(others, choice) == 1
 
 
 def _slack(idx, dist, f):
