@@ -2,12 +2,17 @@
 
 Both rules are one recursion: remove an edge e of F minus B, solve the
 smaller problem, and pivot e back in if it improves the tree.  steps()
-runs it with an explicit stack and yields an event at every choice
-point and after every exchange; only the chooser differs between the
+runs it with an explicit stack of descents and yields one event per
+descent and one per exchange; only the chooser differs between the
 rules.  Within one descent B is fixed and each level removes only the
 picked edge, so the descent's picks are one ordering of F minus B, and
 steps() asks the chooser for it once per descent (at the start and
-after each pivot).  A shorter ordering pauses the run, and steps()
+after each pivot) and keeps it as one frame.  At the base case F = B,
+so the calls waiting on the stack are the picks themselves: steps()
+reads the tree's improving mask once (_Index.tree_split), drops every
+descent without an improving pick whole, and pivots the last improving
+pick; the candidates of the next descent are the picks popped above it
+plus the leaving edge.  A shorter ordering pauses the run, and steps()
 resumes it from the saved choice point.  run_random_facet draws a fresh
 uniformly random facet at every choice point; run_random_facet_star is
 deterministic and always removes the facet ranked first by a fixed
@@ -133,52 +138,72 @@ def steps(
     Once per descent `order(candidates)` names the edges the descent
     removes, in order, the candidates being F minus B in ascending id
     order, as a list `order` owns and may change.  Each removal is a
-    choice point, and ("pick", fmask, bmask, e) is yielded with the state
-    before it.  After each exchange ("pivot", entering, leaving, depth,
-    kind, fmask, bmask) is yielded with the state after it; depth and
-    kind describe the call that pivoted.  The run ends when no enclosing
-    call can pivot.  Every pivot strictly improves the tree, so it
-    terminates.  `choice`, the chosen edge per vertex of `bmask`, is
-    copied first.
+    choice point, and ("descend", fmask, bmask, picks) is yielded once per
+    descent with the state before its first removal; the i-th pick sees
+    fmask minus the picks before it, at depth d + i with kind FIRST except
+    at i = 0, where it has the descent's own depth d and kind.  After
+    each exchange ("pivot", entering, leaving, depth, kind, fmask, bmask)
+    is yielded with the state after it; depth and kind describe the call
+    that pivoted.  The run ends when no enclosing call can pivot.  Every
+    pivot strictly improves the tree, so it terminates.  `choice`, the
+    chosen edge per vertex of `bmask`, is copied first.
 
     An ordering shorter than the candidates pauses the run at the next
     choice point with a last event ("pause", (fmask, bmask, choice,
     frames, depth, kind)); steps(idx, fmask, choice, bmask, order,
     frames, depth, kind) resumes it, asking `order` about the rest of
-    the descent.
+    the descent.  A tree that does not reach the target, as a pivot
+    leaves on an unvalidated instance with a negative cycle, raises
+    NoTreeInSubset.
     """
-    edge_bits, tree_distances = idx.edge_bits, idx.tree_distances
-    tail, head, cost = idx.tail, idx.head, idx.cost
+    splits, tree_split, tail = idx.splits, idx.tree_split, idx.tail
     first, second = CallKind.FIRST, CallKind.SECOND
     choice = list(choice)
-    # frames of enclosing calls waiting for their first recursive call
-    # to return: (facet mask, removed edge, depth, kind)
-    stack: list[tuple[int, EdgeId, int, CallKind]] = list(frames)
-    cands = edge_bits(fmask & ~bmask)
+    # one frame per descent whose calls wait for their first recursive
+    # call to return: (facet mask before it, picks, their mask, depth, kind)
+    stack: list[tuple[int, list[EdgeId], int, int, CallKind]] = list(frames)
+    cands = idx.edge_bits(fmask & ~bmask)
     while True:
-        for e in order(cands):
-            yield ("pick", fmask, bmask, e)
-            stack.append((fmask, e, depth, kind))
-            fmask &= ~(1 << e)
-            depth += 1
+        n = len(cands)
+        picks = order(cands)
+        if picks:
+            pmask = fmask & ~bmask if len(picks) == n else sum(1 << e for e in picks)
+            stack.append((fmask, picks, pmask, depth, kind))
+            yield ("descend", fmask, bmask, picks)
+            fmask &= ~pmask
+            depth += len(picks)
             kind = first
         if fmask & ~bmask:  # the order was short
             yield ("pause", (fmask, bmask, tuple(choice), tuple(stack), depth, kind))
             return
-        # base case reached: unwind until a pivot restarts the descent
-        dist = tree_distances(bmask)
+        # base case reached, where F = B: unwind to the last improving pick
+        better = (splits.get(bmask) or tree_split(bmask))[1]
+        rest: list[EdgeId] = []  # the picks of the frames popped so far
         while stack:
-            fmask, e, depth, kind = stack.pop()
+            f, picks, pmask, d, k = stack.pop()
+            if not better & pmask:
+                rest += picks
+                continue
+            i, suffix = len(picks), 0
+            while not better & suffix:  # the first hit is the last improving pick
+                i -= 1
+                suffix |= 1 << picks[i]
+            e = picks[i]
+            if i:  # the calls above it keep waiting
+                stack.append((f, picks[:i], pmask & ~suffix, d, k))
             u = tail[e]
-            if cost[e] + dist[head[e]] < dist[u]:
-                leaving = choice[u]
-                choice[u] = e
-                bmask = (bmask & ~(1 << leaving)) | (1 << e)
-                yield ("pivot", e, leaving, depth, kind, fmask, bmask)
-                depth += 1
-                kind = second
-                cands = edge_bits(fmask & ~bmask)
-                break
+            leaving = choice[u]
+            choice[u] = e
+            bmask = (bmask & ~(1 << leaving)) | (1 << e)
+            fmask = (f & ~pmask) | suffix
+            yield ("pivot", e, leaving, d + i, k if i == 0 else first, fmask, bmask)
+            depth = d + i + 1
+            kind = second
+            rest += picks[i + 1 :]
+            rest.append(leaving)
+            rest.sort()
+            cands = rest
+            break
         else:
             return
 
@@ -193,14 +218,20 @@ def _answers(hist: tuple, cands: list[EdgeId]) -> list[tuple]:
     places e before every other candidate, a candidate placed after
     another candidate is not allowed, and the weight is the number of
     orders of F extending before[c], the transitively closed mask of the
-    facets placed before each c (orders._count_orders).
+    facets placed before each c (orders._count_orders).  A forced answer
+    keeps `hist` itself: being below every other candidate already, it
+    closes no mask further.
     """
     before, width = hist
+    if before is not None:
+        cmask = sum(1 << c for c in cands)
+        cands = [c for c in cands if not before[c] & cmask]
+    if len(cands) == 1:
+        return [(cands[0], hist)]
     if before is None:
         return [(e, (None, width * len(cands))) for e in cands]
-    cmask = sum(1 << c for c in cands)
     out = []
-    for e in [c for c in cands if not before[c] & cmask]:
+    for e in cands:
         rest = cmask & ~(1 << e)
         below = before[e] | (1 << e)
         closed = {y: b | below if (b | 1 << y) & rest else b for y, b in before.items()}
@@ -216,7 +247,7 @@ def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
     allowed answer, and resumes the saved point once per allowed answer,
     depth first.  It yields (forks, events, weight) per segment, in
     pre-order: `forks` counts the forks above the segment, its events
-    start with the pick of its answer (except at the root), and `weight`
+    start with the descent of its answer (except at the root), and `weight`
     is None if it ends at a fork, whose segments follow in ascending
     answer order; otherwise it ends an execution of that weight, read
     off its history (before, width) (_answers).  RF weights are
@@ -270,7 +301,7 @@ def run_random_facet(
     are reproducible from a seeded random.Random on any platform.
     """
     idx, fmask, choice = start_state(inst, facets, start)
-    return _run(idx, fmask, choice, start.mask, random_order(rng.randrange))
+    return _run(idx, fmask, choice, start.mask, random_order(lambda ks: map(rng.randrange, ks)))
 
 
 def run_random_facet_star(
@@ -295,9 +326,10 @@ def run_random_facet_star(
     return _run(idx, fmask, choice, start.mask, sigma.sort)
 
 
-def random_order(draw):
-    """rf's chooser: pop cands[draw(k)] for k = len(cands) down to 1."""
-    return lambda cands: [cands.pop(draw(k)) for k in range(len(cands), 0, -1)]
+def random_order(draws):
+    """rf's chooser: pop cands[r] for r = randrange(k), k = len(cands) down
+    to 1, the r drawn as draws(those k) in one call per descent."""
+    return lambda cands: [cands.pop(r) for r in draws(range(len(cands), 0, -1))]
 
 
 def _run(idx, fmask, choice, bmask, order) -> RunResult:

@@ -270,14 +270,18 @@ def comptree(
         at, pivots = path[forks]
         del path[forks + 1 :]
         for ev in events:  # probabilities are set once every mass is known
-            if ev[0] == "pick":  # ("pick", fmask, bmask, e)
-                nodes.append(CompNode("pick", 1, ev[1], ev[2], edge=ev[3], parent=at))
+            if ev[0] == "descend":  # ("descend", fmask, bmask, picks): a pick node each
+                _, f, b, picks = ev
+                for e in picks:
+                    nodes.append(CompNode("pick", 1, f, b, edge=e, parent=at))
+                    at = len(nodes) - 1
+                    f &= ~(1 << e)
             else:
                 _, entering, leaving, depth, _, f, b = ev
                 nodes.append(CompNode("pivot", 1, f, b, entering=entering, leaving=leaving,
                                       depth=depth, parent=at))
                 pivots += 1
-            at = len(nodes) - 1
+                at = len(nodes) - 1
         path.append((at, pivots))
         if weight is not None:
             nodes.append(CompNode("leaf", 1, pivots=pivots, parent=at, mass=weight))

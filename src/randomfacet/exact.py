@@ -43,12 +43,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algorithms import RF_STAR, branches, start_state
-from .errors import (
-    EnumerationBoundExceeded,
-    NonGenericInstance,
-    NoTreeInSubset,
-    StateBudgetExceeded,
-)
+from .errors import EnumerationBoundExceeded, NonGenericInstance, StateBudgetExceeded
 from .graph import EdgeId, Instance, TreePolicy
 from .orders import MAX_UNIVERSE
 
@@ -64,21 +59,20 @@ class ExactEvaluator:
 
     Memoizes the rf recursion on (facet mask, tree mask) pairs as a
     reduced (numerator, denominator) integer pair and a final tree; a
-    Fraction is built only at the public expected_rf.  Keeps per tree
-    mask the masks of the edges strictly worse and strictly better than
-    the tree by its own distances, and its edge per vertex.  Counts the
-    new memo states against RF_STATE_BUDGET and raises
-    StateBudgetExceeded past it.  Caches the optimum of each facet subset
-    that optimal is asked for; the rf recursion never asks.  Caches are
-    confined to this object; create one per computation or share it
-    explicitly when evaluating many start trees of the same instance.
+    Fraction is built only at the public expected_rf.  Reads each tree's
+    worse and better masks and edge per vertex off _Index.tree_split, the
+    per-tree cache algorithms.steps shares.  Counts the new memo states
+    against RF_STATE_BUDGET and raises StateBudgetExceeded past it.
+    Caches the optimum of each facet subset that optimal is asked for;
+    the rf recursion never asks.  The memo and that cache are confined
+    to this object; create one per computation or share it explicitly
+    when evaluating many start trees of the same instance.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._idx = inst._index
         self._opt: dict[int, _Optimum] = {}
-        self._trees: dict[int, tuple[int, int, list[EdgeId]]] = {}
         self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._states = 0
 
@@ -137,9 +131,9 @@ class ExactEvaluator:
                 f"exact rf needs more than {RF_STATE_BUDGET} memo states; "
                 "use Monte Carlo estimation instead"
             )
-        trees = self._trees
-        worse, better, choice = trees.get(bmask) or self._tree(bmask)
         idx = self._idx
+        splits = idx.splits
+        worse, better, choice = splits.get(bmask) or idx.tree_split(bmask)
         free = fmask & ~bmask
         tight = free & ~worse
         if not tight or not tight & better and idx.count_optimal_trees(tight, choice) == 1:
@@ -156,7 +150,7 @@ class ExactEvaluator:
                 num += n1
             else:
                 num, den = num * d1 + n1 * den, den * d1
-            worse, better, choice = trees[final]  # final is an optimum of sub
+            worse, better, choice = splits[final]  # final is an optimum of sub
             if idx.count_optimal_trees(sub & ~final & ~worse, choice) == 2:
                 raise NonGenericInstance(
                     f"facet subset {idx.edge_bits(sub)} has more than one optimal tree"
@@ -173,27 +167,6 @@ class ExactEvaluator:
         g = math.gcd(num, den)
         value = memo[(fmask, bmask)] = (num // g, den // g, final)
         return value
-
-    def _tree(self, bmask: int) -> tuple[int, int, list[EdgeId]]:
-        """(worse, better, choice): edges strictly worse and better than B by its distances.
-
-        Past a valid start, a pivot can leave a mask that does not reach
-        the target only on an unvalidated instance with a negative cycle;
-        that raises NoTreeInSubset.
-        """
-        idx = self._idx
-        dist = idx.tree_distances(bmask)
-        if dist is None:
-            raise NoTreeInSubset(f"tree {idx.edge_bits(bmask)} does not reach the target")
-        worse = better = 0
-        for e, (u, h, c) in enumerate(zip(idx.tail, idx.head, idx.cost)):
-            d = c + dist[h]
-            if d > dist[u]:
-                worse |= 1 << e
-            elif d < dist[u]:
-                better |= 1 << e
-        data = self._trees[bmask] = (worse, better, idx.choice_of_mask(bmask))
-        return data
 
     def expected_rf_star(
         self, facets: Iterable[EdgeId] | None, start: TreePolicy, bound: int | None

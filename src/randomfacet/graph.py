@@ -175,7 +175,7 @@ class _Index:
     of the target would make tail -1 and overwrite that slot, so such
     instances are refused with TargetHasOutEdges.  Facet subsets and
     trees travel as bit masks over edge ids, which is what the runners
-    and exact engines key their caches on.
+    and exact engines key their caches on; `splits` caches tree_split.
     """
 
     def __init__(self, inst: Instance):
@@ -196,6 +196,7 @@ class _Index:
             self.out[self.pos[e.tail]].append(e.id)
         self.full_mask = (1 << m) - 1
         self._dists: dict[int, tuple[int, ...] | None] = {}
+        self.splits: dict[int, tuple[int, int, list[EdgeId]]] = {}
 
     def edge_bits(self, mask: int) -> list[EdgeId]:
         """Edge ids in a mask, ascending, as a new list the caller owns."""
@@ -274,6 +275,31 @@ class _Index:
         result = None if plan is None else self.plan_distances(plan, self.cost)
         self._dists[mask] = result
         return result
+
+    def tree_split(self, mask: int) -> tuple[int, int, list[EdgeId]]:
+        """(worse, better, choice): the edges strictly worse and strictly
+        better than the tree by its own distances, and its edge per vertex.
+
+        `better` is the improving mask: e improves the tree iff its bit is
+        set.  Cached in `splits` per mask.  A mask that is not a tree, as a
+        pivot leaves on an unvalidated instance with a negative cycle,
+        raises NoTreeInSubset.
+        """
+        dist = self.tree_distances(mask)
+        if dist is None:
+            raise NoTreeInSubset(f"tree {self.edge_bits(mask)} does not reach the target")
+        worse = better = 0
+        choice = [0] * len(self.order)
+        for e, (u, h, c) in enumerate(zip(self.tail, self.head, self.cost)):
+            d = c + dist[h]
+            if d > dist[u]:
+                worse |= 1 << e
+            elif d < dist[u]:
+                better |= 1 << e
+            elif mask >> e & 1:  # a tree edge, tight like every one
+                choice[u] = e
+        split = self.splits[mask] = (worse, better, choice)
+        return split
 
     def subgraph_shortest(self, fmask: int):
         """Bellman-Ford distances and per-vertex tight edges within a subset.

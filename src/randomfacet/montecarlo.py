@@ -9,9 +9,10 @@ The start tree is validated once per estimate, before the first trial;
 each trial then drives algorithms.steps directly and counts its pivot
 events; steps asks a trial's chooser once per descent.  A Random-Facet
 trial makes one rng.randrange draw per choice point, exactly as
-run_random_facet does; a Random-Facet* trial draws a uniform order of
-all edges by Fisher-Yates and sorts each descent by it, exactly as
-run_random_facet_star does with that order.
+run_random_facet does, all of a descent's draws in one _draws call; a
+Random-Facet* trial draws a uniform order of all edges by Fisher-Yates
+and sorts each descent by it, exactly as run_random_facet_star does
+with that order.
 """
 from __future__ import annotations
 
@@ -47,26 +48,24 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _bounded_draw(rng: random.Random):
-    """draw(k) returning rng.randrange(k), by the same rejection sampling
-    on getrandbits(k.bit_length()) but without randrange's call chain."""
-    getrandbits = rng.getrandbits
-
-    def draw(k: int) -> int:
-        r = getrandbits(k.bit_length())
+def _draws(getrandbits, bounds) -> list[int]:
+    """rng.randrange(k) for each k in `bounds`, in one call: randrange's own
+    rejection sampling on getrandbits(k.bit_length()), run inline."""
+    out = []
+    for k in bounds:
+        bits = k.bit_length()
+        r = getrandbits(bits)
         while r >= k:
-            r = getrandbits(k.bit_length())
-        return r
+            r = getrandbits(bits)
+        out.append(r)
+    return out
 
-    return draw
 
-
-def _random_ranks(draw, m: int) -> list[int]:
+def _random_ranks(getrandbits, m: int) -> list[int]:
     # Fisher-Yates over the edge ids, one draw per position, high index
     # first; rank[e] is e's position in the shuffled order
     order = list(range(m))
-    for i in range(m - 1, 0, -1):
-        j = draw(i + 1)
+    for i, j in zip(range(m - 1, 0, -1), _draws(getrandbits, range(m, 1, -1))):
         order[i], order[j] = order[j], order[i]
     return sorted(range(m), key=order.__getitem__)
 
@@ -92,11 +91,11 @@ def pivot_samples(
     bmask = start.mask
     samples = []
     for i in range(trials):
-        draw = _bounded_draw(trial_rng(seed, i))
+        getrandbits = trial_rng(seed, i).getrandbits
         if rule == RF:
-            order = random_order(draw)
+            order = random_order(partial(_draws, getrandbits))
         else:
-            order = partial(sorted, key=_random_ranks(draw, inst.m).__getitem__)
+            order = partial(sorted, key=_random_ranks(getrandbits, inst.m).__getitem__)
         pivots = 0
         for ev in steps(idx, fmask, choice, bmask, order):
             if ev[0] == "pivot":

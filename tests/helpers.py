@@ -17,7 +17,7 @@ from randomfacet import (
     run_random_facet_star,
     validate_instance,
 )
-from randomfacet.algorithms import start_state, steps
+from randomfacet.algorithms import CallKind, start_state, steps
 
 
 class ScriptedRng:
@@ -211,8 +211,71 @@ def rfstar_histories_by_permutations(inst, facets, start):
     counts = Counter()
     for order in itertools.permutations(idx.edge_bits(fmask)):
         events = steps(idx, fmask, choice, start.mask, Permutation.from_order(order).sort)
-        counts[tuple(ev[3] for ev in events if ev[0] == "pick")] += 1
+        counts[pick_sequence(events)] += 1
     return counts
+
+
+def by_pick(events):
+    """algorithms.steps events with each descent spelled out as its picks.
+
+    ("descend", fmask, bmask, picks) becomes one ("pick", f, bmask, e) per
+    pick e, f being fmask minus the picks before e: the events of
+    steps_by_pick.  Other events pass unchanged.
+    """
+    out = []
+    for ev in events:
+        if ev[0] == "descend":
+            _, f, b, picks = ev
+            for e in picks:
+                out.append(("pick", f, b, e))
+                f &= ~(1 << e)
+        else:
+            out.append(ev)
+    return out
+
+
+def pick_sequence(events):
+    """The picks of a run's steps events, in order."""
+    return tuple(e for ev in events if ev[0] == "descend" for e in ev[3])
+
+
+def steps_by_pick(idx, fmask, choice, bmask, order, frames=(), depth=0, kind=CallKind.ROOT):
+    """algorithms.steps one choice point at a time: the differential oracle.
+
+    The same recursion with one frame (facet mask, removed edge, depth,
+    kind) and one ("pick", fmask, bmask, e) event per choice point.  On
+    the way back each popped frame tests its own edge against the tree's
+    distances, and the next descent's candidates are F minus B decoded
+    from the masks.  Pauses and resumes like steps, with these frames.
+    """
+    choice = list(choice)
+    stack = list(frames)
+    cands = idx.edge_bits(fmask & ~bmask)
+    while True:
+        for e in order(cands):
+            yield ("pick", fmask, bmask, e)
+            stack.append((fmask, e, depth, kind))
+            fmask &= ~(1 << e)
+            depth += 1
+            kind = CallKind.FIRST
+        if fmask & ~bmask:
+            yield ("pause", (fmask, bmask, tuple(choice), tuple(stack), depth, kind))
+            return
+        dist = idx.tree_distances(bmask)
+        while stack:
+            fmask, e, depth, kind = stack.pop()
+            u = idx.tail[e]
+            if idx.cost[e] + dist[idx.head[e]] < dist[u]:
+                leaving = choice[u]
+                choice[u] = e
+                bmask = (bmask & ~(1 << leaving)) | (1 << e)
+                yield ("pivot", e, leaving, depth, kind, fmask, bmask)
+                depth += 1
+                kind = CallKind.SECOND
+                cands = idx.edge_bits(fmask & ~bmask)
+                break
+        else:
+            return
 
 
 def fisher_yates_permutation(rng, ids):

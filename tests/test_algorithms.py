@@ -22,7 +22,7 @@ from randomfacet import (
 )
 from randomfacet import algorithms, montecarlo
 from randomfacet.algorithms import RF, RF_STAR, branches, start_state, steps
-from helpers import executions, rf_branches
+from helpers import by_pick, executions, rf_branches, steps_by_pick
 
 
 def sigma_by_names(names, order):
@@ -245,20 +245,21 @@ class TestStepsContract:
         return cases + [(inst, _some_tree(inst)) for inst in medium_pool[:30]]
 
     def test_order_sees_f_minus_b_once_per_descent(self, errata, enc, medium_pool):
+        picks = 0
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
             idx, fmask, choice = start_state(inst, None, start)
             log = []
             order = _random_chooser(random.Random(k), log)
             events = list(steps(idx, fmask, choice, start.mask, order))
-            picks = [ev for ev in events if ev[0] == "pick"]
-            assert [ev[3] for ev in picks] == [e for _, out in log for e in out]
-            at = 0
-            for handed, out in log:
-                _, f, b, _ = picks[at]  # the state at the descent's first choice point
+            descents = [ev for ev in events if ev[0] == "descend"]
+            # one event per descent, with the state before its first pick
+            assert [ev[3] for ev in descents] == [out for _, out in log if out]
+            for (handed, out), (_, f, b, _) in zip([h for h in log if h[1]], descents):
                 assert handed == _bits_of(f & ~b)
                 assert handed == idx.edge_bits(f & ~b)
                 assert sorted(out) == handed
-                at += len(out)
+            picks += sum(len(ev[3]) for ev in descents)
+        assert picks
 
     def test_order_may_mutate_its_list(self, errata, enc, medium_pool):
         # the list handed to `order` is its own: scrambling it after
@@ -282,18 +283,19 @@ class TestStepsContract:
 
     def test_pause_and_resume_reproduce_the_run(self, errata, enc, medium_pool):
         # stop answering before every choice point in turn, then resume the
-        # saved point twice with the remaining answers
+        # saved point twice with the remaining answers; compared pick by pick
+        paused = 0
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
             idx, fmask, choice = start_state(inst, None, start)
             order = _random_chooser(random.Random(k), [])
-            whole = list(steps(idx, fmask, choice, start.mask, order))
+            whole = by_pick(steps(idx, fmask, choice, start.mask, order))
             answers = [ev[3] for ev in whole if ev[0] == "pick"]
             at_pick = [i for i, ev in enumerate(whole) if ev[0] == "pick"]
             for at in range(len(answers)):
                 head = list(steps(idx, fmask, choice, start.mask, _replay(answers[:at])))
                 kind, point = head.pop()
                 assert kind == "pause"
-                assert head == whole[: at_pick[at]]
+                assert by_pick(head) == whole[: at_pick[at]]
                 f, b, c, frames, depth, call = point
                 assert (f, b) == whole[at_pick[at]][1:3]
                 assert isinstance(c, tuple) and isinstance(frames, tuple)
@@ -302,7 +304,36 @@ class TestStepsContract:
                     for _ in range(2)
                 ]
                 assert tails[0] == tails[1]
-                assert head + tails[0] == whole
+                assert by_pick(head + tails[0]) == whole
+                paused += 1
+        assert paused
+
+
+def test_steps_match_the_per_pick_oracle(small_pool, medium_pool, cyclic_pool):
+    # steps against steps_by_pick, the recursion one choice point at a
+    # time: the same picks and pivots under seeded random choosers, and the
+    # same pause point and tail when paused before any choice point
+    cases = [(inst, _some_tree(inst)) for inst in small_pool + medium_pool[:60]]
+    cases += cyclic_pool
+    picks = 0
+    for k, (inst, start) in enumerate(cases):
+        idx, fmask, choice = start_state(inst, None, start)
+        run = (idx, fmask, choice, start.mask)
+        whole = by_pick(steps(*run, _random_chooser(random.Random(k), [])))
+        assert whole == list(steps_by_pick(*run, _random_chooser(random.Random(k), [])))
+        answers = [ev[3] for ev in whole if ev[0] == "pick"]
+        for at in range(len(answers)):
+            new = list(steps(*run, _replay(answers[:at])))
+            old = list(steps_by_pick(*run, _replay(answers[:at])))
+            assert by_pick(new[:-1]) == old[:-1]
+            f, b, c, frames, depth, call = new[-1][1]
+            f0, b0, c0, frames0, depth0, call0 = old[-1][1]
+            assert (f, b, c, depth, call) == (f0, b0, c0, depth0, call0)
+            tail = steps(idx, f, c, b, _replay(answers[at:]), frames, depth, call)
+            rest = _replay(answers[at:])
+            assert by_pick(tail) == list(steps_by_pick(idx, f, c, b, rest, frames0, depth, call))
+        picks += len(answers)
+    assert picks
 
 
 def test_one_order_call_per_descent(errata, enc, medium_pool, monkeypatch):

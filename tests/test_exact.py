@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randomfacet import (
+    RF,
     RF_STAR,
     Edge,
     EnumerationBoundExceeded,
@@ -31,6 +32,7 @@ from helpers import (
     cyclic_instance,
     executions,
     has_zero_cost_cycle,
+    pick_sequence,
     rf_expectation_by_branches,
     rf_expectation_by_subset_solves,
     rfstar_by_permutations,
@@ -316,14 +318,52 @@ class TestHistoryEnumeration:
         cases = [(errata, enc.tree(bits)) for bits in all_bits(enc)]
         cases += [(inst, _worst_tree(inst)) for inst in small_pool]
         cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
+        picks = 0
         for inst, start in cases:
             idx, fmask, choice = start_state(inst, None, start)
             segments = branches(idx, fmask, choice, start.mask, RF_STAR)
             weights = {
-                tuple(ev[3] for ev in events if ev[0] == "pick"): weight
-                for weight, events in executions(segments)
+                pick_sequence(events): weight for weight, events in executions(segments)
             }
             assert weights == dict(rfstar_histories_by_permutations(inst, None, start))
+            picks += sum(map(len, weights))
+        assert picks  # histories are named by picks, not all empty
+
+    def test_forced_answer_keeps_the_history(self, errata, enc, small_pool, cyclic_pool,
+                                             monkeypatch):
+        # an answer that is the only one allowed hands back the history
+        # itself: closing every mask over it, as the other answers are
+        # closed, changes nothing; the weights still match the orders
+        real, forced = algorithms._answers, [0]
+
+        def checked(hist, cands):
+            options = real(hist, cands)
+            if len(options) == 1:
+                (e, after), = options
+                assert after is hist
+                before, rest = hist[0], sum(1 << c for c in cands) & ~(1 << e)
+                if before is not None:
+                    below = before[e] | 1 << e
+                    closed = {y: b | below if (b | 1 << y) & rest else b
+                              for y, b in before.items()}
+                    assert closed == before
+                forced[0] += 1
+            return options
+
+        monkeypatch.setattr(algorithms, "_answers", checked)
+        cases = [(errata, enc.tree(bits)) for bits in all_bits(enc)]
+        cases += [(inst, _worst_tree(inst)) for inst in small_pool]
+        cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
+        for inst, start in cases:
+            idx, fmask, choice = start_state(inst, None, start)
+            for _ in branches(idx, fmask, choice, start.mask, RF):  # checks rf's too
+                pass
+            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
+            weights = {
+                pick_sequence(events): weight for weight, events in executions(segments)
+            }
+            assert weights == dict(rfstar_histories_by_permutations(inst, None, start))
+        assert forced[0]
 
     def test_bound_above_the_universe_cap_refuses_first(self, monkeypatch):
         # 13 facets cannot be weighed (orders.MAX_UNIVERSE is 12), so a

@@ -14,10 +14,12 @@ from randomfacet import (
     NoTreeInSubset,
     NotATree,
     NotImproving,
+    Permutation,
     RF,
     RandomFacetError,
     TargetHasOutEdges,
     TreePolicy,
+    comptree,
     edge_names,
     expected_pivots_rf,
     expected_pivots_rf_star,
@@ -28,6 +30,7 @@ from randomfacet import (
     pivot,
     pivot_samples,
     run_random_facet,
+    run_random_facet_star,
     subgraph_distances,
     tree_distances,
     validate_instance,
@@ -331,6 +334,28 @@ class TestOptimalTree:
                 optimal_tree(inst)
             with pytest.raises(NoTreeInSubset):
                 ExactEvaluator(inst).optimal(facet_mask(inst, None))
+
+    def test_unvalidated_negative_cycle_pivot_is_refused_by_every_engine(self):
+        # from {x->t, y->t} both x->y and y->x improve; pivoting the second
+        # of them in closes the cycle of cost -2, a mask that is not a tree,
+        # and every engine raises the typed error instead of crashing
+        inst = Instance.build(
+            "t",
+            [Edge(0, "x", "y", -1), Edge(1, "y", "x", -1), Edge(2, "x", "t", 0), Edge(3, "y", "t", 0)],
+        )
+        start = TreePolicy({"x": 2, "y": 3})
+        engines = [
+            lambda: run_random_facet(inst, None, start, random.Random(0)),
+            lambda: run_random_facet_star(inst, None, start, Permutation.from_order(range(4))),
+            lambda: pivot_samples(inst, None, start, RF, 1, 0),
+            lambda: expected_pivots_rf(inst, None, start),
+            lambda: expected_pivots_rf_star(inst, None, start),
+            lambda: comptree(inst, None, start, RF),
+        ]
+        with _deadline(10):
+            for engine in engines:
+                with pytest.raises(NoTreeInSubset):
+                    engine()
 
     def test_unvalidated_edge_out_of_the_target_is_refused(self):
         # the edge t->v would overwrite the target's distance slot; {v: 0}

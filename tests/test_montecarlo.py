@@ -80,26 +80,26 @@ class TestSubstreams:
 
 
 class TestBoundedDraw:
-    """montecarlo._bounded_draw is random.Random.randrange, value for value."""
+    """montecarlo._draws is random.Random.randrange, value for value."""
 
     def test_first_draw_of_every_small_bound(self):
         for seed in range(100):
             for k in range(1, 65):
-                draw = montecarlo._bounded_draw(random.Random(seed))
-                assert draw(k) == random.Random(seed).randrange(k), (seed, k)
+                ours = montecarlo._draws(random.Random(seed).getrandbits, [k])
+                assert ours == [random.Random(seed).randrange(k)], (seed, k)
 
     def test_long_runs_of_mixed_bounds(self):
         # bounds at and around powers of two, where rejection is likeliest,
-        # and far beyond any facet count; the generators end in one state
+        # far beyond any facet count, and a descent's k down to 1, in one
+        # call each time; the generators end in one state
         bounds = random.Random(0)
         for seed in range(5):
             ours, ref = random.Random(seed), random.Random(seed)
-            draw = montecarlo._bounded_draw(ours)
             for _ in range(5000):
-                k = max(1, (1 << bounds.randrange(12)) + bounds.randrange(-2, 3))
-                assert draw(k) == ref.randrange(k)
-                k = bounds.randrange(1, 1 << 70)
-                assert draw(k) == ref.randrange(k)
+                ks = [max(1, (1 << bounds.randrange(12)) + bounds.randrange(-2, 3))]
+                ks.append(bounds.randrange(1, 1 << 70))
+                ks += range(bounds.randrange(13), 0, -1)
+                assert montecarlo._draws(ours.getrandbits, ks) == [ref.randrange(k) for k in ks]
             assert ours.getstate() == ref.getstate()
 
 
