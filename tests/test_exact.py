@@ -312,28 +312,13 @@ class TestHistoryEnumeration:
             pmf = {k: Fraction(n, total) for k, n in orders.items()}
             assert comptree(inst, None, start, RF_STAR).leaf_distribution() == pmf
 
-    def test_history_weights_match_permutations(self, errata, enc, small_pool, cyclic_pool):
+    def test_history_weights_match_permutations(self, errata, enc, small_pool, cyclic_pool,
+                                                monkeypatch):
         # each argmin history, named by its pick sequence, weighs exactly
-        # the orders whose runs make those picks
-        cases = [(errata, enc.tree(bits)) for bits in all_bits(enc)]
-        cases += [(inst, _worst_tree(inst)) for inst in small_pool]
-        cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
-        picks = 0
-        for inst, start in cases:
-            idx, fmask, choice = start_state(inst, None, start)
-            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
-            weights = {
-                pick_sequence(events): weight for weight, events in executions(segments)
-            }
-            assert weights == dict(rfstar_histories_by_permutations(inst, None, start))
-            picks += sum(map(len, weights))
-        assert picks  # histories are named by picks, not all empty
-
-    def test_forced_answer_keeps_the_history(self, errata, enc, small_pool, cyclic_pool,
-                                             monkeypatch):
-        # an answer that is the only one allowed hands back the history
-        # itself: closing every mask over it, as the other answers are
-        # closed, changes nothing; the weights still match the orders
+        # the orders whose runs make those picks; an answer that is the
+        # only one allowed hands back the history itself, since closing
+        # every mask over it, as the other answers are closed, changes
+        # nothing (checked on rf's walk too)
         real, forced = algorithms._answers, [0]
 
         def checked(hist, cands):
@@ -354,16 +339,18 @@ class TestHistoryEnumeration:
         cases = [(errata, enc.tree(bits)) for bits in all_bits(enc)]
         cases += [(inst, _worst_tree(inst)) for inst in small_pool]
         cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
+        picks = 0
         for inst, start in cases:
             idx, fmask, choice = start_state(inst, None, start)
-            for _ in branches(idx, fmask, choice, start.mask, RF):  # checks rf's too
+            for _ in branches(idx, fmask, choice, start.mask, RF):
                 pass
             segments = branches(idx, fmask, choice, start.mask, RF_STAR)
             weights = {
                 pick_sequence(events): weight for weight, events in executions(segments)
             }
             assert weights == dict(rfstar_histories_by_permutations(inst, None, start))
-        assert forced[0]
+            picks += sum(map(len, weights))
+        assert picks and forced[0]  # histories have picks, and some were forced
 
     def test_bound_above_the_universe_cap_refuses_first(self, monkeypatch):
         # 13 facets cannot be weighed (orders.MAX_UNIVERSE is 12), so a
