@@ -16,17 +16,9 @@ off the final tree of (F minus e, B): by that tree's own distances e
 improves iff it is strictly better, and F minus e has a second optimal
 tree iff a tight edge swaps in (_Index.count_optimal_trees), which is
 refused as NonGenericInstance.  No facet subset is solved.
+instances.genericity_check asks the same swap question of every tree.
 
-ExactEvaluator.optimal, the facet-subset oracle of genericity_check,
-answers from its cache, by a first lemma, or by Bellman-Ford.  Let
-F minus {f} have optimal distances d.  If cost(f) + d(head f) > d(tail f),
-d is still a feasible potential on F and f is not tight, so F has the
-same distances, the same tight edges and hence the same optimal trees
-(the same resolved choice, and a unique one exactly when F minus {f}
-has one).  This needs no acyclicity, so it holds with zero-cost cycles
-too.  A tie or an improving f settles nothing, and F is solved afresh.
-
-A second lemma settles whole rf states.  Let B be a tree inside F such
+A lemma settles whole rf states.  Let B be a tree inside F such
 that, by B's own distances d_B, no edge of F minus B improves B and no
 tight one swaps in a second tree.  Then d_B is a feasible potential on
 F and B is the only tree of F's tight edges, so B is the unique optimal
@@ -50,9 +42,6 @@ from .orders import MAX_UNIVERSE
 DEFAULT_ENUMERATION_BOUND = 10
 RF_STATE_BUDGET = 500_000
 
-# (choice, tree mask, distances, unique), as _Index.optimum returns it
-_Optimum = tuple[list[EdgeId], int, tuple[int, ...], bool]
-
 
 class ExactEvaluator:
     """Evaluation context for exact expectations on one instance.
@@ -63,39 +52,20 @@ class ExactEvaluator:
     worse and better masks and edge per vertex off _Index.tree_split, the
     per-tree cache algorithms.steps shares.  Counts the new memo states
     against RF_STATE_BUDGET and raises StateBudgetExceeded past it.
-    Caches the optimum of each facet subset that optimal is asked for;
-    the rf recursion never asks.  The memo and that cache are confined
-    to this object; create one per computation or share it explicitly
-    when evaluating many start trees of the same instance.
+    The memo is confined to this object; create one per computation or
+    share it explicitly when evaluating many start trees of the same
+    instance.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._idx = inst._index
-        self._opt: dict[int, _Optimum] = {}
         self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._states = 0
 
     def optimal(self, fmask: int):
-        """(choice, tree mask, distances, unique) for a facet subset."""
-        opt = self._opt
-        hit = opt.get(fmask)
-        if hit is not None:
-            return hit
-        idx = self._idx
-        rest = fmask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            entry = opt.get(fmask ^ low)
-            if entry is not None:
-                f = low.bit_length() - 1
-                dist = entry[2]
-                if idx.cost[f] + dist[idx.head[f]] > dist[idx.tail[f]]:
-                    opt[fmask] = entry
-                    return entry
-        entry = opt[fmask] = idx.optimum(fmask)
-        return entry
+        """(choice, tree mask, distances, unique) for a facet subset, uncached."""
+        return self._idx.optimum(fmask)
 
     def expected_rf(self, fmask: int, bmask: int) -> Fraction:
         """Expected pivots of the randomized rule from (fmask, bmask).
@@ -104,7 +74,7 @@ class ExactEvaluator:
         tree inside fmask: a mask outside either raises ValueError, one
         that is not a tree NoTreeInSubset.  Recursion: zero when no edge
         of F minus B improves B and no tight one swaps in a second tree
-        (the second lemma), otherwise the uniform average over removable
+        (the lemma), otherwise the uniform average over removable
         edges e of the subproblem without e, plus, when e improves the
         tree where that subproblem's runs end (its unique optimum), one
         pivot and the expectation from the pivoted tree.
@@ -137,7 +107,7 @@ class ExactEvaluator:
         free = fmask & ~bmask
         tight = free & ~worse
         if not tight or not tight & better and idx.count_optimal_trees(tight, choice) == 1:
-            value = memo[(fmask, bmask)] = (0, 1, bmask)  # the second lemma
+            value = memo[(fmask, bmask)] = (0, 1, bmask)  # the lemma
             return value
         num, den = 0, 1
         rest = free
@@ -215,8 +185,8 @@ def expected_pivots_rf(
     Requires a generic instance: every facet subset met during the
     recursion must have a unique optimal tree, otherwise
     NonGenericInstance is raised.  Subsets below a state whose tree is
-    already its facet set's unique optimum are not met, since the second
-    lemma makes them unique.  More than RF_STATE_BUDGET memo states raise
+    already its facet set's unique optimum are not met, since the lemma
+    makes them unique.  More than RF_STATE_BUDGET memo states raise
     StateBudgetExceeded.
     """
     _, fmask, _ = start_state(inst, facets, start)

@@ -38,13 +38,12 @@ from .cube import OrientationView, cube_encoding, orientation_out, orientation_v
 from .errors import (
     GenerationFailedAfterRetries,
     NonGenericInstance,
-    NoTreeInSubset,
     ParseError,
     SearchExhausted,
     TooLargeForExhaustiveCheck,
     WriteError,
 )
-from .exact import ExactEvaluator, expected_pivots_rf, expected_pivots_rf_star
+from .exact import expected_pivots_rf, expected_pivots_rf_star
 from .graph import (
     Edge,
     Instance,
@@ -149,29 +148,28 @@ def errata_instance() -> Instance:
 def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
     """True iff every edge subset containing a tree has a unique optimal tree.
 
-    Exhaustive over the covering subsets, the only ones that can hold a
-    tree: one non-empty sub-mask of each vertex's out-edges.  Sub-masks
-    ascend, so every covering F minus {f} comes before F and
-    ExactEvaluator.optimal can settle F from it.  Desk-sized only.
+    Lemma: inst is non-generic iff some tree T has an edge e outside it,
+    with tail u, such that cost(e) + d_T(head e) = d_T(u) and head e's
+    path in T avoids u.  Such a pair makes T and the swap two optimal
+    trees of T plus e: no edge of that subset improves T.  Conversely,
+    two optimal trees of one subset differ by a single swap of a tight
+    edge into one of them (_Index.count_optimal_trees).  So the check
+    runs that swap test on every tree's tight edges, one choice per
+    vertex, without solving any subset.  Desk-sized only.
     """
     m = inst.m
     if m > max_edges:
         raise TooLargeForExhaustiveCheck(
             f"{m} edges exceed the exhaustive-check bound {max_edges}"
         )
-    per_vertex = []
-    for ids in inst._index.out:
-        subs = [0]
-        for eid in ids:  # ascending ids give ascending sub-masks
-            subs += [s | 1 << eid for s in subs]
-        per_vertex.append(subs[1:])
-    optimal = ExactEvaluator(inst).optimal
-    for parts in itertools.product(*per_vertex):
-        try:
-            if not optimal(sum(parts))[3]:
-                return False
-        except NoTreeInSubset:
+    idx = inst._index
+    for ids in itertools.product(*idx.out):
+        mask = sum(1 << eid for eid in ids)
+        if idx.tree_distances(mask) is None:
             continue
+        worse, better, choice = idx.tree_split(mask)
+        if idx.count_optimal_trees(idx.full_mask & ~mask & ~worse & ~better, choice) == 2:
+            return False
     return True
 
 
@@ -188,8 +186,8 @@ def random_instance(
 
     Vertices v0..v{n-1} plus target t; every edge points strictly
     downstream (or to t), so any combination of choices is a tree and
-    negative costs can never close a cycle.  Genericity is checked
-    exhaustively, so with require_generic (the default) an instance of
+    negative costs can never close a cycle.  Genericity is checked over
+    every tree, so with require_generic (the default) an instance of
     more than 20 edges raises TooLargeForExhaustiveCheck; pass
     require_generic=False to skip the check.
     """

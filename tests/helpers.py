@@ -10,6 +10,7 @@ from randomfacet import (
     Instance,
     NegativeCycle,
     NonGenericInstance,
+    NoTreeInSubset,
     Permutation,
     TargetHasOutEdges,
     TreePolicy,
@@ -399,6 +400,30 @@ def optima_by_real_trees(inst):
 def generic_by_real_trees(inst):
     """True iff no facet subset has two real trees at its pointwise minimum."""
     return all(o is None or len(o[1]) <= 1 for o in optima_by_real_trees(inst).values())
+
+
+def generic_by_covering_subsets(inst):
+    """True iff every covering subset with a tree has one optimal tree.
+
+    The covering subsets, one non-empty set of out-edges per vertex, are
+    the only ones that can hold a tree.  Each is solved afresh by
+    Bellman-Ford through the uncached _Index.optimum, and one without a
+    tree (NoTreeInSubset) is skipped.
+    """
+    idx = inst._index
+    per_vertex = []
+    for ids in idx.out:
+        subs = [0]
+        for eid in ids:
+            subs += [s | 1 << eid for s in subs]
+        per_vertex.append(subs[1:])
+    for parts in itertools.product(*per_vertex):
+        try:
+            if not idx.optimum(sum(parts))[3]:
+                return False
+        except NoTreeInSubset:
+            continue
+    return True
 
 
 def count_calls(monkeypatch, owner, name):

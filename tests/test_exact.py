@@ -139,10 +139,9 @@ class TestStateBudget:
 
 
 class TestOptimumReuse:
-    """Every final tree in the rf memo is an optimum of its facet set, and
-    ExactEvaluator.optimal derives an optimum from a cached subset one
-    edge smaller when that edge is strictly slack; each must match a
-    direct solve, whichever way it was reached."""
+    """The rf recursion reuses each state's final tree as the optimum of
+    its facet set, so every final tree in the memo must match a direct
+    solve of that set."""
 
     def test_recursion_entries_match_a_direct_solve(self, small_pool, medium_pool, cyclic_pool):
         pool = [(inst, _worst_tree(inst)) for inst in small_pool + medium_pool[:60]]
@@ -164,48 +163,6 @@ class TestOptimumReuse:
                     unique += 1
                 entries += 1
         assert 0 < unique < entries
-
-    def test_every_subset_through_ties_and_non_unique_parents(self, cyclic_pool, monkeypatch):
-        # in ascending order every subset one edge smaller comes first, so
-        # a full solve must mean that each such edge ties or improves
-        solves = _count_solves(monkeypatch)
-        reused_non_unique = fell_through_tie = 0
-        for inst, _ in cyclic_pool:
-            idx = inst._index
-            ev = ExactEvaluator(inst)
-            for fmask in range(1 << inst.m):
-                direct = _direct_optimum(idx, fmask)
-                if direct is None:
-                    with pytest.raises(NoTreeInSubset):
-                        ev.optimal(fmask)
-                    continue
-                slacks = [
-                    (_slack(idx, ev._opt[sub][2], f), ev._opt[sub][3])
-                    for f in idx.edge_bits(fmask)
-                    if (sub := fmask & ~(1 << f)) in ev._opt
-                ]
-                before = solves[0]
-                assert ev.optimal(fmask) == direct
-                if solves[0] == before:
-                    reused_non_unique += not next(u for slack, u in slacks if slack > 0)
-                else:
-                    assert all(slack <= 0 for slack, _ in slacks)
-                    fell_through_tie += any(slack == 0 for slack, _ in slacks)
-        assert reused_non_unique > 0
-        assert fell_through_tie > 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]), st.randoms())
-    def test_any_visiting_order_matches_a_direct_solve(self, seed, shape, rnd):
-        inst, _ = cyclic_instance(*shape, cost_bound=2, seed=seed)
-        masks = list(range(1 << inst.m))
-        rnd.shuffle(masks)
-        ev = ExactEvaluator(inst)
-        for fmask in masks:
-            direct = _direct_optimum(inst._index, fmask)
-            if direct is None:
-                continue
-            assert ev.optimal(fmask) == direct
 
 
 class TestFullSolveCount:
@@ -413,10 +370,6 @@ def _direct_optimum(idx, fmask):
     tmask = sum(1 << eid for eid in choice)
     others = sum(1 << eid for edges in tight for eid in edges) & ~tmask
     return choice, tmask, dist, idx.count_optimal_trees(others, choice) == 1
-
-
-def _slack(idx, dist, f):
-    return idx.cost[f] + dist[idx.head[f]] - dist[idx.tail[f]]
 
 
 def _count_solves(monkeypatch):

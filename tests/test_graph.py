@@ -324,7 +324,8 @@ class TestOptimalTree:
     def test_unvalidated_negative_cycle_raises_instead_of_hanging(self):
         # Instance.build does not validate: x and y close a cycle of cost
         # -2, Bellman-Ford stops after n rounds without converging and x
-        # is left with no tight edge, so resolve_tree's guard ends the solve
+        # is left with no tight edge, so resolve_tree's guard ends the solve;
+        # the genericity check solves nothing and no tree has a tight edge
         inst = Instance.build(
             "t",
             [Edge(0, "x", "y", -1), Edge(1, "y", "x", -1), Edge(2, "x", "t", 0), Edge(3, "y", "t", 0)],
@@ -334,6 +335,7 @@ class TestOptimalTree:
                 optimal_tree(inst)
             with pytest.raises(NoTreeInSubset):
                 ExactEvaluator(inst).optimal(facet_mask(inst, None))
+            assert genericity_check(inst)
 
     def test_unvalidated_negative_cycle_pivot_is_refused_by_every_engine(self):
         # from {x->t, y->t} both x->y and y->x improve; pivoting the second

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from randomfacet import (
     Edge,
+    ExactEvaluator,
     GenerationFailedAfterRetries,
     Instance,
     ParseError,
@@ -36,7 +37,12 @@ from randomfacet.instances import (
     _matches_reference,
     errata_checks,
 )
-from helpers import count_calls, cyclic_instance, generic_by_real_trees
+from helpers import (
+    count_calls,
+    cyclic_instance,
+    generic_by_covering_subsets,
+    generic_by_real_trees,
+)
 
 
 class TestParsing:
@@ -136,14 +142,30 @@ class TestGenericity:
     @given(st.integers(0, 10**6), st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (4, 2)]))
     def test_matches_real_trees_on_cyclic_shapes(self, seed, shape):
         inst, _ = cyclic_instance(*shape, cost_bound=2, seed=seed)
-        assert genericity_check(inst) == generic_by_real_trees(inst)
+        answer = genericity_check(inst)
+        assert answer == generic_by_real_trees(inst)
+        assert answer == generic_by_covering_subsets(inst)
 
-    def test_solves_only_what_no_smaller_covering_subset_settles(self, monkeypatch):
-        # m=20: 3^10 = 59 049 covering subsets, and 1 024 full solves
+    def test_matches_covering_subsets_on_random_instances(self):
+        # up to m=14, beyond the 2^m walk of generic_by_real_trees
+        pool = [
+            random_instance(n, 2, 2, seed, require_generic=False)
+            for n in range(2, 8)
+            for seed in range(20)
+        ]
+        answers = [genericity_check(inst) for inst in pool]
+        assert answers == [generic_by_covering_subsets(inst) for inst in pool]
+        assert True in answers and False in answers
+
+    def test_walks_trees_without_solving_a_subset(self, monkeypatch):
+        # m=20: 2^10 = 1 024 trees, each split once; of the 3^10 = 59 049
+        # covering subsets none is solved or asked of ExactEvaluator.optimal
         inst = random_instance(10, 2, 9, 0, require_generic=False)
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
+        splits = count_calls(monkeypatch, graph._Index, "tree_split")
+        asked = count_calls(monkeypatch, ExactEvaluator, "optimal")
         assert genericity_check(inst)
-        assert solves[0] == 1024
+        assert (solves[0], splits[0], asked[0]) == (0, 1024, 0)
 
 
 class TestRandomInstance:
@@ -212,8 +234,9 @@ class TestErrataFixture:
         assert derive_errata_instance() == errata
 
     def test_derivation_work(self, monkeypatch):
-        # one Bellman-Ford solve per generic subset of the winner and a few
-        # for its checks (10 407 when every tie-free candidate was solved);
+        # two Bellman-Ford solves, both errata_checks' optimal_tree calls:
+        # the genericity check walks the winner's trees and solves none
+        # (10 407 when every tie-free candidate was solved);
         # one out-map per candidate scanned, from its layout's tree plans,
         # so tree distances only for the winner's checks (91 105 when every
         # candidate read its 8 trees); the cube tests once per distinct
@@ -249,7 +272,7 @@ class TestErrataFixture:
         monkeypatch.setattr(cube.OrientationView, "_arrow_order", order)
         derive_errata_instance()
         layouts = -(-out_maps[0] // 8**3)  # 8**3 cost tuples per head layout
-        assert solves[0] < 100
+        assert solves[0] == 2
         assert out_maps[0] > 10_000
         assert distances[0] < 2_000
         assert cube_tests[0] == 10 + passed[0]
