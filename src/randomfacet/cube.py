@@ -25,7 +25,7 @@ from .errors import (
     NotCubeShaped,
     RandomFacetError,
 )
-from .graph import EdgeId, Instance, TreePolicy, _Index
+from .graph import EdgeId, Instance, TreePolicy
 
 
 @dataclass(frozen=True)
@@ -155,44 +155,21 @@ class OrientationView:
 
 
 def orientation_view(inst: Instance) -> OrientationView:
-    """Orient every cube edge between adjacent trees in the improving direction."""
+    """Orient every cube edge between adjacent trees in the improving direction.
+
+    A tie (neither direction improves) happens only on non-generic
+    instances.  The errata search reads the same directions off sign
+    cells instead (instances._layout_cells).
+    """
     enc = cube_encoding(inst)
     idx = inst._index
     dists = [idx.tree_distances(mask) for mask in tree_masks(enc.pairs)]
+    n = len(enc.pairs)
     if None in dists:
-        v = dists.index(None)
-        raise NotATree(f"tree {_bit_string(v, len(enc.pairs))} does not reach the target")
-    return OrientationView(encoding=enc, out=orientation_out(enc.pairs, idx, idx.cost, dists))
-
-
-def tree_masks(pairs: tuple[tuple[EdgeId, EdgeId], ...]) -> list[int]:
-    """The tree mask of every cube vertex v, built by doubling over the pairs."""
-    masks = [0]
-    for zero, one in pairs:  # an earlier pair is a higher bit of v
-        masks = [mask | bit for mask in masks for bit in (1 << zero, 1 << one)]
-    return masks
-
-
-def orientation_out(
-    pairs: tuple[tuple[EdgeId, EdgeId], ...],
-    idx: _Index,
-    cost: list[int],
-    dists: list[tuple[int, ...]],
-) -> tuple[int, ...]:
-    """The out-map of OrientationView, from per-edge costs and tree distances.
-
-    `dists[v]` are the distances of tree v (tree_masks order) under
-    `cost`; of the index only the cost-free tail and head are read, so
-    a search can keep one index per head layout and hand in each
-    candidate's costs and distances.  Each axis reads its pair's tail,
-    heads and costs once.  A tie (neither direction improves) means two
-    adjacent trees have equal distance at the flipped vertex, which only
-    happens on non-generic instances.
-    """
-    n = len(pairs)
-    tail, head = idx.tail, idx.head
+        raise NotATree(f"tree {_bit_string(dists.index(None), n)} does not reach the target")
+    tail, head, cost = idx.tail, idx.head, idx.cost
     out = [0] * (1 << n)
-    for j, (zero, one) in enumerate(pairs):
+    for j, (zero, one) in enumerate(enc.pairs):
         axis = 1 << (n - 1 - j)
         x, h0, c0, h1, c1 = tail[zero], head[zero], cost[zero], head[one], cost[one]
         for v in range(1 << n):
@@ -206,4 +183,12 @@ def orientation_out(
                     "have no improving direction"
                 )
             out[v if v_to_w else v | axis] |= axis
-    return tuple(out)
+    return OrientationView(encoding=enc, out=tuple(out))
+
+
+def tree_masks(pairs: tuple[tuple[EdgeId, EdgeId], ...]) -> list[int]:
+    """The tree mask of every cube vertex v, built by doubling over the pairs."""
+    masks = [0]
+    for zero, one in pairs:  # an earlier pair is a higher bit of v
+        masks = [mask | bit for mask in masks for bit in (1 << zero, 1 << one)]
+    return masks

@@ -8,9 +8,9 @@ orientation without ties; acyclic; exactly three pivot paths from 001
 and from 111 to 000; a unique sink on every face; every line of
 errata_checks, the list verify-errata prints (optimal tree 000,
 expected pivot counts 7/3 and 29/12 from start tree 001, 11/3 and
-43/12 from 111, ...); genericity on every edge subset.  The found
-instance is frozen in the repository as data/errata-cube.instance and
-loaded by errata_instance().
+43/12 from 111, ...); genericity on every edge subset.  Sign cells
+(_layout_cells) orient the candidates' cubes.  The found instance is
+frozen as data/errata-cube.instance and loaded by errata_instance().
 
 Text format (UTF-8, '#' starts a comment):
 
@@ -34,10 +34,11 @@ from typing import Iterator
 
 from .algorithms import RF, RF_STAR
 from .comptree import _frac, comptree
-from .cube import OrientationView, cube_encoding, orientation_out, orientation_view, tree_masks
+from .cube import OrientationView, cube_encoding, orientation_view, tree_masks
 from .errors import (
     GenerationFailedAfterRetries,
     NonGenericInstance,
+    NoTreeInSubset,
     ParseError,
     SearchExhausted,
     TooLargeForExhaustiveCheck,
@@ -48,6 +49,7 @@ from .graph import (
     Edge,
     Instance,
     TreePolicy,
+    _Index,
     edge_names,
     optimal_tree,
     pivot,
@@ -162,12 +164,13 @@ def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
         raise TooLargeForExhaustiveCheck(
             f"{m} edges exceed the exhaustive-check bound {max_edges}"
         )
-    idx = inst._index
+    idx = _Index(inst)  # its own index, so the walked trees are not cached on inst
     for ids in itertools.product(*idx.out):
         mask = sum(1 << eid for eid in ids)
-        if idx.tree_distances(mask) is None:
+        try:
+            worse, better, choice = idx.tree_split(mask)
+        except NoTreeInSubset:  # a choice vector with a cycle
             continue
-        worse, better, choice = idx.tree_split(mask)
         if idx.count_optimal_trees(idx.full_mask & ~mask & ~worse & ~better, choice) == 2:
             return False
     return True
@@ -267,11 +270,11 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     candidate of the space fails the unique-sink test, so it runs after
     the path counts, which reject all but the winner.
 
-    The cheap cube tests run in _cube_survivors, which reads tree plans
-    once per head layout and tests each distinct out-map once; an
-    Instance is built only for a candidate that passes them, and it then
-    goes through every check again, so only such candidates reach the
-    exact computations.  Exhausting the space raises SearchExhausted,
+    The cheap cube tests run in _cube_survivors, which orients a cube by
+    sign cells of its head layout and tests each distinct out-map once;
+    an Instance is built only for a candidate that passes them, and it
+    then goes through every check again, so only such candidates reach
+    the exact computations.  Exhausting the space raises SearchExhausted,
     which means the bounds must be widened, never that a weaker instance
     is acceptable.
     """
@@ -287,30 +290,69 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
 def _cube_survivors(max_one_cost: int) -> Iterator[Instance]:
     """The candidates, in search order, that pass the cheap cube tests.
 
-    A candidate differs from the others of its head layout in the three
-    1-edge costs only, so one cost-free template Instance, _Index,
-    CubeEncoding and its 2^3 tree plans serve the whole layout; a
-    candidate's tree distances are its plans evaluated under its costs.
-    Many candidates share an out-map, so the cube tests run once per
-    distinct out-map of a search.
+    A layout builds one out-map per tie-free sign key (_layout_cells) it
+    meets; the cube tests run once per distinct out-map of a search.
     """
     verdicts: dict[tuple[int, ...], bool] = {}
     for heads, cost_space in _candidate_space(max_one_cost):
-        template = _candidate(heads, (0, 0, 0))  # a plan needs heads only
-        idx, enc = template._index, cube_encoding(template)
-        # downstream heads: every choice is a tree, so no plan is None
-        plans = [idx.tree_plan(mask) for mask in tree_masks(enc.pairs)]
+        enc, forms, arrows = _layout_cells(heads)
+        passing: dict[int, bool] = {}
         for costs in cost_space:
-            cost = _edge_costs(costs)
-            dists = [idx.plan_distances(plan, cost) for plan in plans]
-            try:
-                out = orientation_out(enc.pairs, idx, cost, dists)
-            except NonGenericInstance:
+            key = _sign_key(forms, costs)
+            if key is None:  # a tie
                 continue
-            if out not in verdicts:
-                verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))
-            if verdicts[out]:
+            if key not in passing:
+                out = _out_map(arrows, key)
+                if out not in verdicts:
+                    verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))
+                passing[key] = verdicts[out]
+            if passing[key]:
                 yield _candidate(heads, costs)
+
+
+def _layout_cells(heads: tuple[str, ...]):
+    """(encoding, distinct forms, arrows) of a head layout's cube.
+
+    A tree distance is a 0/1 sum of the three 1-edge costs, whose
+    coefficients are the cost-free plans' distances under unit costs.
+    Heads lie downstream, so the arrow (form index, v, axis) of the cube
+    edge from tree v (u on its 0-edge) to v | axis leaves v iff its form
+    cost(u's 1-edge) + d_v(its head) - d_v(u) is negative; zero is a tie.
+    """
+    template = _candidate(heads, (0, 0, 0))
+    idx, enc = template._index, cube_encoding(template)
+    # downstream heads: every choice is a tree, so no plan is None
+    plans = [idx.tree_plan(mask) for mask in tree_masks(enc.pairs)]
+    units = [_edge_costs(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    dists = [[idx.plan_distances(plan, cost) for plan in plans] for cost in units]
+    forms, arrows = {}, []  # forms maps each form to its index, in insertion order
+    for j, (_, one) in enumerate(enc.pairs):
+        axis, u, h1 = 4 >> j, idx.tail[one], idx.head[one]  # as in OrientationView
+        for v in range(8):
+            if not v & axis:
+                form = tuple(c[one] + d[v][h1] - d[v][u] for c, d in zip(units, dists))
+                arrows.append((forms.setdefault(form, len(forms)), v, axis))
+    return enc, list(forms), arrows
+
+
+def _sign_key(forms: list[tuple[int, ...]], costs: tuple[int, ...]) -> int | None:
+    """Bit i set iff form i is negative at costs; None if a form is zero (a tie)."""
+    cx, cy, cz = costs
+    key = 0
+    for i, (a, b, c) in enumerate(forms):
+        value = a * cx + b * cy + c * cz
+        if not value:
+            return None
+        key |= (value < 0) << i
+    return key
+
+
+def _out_map(arrows: list[tuple[int, int, int]], key: int) -> tuple[int, ...]:
+    """The out-map of a sign key: arrow (f, v, axis) leaves v iff form f is negative."""
+    out = [0] * 8
+    for f, v, axis in arrows:
+        out[v if key >> f & 1 else v | axis] |= axis
+    return tuple(out)
 
 
 def _passes_cube_tests(view: OrientationView) -> bool:

@@ -2,6 +2,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_bits,
@@ -29,8 +31,16 @@ from randomfacet import (
     optimal_tree,
     orientation_view,
 )
-from randomfacet.cube import orientation_out, tree_masks
-from randomfacet.instances import ERRATA_PATH_COUNTS, _cube_survivors
+from randomfacet.instances import (
+    _AXES,
+    _DOWNSTREAM,
+    _candidate,
+    _cube_survivors,
+    _layout_cells,
+    _out_map,
+    _passes_cube_tests,
+    _sign_key,
+)
 
 
 class TestCubeEncoding:
@@ -226,41 +236,42 @@ def test_orientation_agrees_with_improves_on_cyclic_cubes():
     assert min(kinds[NotATree], kinds[NonGenericInstance], kinds["view"]) >= 10, kinds
 
 
-def out_map_or_refusal(compute):
-    """The out-map compute() returns, or the NonGenericInstance text it raises."""
-    try:
-        return compute()
-    except NonGenericInstance as exc:
-        return NonGenericInstance, str(exc)
+def sign_cell_outcome(forms, arrows, cand):
+    """The out-map of cand's sign key on its layout's forms, or NonGenericInstance for a tie."""
+    key = _sign_key(forms, tuple(e.cost for e in cand.edges[1::2]))
+    return NonGenericInstance if key is None else _out_map(arrows, key)
 
 
-def test_plan_out_maps_agree_with_orientation_view_on_every_candidate():
-    # the search's route (one cost-free index and its tree plans per head
-    # layout, each candidate's costs evaluated on the plans) against a
-    # fresh Instance per candidate, on 36 layouts x 27 costs
+def test_sign_keys_agree_with_orientation_view_on_every_candidate():
+    # the search's route (a layout's linear forms, each candidate's signs
+    # on them) against a fresh Instance per candidate, on 36 layouts x 27 costs
     layouts, kinds, survivors = 0, Counter(), []
-    by_heads = itertools.groupby(errata_candidates(3), key=lambda c: [e.head for e in c.edges])
-    for _, group in by_heads:
+    by_heads = itertools.groupby(
+        errata_candidates(3), key=lambda c: tuple(e.head for e in c.edges)
+    )
+    for heads, group in by_heads:
         layouts += 1
-        group = list(group)
-        template = Instance.build("t", [Edge(e.id, e.tail, e.head, 0) for e in group[0].edges])
-        idx, enc = template._index, cube_encoding(template)
-        plans = [idx.tree_plan(mask) for mask in tree_masks(enc.pairs)]
-        assert None not in plans
+        _, forms, arrows = _layout_cells(heads)
+        assert len(forms) <= 6 and len(arrows) == 12
         for cand in group:
-            cost = [e.cost for e in cand.edges]
-            dists = [idx.plan_distances(plan, cost) for plan in plans]
-            got = out_map_or_refusal(lambda: orientation_out(enc.pairs, idx, cost, dists))
-            assert got == out_map_or_refusal(lambda: orientation_view(cand).out)
-            kinds[got[0] if got[0] is NonGenericInstance else "view"] += 1
-            if got[0] is NonGenericInstance:
-                continue
-            view = orientation_view(cand)
-            if view.is_acyclic() and all(
-                view.count_paths(*ends) == n for ends, n in ERRATA_PATH_COUNTS.items()
-            ):
+            got = sign_cell_outcome(forms, arrows, cand)
+            assert got == orientation_outcome(cand)
+            kinds[got if got is NonGenericInstance else "view"] += 1
+            if got is not NonGenericInstance and _passes_cube_tests(orientation_view(cand)):
                 survivors.append(dumps_instance(cand))
-        assert idx.cost == [0] * 6 and not idx._dists
     assert layouts == 36 and sum(kinds.values()) == 36 * 27
     assert min(kinds.values()) >= 100, kinds
     assert survivors and [dumps_instance(i) for i in _cube_survivors(3)] == survivors
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*(st.sampled_from(_DOWNSTREAM[v]) for v in _AXES for _ in (0, 1))),
+    st.tuples(*[st.integers(-50, 50)] * 3),
+)
+def test_sign_keys_agree_with_orientation_view_beyond_the_search_bound(heads, costs):
+    # any integer 1-edge costs, ties and negative costs included: the
+    # forms are linear, so the cell argument needs no cost bound
+    _, forms, arrows = _layout_cells(heads)
+    cand = _candidate(heads, costs)
+    assert sign_cell_outcome(forms, arrows, cand) == orientation_outcome(cand)

@@ -34,6 +34,7 @@ from randomfacet.instances import (
     ERRATA_EXPECTATIONS,
     ERRATA_PATH_COUNTS,
     FIXTURE_NAME,
+    _cube_survivors,
     _matches_reference,
     errata_checks,
 )
@@ -158,14 +159,22 @@ class TestGenericity:
         assert True in answers and False in answers
 
     def test_walks_trees_without_solving_a_subset(self, monkeypatch):
-        # m=20: 2^10 = 1 024 trees, each split once; of the 3^10 = 59 049
-        # covering subsets none is solved or asked of ExactEvaluator.optimal
+        # m=20: 2^10 = 1 024 trees, each read and split once on the check's
+        # own index; of the 3^10 = 59 049 covering subsets none is solved
+        # or asked of ExactEvaluator.optimal, and the instance's per-tree
+        # caches keep none of the walked trees
         inst = random_instance(10, 2, 9, 0, require_generic=False)
+        idx = inst._index
+        idx.tree_split(sum(1 << out[0] for out in idx.out))
+        cached = (len(idx._dists), len(idx.splits))
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
         splits = count_calls(monkeypatch, graph._Index, "tree_split")
+        distances = count_calls(monkeypatch, graph._Index, "tree_distances")
         asked = count_calls(monkeypatch, ExactEvaluator, "optimal")
         assert genericity_check(inst)
-        assert (solves[0], splits[0], asked[0]) == (0, 1024, 0)
+        assert (solves[0], splits[0], distances[0], asked[0]) == (0, 1024, 1024, 0)
+        assert cached == (1, 1)
+        assert (len(idx._dists), len(idx.splits)) == cached
 
 
 class TestRandomInstance:
@@ -234,24 +243,44 @@ class TestErrataFixture:
         assert derive_errata_instance() == errata
 
     def test_derivation_work(self, monkeypatch):
-        # two Bellman-Ford solves, both errata_checks' optimal_tree calls:
-        # the genericity check walks the winner's trees and solves none
-        # (10 407 when every tie-free candidate was solved);
-        # one out-map per candidate scanned, from its layout's tree plans,
-        # so tree distances only for the winner's checks (91 105 when every
-        # candidate read its 8 trees); the cube tests once per distinct
-        # out-map of the search (10 of 10 373 tie-free ones) and once for
-        # the winner; an Instance only per layout and per candidate that
-        # passes the cube tests; at most one Kahn order and two path counts
-        # per orientation view, and the unique-sink test, which no tie-free
-        # candidate fails, only for the winner: the path counts reject
-        # every other candidate
+        # The search scans 11 275 candidates in 23 head layouts.  Each
+        # layout has at most 6 linear forms, and an out-map is built at
+        # most once per tie-free sign cell met, never per candidate.  The
+        # cube tests run once per distinct out-map of the search (10) and
+        # once more for the winner.  Only a candidate that passes them
+        # becomes an Instance (besides one template per layout), and only
+        # the winner meets orientation_view: once in its check, once in
+        # errata_checks' path counts.  So the search reads no tree
+        # distance: the 43 all come from the winner's checks (91 105 when
+        # every candidate read its 8 trees).  Two Bellman-Ford solves,
+        # both errata_checks' optimal_tree calls: the genericity check
+        # walks trees and solves none.  At most one Kahn order and two
+        # path counts per orientation view; the unique-sink test, which no
+        # tie-free candidate fails, runs only for the winner, since the
+        # path counts reject every other candidate.
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
-        out_maps = count_calls(monkeypatch, instances, "orientation_out")
+        out_maps = count_calls(monkeypatch, instances, "_out_map")
         passed = count_calls(monkeypatch, instances, "_matches_reference")
         cube_tests = count_calls(monkeypatch, instances, "_passes_cube_tests")
+        views = count_calls(monkeypatch, instances, "orientation_view")
         distances = count_calls(monkeypatch, graph._Index, "tree_distances")
         builds = count_calls(monkeypatch, graph.Instance, "build")
+        forms_per_layout, scanned, cells = [], [0], set()
+
+        def layout_cells(heads, _fn=instances._layout_cells):
+            enc, forms, arrows = _fn(heads)
+            forms_per_layout.append(len(forms))
+            return enc, forms, arrows
+
+        def sign_key(forms, costs, _fn=instances._sign_key):
+            scanned[0] += 1
+            key = _fn(forms, costs)
+            if key is not None:
+                cells.add((len(forms_per_layout), key))
+            return key
+
+        monkeypatch.setattr(instances, "_layout_cells", layout_cells)
+        monkeypatch.setattr(instances, "_sign_key", sign_key)
         ordered = []
         original_order = cube.OrientationView._arrow_order.func
 
@@ -271,15 +300,27 @@ class TestErrataFixture:
         order.__set_name__(cube.OrientationView, "_arrow_order")
         monkeypatch.setattr(cube.OrientationView, "_arrow_order", order)
         derive_errata_instance()
-        layouts = -(-out_maps[0] // 8**3)  # 8**3 cost tuples per head layout
+        layouts = len(forms_per_layout)
+        assert (layouts, scanned[0], passed[0]) == (23, 11_275, 1)
+        assert max(forms_per_layout) <= 6
+        assert 0 < out_maps[0] <= len(cells)
         assert solves[0] == 2
-        assert out_maps[0] > 10_000
-        assert distances[0] < 2_000
+        assert views[0] == 2 * passed[0]
+        assert distances[0] == 43
         assert cube_tests[0] == 10 + passed[0]
         assert builds[0] <= layouts + passed[0]
         assert len({id(v) for v in ordered}) == len(ordered)
         assert [n for (name, _), n in counted.items() if name == "unique_sink_every_face"] == [1]
         assert max(n for (name, _), n in counted.items() if name == "count_paths") <= 2
+
+    def test_whole_space_survivors_are_pinned(self, errata):
+        # the candidates of the full space (36 layouts x 512 costs) that
+        # pass the cube tests, in search order; the first is the fixture
+        texts = [dumps_instance(inst) for inst in _cube_survivors(8)]
+        assert len(texts) == 56
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == "943d1b3bc9763383d91d7d2b5566dd82796261abd8665de080943cad4dda448d"
+        assert texts[0] == dumps_instance(errata)
 
     def test_search_bounds_too_tight_are_exhausted(self):
         with pytest.raises(SearchExhausted, match="in 1..2 reproduces .*; widen the bounds$"):
