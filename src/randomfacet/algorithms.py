@@ -9,11 +9,13 @@ picked edge, so the descent's picks are one ordering of F minus B, and
 steps() asks the chooser for it once per descent (at the start and
 after each pivot) and keeps it as one frame.  At the base case F = B,
 so the calls waiting on the stack are the picks themselves: steps()
-reads the tree's improving mask once (_Index.tree_split), drops every
-descent without an improving pick whole, and pivots the last improving
-pick; the candidates of the next descent are the picks popped above it
-plus the leaving edge.  A shorter ordering pauses the run, and steps()
-resumes it from the saved choice point.  run_random_facet draws a fresh
+reads the tree's split once (_Index.tree_split, the one per-tree cache,
+which no engine writes to), drops every descent without an improving
+pick whole, and pivots the last improving pick, its leaving edge being
+the split's edge at its tail; the candidates of the next descent are
+the picks popped above it plus the leaving edge.  A shorter ordering
+pauses the run at (fmask, bmask, frames, depth, kind), and steps()
+resumes it from there.  run_random_facet draws a fresh
 uniformly random facet at every choice point; run_random_facet_star is
 deterministic and always removes the facet ranked first by a fixed
 permutation, so each descent is F minus B sorted by rank.  Both fold
@@ -113,7 +115,7 @@ class Permutation:
 
 
 def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePolicy):
-    """(index, facet mask, per-vertex choice) of a validated start tree.
+    """(index, facet mask) of a validated start tree.
 
     Raises ValueError unless `start` lies inside the facet set, chooses
     one edge per vertex and reaches the target from every vertex.
@@ -122,16 +124,15 @@ def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePoli
     fmask = facet_mask(inst, facets)
     if start.mask & ~fmask:
         raise ValueError("start tree is not contained in the facet set")
-    choice = idx.choice_of_mask(start.mask)
-    if choice is None:
+    if idx.choice_of_mask(start.mask) is None:
         raise ValueError("start tree does not choose one edge per vertex")
     if idx.tree_distances(start.mask) is None:
         raise ValueError("start tree does not reach the target from every vertex")
-    return idx, fmask, choice
+    return idx, fmask
 
 
 def steps(
-    idx, fmask: int, choice, bmask: int, order, frames=(), depth=0, kind=CallKind.ROOT
+    idx, fmask: int, bmask: int, order, frames=(), depth=0, kind=CallKind.ROOT
 ) -> Iterator[tuple]:
     """Events of one run from tree mask `bmask` within facet mask `fmask`.
 
@@ -144,21 +145,20 @@ def steps(
     at i = 0, where it has the descent's own depth d and kind.  After
     each exchange ("pivot", entering, leaving, depth, kind, fmask, bmask)
     is yielded with the state after it; depth and kind describe the call
-    that pivoted.  The run ends when no enclosing call can pivot.  Every
-    pivot strictly improves the tree, so it terminates.  `choice`, the
-    chosen edge per vertex of `bmask`, is copied first.
+    that pivoted, the leaving edge read off the tree's shared split,
+    which steps never writes to.  The run ends when no enclosing call can
+    pivot, its last base case having split the final tree.  Every pivot
+    strictly improves the tree, so it terminates.
 
     An ordering shorter than the candidates pauses the run at the next
-    choice point with a last event ("pause", (fmask, bmask, choice,
-    frames, depth, kind)); steps(idx, fmask, choice, bmask, order,
-    frames, depth, kind) resumes it, asking `order` about the rest of
-    the descent.  A tree that does not reach the target, as a pivot
-    leaves on an unvalidated instance with a negative cycle, raises
-    NoTreeInSubset.
+    choice point with a last event ("pause", (fmask, bmask, frames,
+    depth, kind)); steps(idx, fmask, bmask, order, frames, depth, kind)
+    resumes it, asking `order` about the rest of the descent.  A tree
+    that does not reach the target, as a pivot leaves on an unvalidated
+    instance with a negative cycle, raises NoTreeInSubset.
     """
     splits, tree_split, tail = idx.splits, idx.tree_split, idx.tail
     first, second = CallKind.FIRST, CallKind.SECOND
-    choice = list(choice)
     # one frame per descent whose calls wait for their first recursive
     # call to return: (facet mask before it, picks, their mask, depth, kind)
     stack: list[tuple[int, list[EdgeId], int, int, CallKind]] = list(frames)
@@ -174,10 +174,10 @@ def steps(
             depth += len(picks)
             kind = first
         if fmask & ~bmask:  # the order was short
-            yield ("pause", (fmask, bmask, tuple(choice), tuple(stack), depth, kind))
+            yield ("pause", (fmask, bmask, tuple(stack), depth, kind))
             return
         # base case reached, where F = B: unwind to the last improving pick
-        better = (splits.get(bmask) or tree_split(bmask))[1]
+        _, better, choice = splits.get(bmask) or tree_split(bmask)
         rest: list[EdgeId] = []  # the picks of the frames popped so far
         while stack:
             f, picks, pmask, d, k = stack.pop()
@@ -191,9 +191,7 @@ def steps(
             e = picks[i]
             if i:  # the calls above it keep waiting
                 stack.append((f, picks[:i], pmask & ~suffix, d, k))
-            u = tail[e]
-            leaving = choice[u]
-            choice[u] = e
+            leaving = choice[tail[e]]
             bmask = (bmask & ~(1 << leaving)) | (1 << e)
             fmask = (f & ~pmask) | suffix
             yield ("pivot", e, leaving, d + i, k if i == 0 else first, fmask, bmask)
@@ -239,27 +237,28 @@ def _answers(hist: tuple, cands: list[EdgeId]) -> list[tuple]:
     return out
 
 
-def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
+def branches(idx, fmask: int, bmask: int, rule: str) -> Iterator[tuple]:
     """Every distinct execution of `rule` from `bmask`, walked once as a tree.
 
     An execution is fixed by its answers at the choice points.  The walk
     pauses steps() at each fork, a choice point with more than one
-    allowed answer, and resumes the saved point once per allowed answer,
-    depth first.  It yields (forks, events, weight) per segment, in
-    pre-order: `forks` counts the forks above the segment, its events
-    start with the descent of its answer (except at the root), and `weight`
-    is None if it ends at a fork, whose segments follow in ascending
-    answer order; otherwise it ends an execution of that weight, read
-    off its history (before, width) (_answers).  RF weights are
-    Fractions summing to one, RF_STAR weights integers summing to |F|!.
+    allowed answer, and resumes the saved point (fmask, bmask, frames,
+    depth, kind) once per allowed answer, depth first.  It yields
+    (forks, events, weight) per segment, in pre-order: `forks` counts the
+    forks above the segment, its events start with the descent of its
+    answer (except at the root), and `weight` is None if it ends at a
+    fork, whose segments follow in ascending answer order; otherwise it
+    ends an execution of that weight, read off its history (before,
+    width) (_answers).  RF weights are Fractions summing to one, RF_STAR
+    weights integers summing to |F|!.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     ids = idx.edge_bits(fmask)
     hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, 1)
-    todo = [(0, (fmask, bmask, tuple(choice), (), 0, CallKind.ROOT), hist, None)]
+    todo = [(0, (fmask, bmask, (), 0, CallKind.ROOT), hist, None)]
     while todo:
-        forks, (fmask, bmask, choice, frames, depth, kind), hist, answer = todo.pop()
+        forks, (fmask, bmask, frames, depth, kind), hist, answer = todo.pop()
         fork = None
 
         def order(cands: list[EdgeId]) -> list[EdgeId]:
@@ -278,7 +277,7 @@ def branches(idx, fmask: int, choice, bmask: int, rule: str) -> Iterator[tuple]:
                 cands.remove(e)
             return out
 
-        events = list(steps(idx, fmask, choice, bmask, order, frames, depth, kind))
+        events = list(steps(idx, fmask, bmask, order, frames, depth, kind))
         if fork is not None:
             point = events.pop()[1]
             todo.extend((forks + 1, point, child, e) for e, child in reversed(fork))
@@ -300,8 +299,8 @@ def run_random_facet(
     One rng.randrange(len(candidates)) call per choice point, so runs
     are reproducible from a seeded random.Random on any platform.
     """
-    idx, fmask, choice = start_state(inst, facets, start)
-    return _run(idx, fmask, choice, start.mask, random_order(lambda ks: map(rng.randrange, ks)))
+    idx, fmask = start_state(inst, facets, start)
+    return _run(idx, fmask, start.mask, random_order(lambda ks: map(rng.randrange, ks)))
 
 
 def run_random_facet_star(
@@ -316,14 +315,14 @@ def run_random_facet_star(
     calls restrict it implicitly by taking the minimum over the current
     candidate set, so each descent removes F minus B in rank order.
     """
-    idx, fmask, choice = start_state(inst, facets, start)
+    idx, fmask = start_state(inst, facets, start)
     ids = idx.edge_bits(fmask)
     if not sigma.domain.issuperset(ids):
         missing = [eid for eid in ids if eid not in sigma.domain]
         raise PermutationDomainTooSmall(
             f"permutation does not rank facet edges {missing}"
         )
-    return _run(idx, fmask, choice, start.mask, sigma.sort)
+    return _run(idx, fmask, start.mask, sigma.sort)
 
 
 def random_order(draws):
@@ -332,16 +331,15 @@ def random_order(draws):
     return lambda cands: [cands.pop(r) for r in draws(range(len(cands), 0, -1))]
 
 
-def _run(idx, fmask, choice, bmask, order) -> RunResult:
-    """Fold the pivot events of one run into its result."""
-    tail = idx.tail
+def _run(idx, fmask, bmask, order) -> RunResult:
+    """Fold one run's pivot events into its result, reading the final
+    tree off the split that steps' last base case made of it."""
     trace: list[PivotEvent] = []
-    for ev in steps(idx, fmask, choice, bmask, order):
+    for ev in steps(idx, fmask, bmask, order):
         if ev[0] == "pivot":
-            _, entering, leaving, depth, kind, _, _ = ev
+            _, entering, leaving, depth, kind, _, bmask = ev
             trace.append(PivotEvent(entering, leaving, depth, kind))
-            choice[tail[entering]] = entering
-    final = idx.policy_from_choice(choice)
+    final = idx.policy_from_choice(idx.splits[bmask][2])
     return RunResult(final_tree=final, pivot_count=len(trace), trace=tuple(trace))
 
 

@@ -259,14 +259,14 @@ def comptree(
 
     Refuses more facets than the enumeration bound before any run.
     """
-    idx, fmask, choice = start_state(inst, facets, start)
+    idx, fmask = start_state(inst, facets, start)
     bmask = start.mask
     check_enumeration_bound(fmask.bit_count(), enumeration_bound)
     nodes = [CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)]
     # path[k]: the index of the node the segments below k forks hang
     # from, and the number of pivots on the way to it
     path = [(0, 0)]
-    for forks, events, weight in branches(idx, fmask, choice, bmask, rule):
+    for forks, events, weight in branches(idx, fmask, bmask, rule):
         at, pivots = path[forks]
         del path[forks + 1 :]
         for ev in events:  # probabilities are set once every mass is known

@@ -146,12 +146,12 @@ class ExactEvaluator:
         Sums the pivots of each argmin history weighted by its number of
         orders, over |F|!.
         """
-        idx, fmask, choice = start_state(self.inst, facets, start)
+        idx, fmask = start_state(self.inst, facets, start)
         n = fmask.bit_count()
         check_enumeration_bound(n, bound)
         total = 0
         pivots = [0]  # pivots[k]: pivots on the current path down to its k-th fork
-        for forks, events, weight in branches(idx, fmask, choice, start.mask, RF_STAR):
+        for forks, events, weight in branches(idx, fmask, start.mask, RF_STAR):
             del pivots[forks + 1 :]
             pivots.append(pivots[forks] + sum(1 for ev in events if ev[0] == "pivot"))
             if weight is not None:
@@ -189,7 +189,7 @@ def expected_pivots_rf(
     makes them unique.  More than RF_STATE_BUDGET memo states raise
     StateBudgetExceeded.
     """
-    _, fmask, _ = start_state(inst, facets, start)
+    _, fmask = start_state(inst, facets, start)
     return ExactEvaluator(inst).expected_rf(fmask, start.mask)
 
 

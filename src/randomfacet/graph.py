@@ -166,7 +166,7 @@ class TreePolicy:
 
 
 class _Index:
-    """Dense integer view of an instance plus a per-tree distance cache.
+    """Dense integer view of an instance plus `splits`, the one per-tree cache.
 
     Vertices are numbered 0..n-1 in sorted name order; the target is -1.
     Every distance list has n+1 slots and ends with the target's 0, so
@@ -175,7 +175,8 @@ class _Index:
     of the target would make tail -1 and overwrite that slot, so such
     instances are refused with TargetHasOutEdges.  Facet subsets and
     trees travel as bit masks over edge ids, which is what the runners
-    and exact engines key their caches on; `splits` caches tree_split.
+    and exact engines key their caches on.  `splits` caches tree_split:
+    a tree's whole state, which every engine reads and none writes to.
     """
 
     def __init__(self, inst: Instance):
@@ -195,7 +196,6 @@ class _Index:
         for e in inst.edges:
             self.out[self.pos[e.tail]].append(e.id)
         self.full_mask = (1 << m) - 1
-        self._dists: dict[int, tuple[int, ...] | None] = {}
         self.splits: dict[int, tuple[int, int, list[EdgeId]]] = {}
 
     def edge_bits(self, mask: int) -> list[EdgeId]:
@@ -265,16 +265,11 @@ class _Index:
     def tree_distances(self, mask: int) -> tuple[int, ...] | None:
         """Exact distances to the target along the tree; None if not a tree.
 
-        A miss evaluates the mask's tree_plan under the index's costs.
-        Results, None included, are cached per mask, for repeated runs
-        on the same instance.
+        Evaluates the mask's tree_plan under the index's costs, uncached:
+        the engines keep a tree's split (tree_split) instead.
         """
-        if mask in self._dists:
-            return self._dists[mask]
         plan = self.tree_plan(mask)
-        result = None if plan is None else self.plan_distances(plan, self.cost)
-        self._dists[mask] = result
-        return result
+        return None if plan is None else self.plan_distances(plan, self.cost)
 
     def tree_split(self, mask: int) -> tuple[int, int, list[EdgeId]]:
         """(worse, better, choice): the edges strictly worse and strictly

@@ -37,7 +37,6 @@ from .comptree import _frac, comptree
 from .cube import OrientationView, cube_encoding, orientation_view, tree_masks
 from .errors import (
     GenerationFailedAfterRetries,
-    NonGenericInstance,
     NoTreeInSubset,
     ParseError,
     SearchExhausted,
@@ -194,8 +193,8 @@ def random_instance(
     more than 20 edges raises TooLargeForExhaustiveCheck; pass
     require_generic=False to skip the check.
     """
-    if n < 1 or out_degree < 1:
-        raise ValueError("need n >= 1 and out_degree >= 1")
+    if n < 1 or out_degree < 1 or cost_bound < 0:
+        raise ValueError("need n >= 1, out_degree >= 1 and cost_bound >= 0")
     rng = random.Random(seed)
     names = [f"v{i}" for i in range(n)]
     for _ in range(max_tries):
@@ -262,21 +261,20 @@ def errata_candidates(max_one_cost: int = 8) -> Iterator[Instance]:
 def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     """First candidate, in search order, matching every reference quantity.
 
-    The checks, cheapest first: no two adjacent trees tie (the cube
-    orientation comes first, as it supplies the encoding); the
+    The checks, cheapest first: no two adjacent trees tie; the
     orientation is acyclic; there are exactly three pivot paths from 001
     and from 111 to 000; it has a unique sink on every face; every line
     of errata_checks passes; every edge subset is generic.  No tie-free
     candidate of the space fails the unique-sink test, so it runs after
     the path counts, which reject all but the winner.
 
-    The cheap cube tests run in _cube_survivors, which orients a cube by
-    sign cells of its head layout and tests each distinct out-map once;
-    an Instance is built only for a candidate that passes them, and it
-    then goes through every check again, so only such candidates reach
-    the exact computations.  Exhausting the space raises SearchExhausted,
-    which means the bounds must be widened, never that a weaker instance
-    is acceptable.
+    The cube tests run in _cube_survivors, which orients a cube by sign
+    cells of its head layout and tests each distinct out-map once; only a
+    candidate that passes them becomes an Instance, which
+    _matches_reference checks from scratch with errata_checks (building
+    its one OrientationView) and genericity_check.  Exhausting the space
+    raises SearchExhausted, which means the bounds must be widened, never
+    that a weaker instance is acceptable.
     """
     for inst in _cube_survivors(max_one_cost):
         if _matches_reference(inst):
@@ -356,24 +354,19 @@ def _out_map(arrows: list[tuple[int, int, int]], key: int) -> tuple[int, ...]:
 
 
 def _passes_cube_tests(view: OrientationView) -> bool:
-    """Acyclic, with the pinned number of pivot paths between each pair of ends."""
+    """Acyclic, the pinned pivot path counts, a unique sink on every face."""
     return view.is_acyclic() and all(
         view.count_paths(*ends) == n for ends, n in ERRATA_PATH_COUNTS.items()
-    )
+    ) and view.unique_sink_every_face()
 
 
 def _matches_reference(inst: Instance) -> bool:
-    try:
-        view = orientation_view(inst)
-    except NonGenericInstance:
-        return False
-    if not _passes_cube_tests(view):
-        return False
-    if not view.unique_sink_every_face():  # no tie-free candidate fails it
-        return False
-    if any(expected != got for _, expected, got in errata_checks(inst)):
-        return False
-    return genericity_check(inst)
+    """Every errata_checks line passes and inst is generic: the cube tests
+    again, from scratch.  errata_checks orients the cube afresh, and a tie
+    (NonGenericInstance) or a cycle (RandomFacetError) fails its paths_*
+    lines; genericity gives a unique sink on every face, each face's sink
+    being an optimal tree of its edges."""
+    return all(exp == got for _, exp, got in errata_checks(inst)) and genericity_check(inst)
 
 
 def _show(value) -> str:

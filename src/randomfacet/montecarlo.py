@@ -87,7 +87,7 @@ def pivot_samples(
         raise ZeroTrials("at least one trial is required")
     if rule not in (RF, RF_STAR):
         raise ValueError(f"unknown rule {rule!r}")
-    idx, fmask, choice = start_state(inst, facets, start)
+    idx, fmask = start_state(inst, facets, start)
     bmask = start.mask
     samples = []
     for i in range(trials):
@@ -97,7 +97,7 @@ def pivot_samples(
         else:
             order = partial(sorted, key=_random_ranks(getrandbits, inst.m).__getitem__)
         pivots = 0
-        for ev in steps(idx, fmask, choice, bmask, order):
+        for ev in steps(idx, fmask, bmask, order):
             if ev[0] == "pivot":
                 pivots += 1
         samples.append(pivots)

@@ -92,7 +92,7 @@ def rf_expectation_by_subset_solves(inst, facets, start):
     the first subset it meets with two optimal trees, removable edges
     taken in ascending order.
     """
-    idx, fmask, _ = start_state(inst, facets, start)
+    idx, fmask = start_state(inst, facets, start)
     memo = {}
 
     def rf(f, b):
@@ -208,10 +208,10 @@ def rfstar_histories_by_permutations(inst, facets, start):
     removing F minus B in that order; returns a Counter mapping a pick
     sequence to the number of orders giving it, whose values sum to |F|!.
     """
-    idx, fmask, choice = start_state(inst, facets, start)
+    idx, fmask = start_state(inst, facets, start)
     counts = Counter()
     for order in itertools.permutations(idx.edge_bits(fmask)):
-        events = steps(idx, fmask, choice, start.mask, Permutation.from_order(order).sort)
+        events = steps(idx, fmask, start.mask, Permutation.from_order(order).sort)
         counts[pick_sequence(events)] += 1
     return counts
 

@@ -10,9 +10,13 @@ from randomfacet import (
     CallKind,
     Edge,
     Instance,
+    NonGenericInstance,
     Permutation,
     PermutationDomainTooSmall,
     TreePolicy,
+    comptree,
+    expected_pivots_rf,
+    expected_pivots_rf_star,
     format_trace,
     improves,
     optimal_tree,
@@ -20,9 +24,9 @@ from randomfacet import (
     run_random_facet,
     run_random_facet_star,
 )
-from randomfacet import algorithms, montecarlo
+from randomfacet import algorithms, graph, montecarlo
 from randomfacet.algorithms import RF, RF_STAR, branches, start_state, steps
-from helpers import by_pick, executions, rf_branches, steps_by_pick
+from helpers import by_pick, count_calls, executions, rf_branches, steps_by_pick
 
 
 def sigma_by_names(names, order):
@@ -247,10 +251,10 @@ class TestStepsContract:
     def test_order_sees_f_minus_b_once_per_descent(self, errata, enc, medium_pool):
         picks = 0
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
-            idx, fmask, choice = start_state(inst, None, start)
+            idx, fmask = start_state(inst, None, start)
             log = []
             order = _random_chooser(random.Random(k), log)
-            events = list(steps(idx, fmask, choice, start.mask, order))
+            events = list(steps(idx, fmask, start.mask, order))
             descents = [ev for ev in events if ev[0] == "descend"]
             # one event per descent, with the state before its first pick
             assert [ev[3] for ev in descents] == [out for _, out in log if out]
@@ -265,7 +269,7 @@ class TestStepsContract:
         # the list handed to `order` is its own: scrambling it after
         # answering leaves the run as it was
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
-            idx, fmask, choice = start_state(inst, None, start)
+            idx, fmask = start_state(inst, None, start)
             rng = random.Random(k)
 
             def keeping(cands):
@@ -277,30 +281,30 @@ class TestStepsContract:
                 cands[:] = [-1] * (len(cands) + 1)
                 return out
 
-            kept = list(steps(idx, fmask, choice, start.mask, keeping))
+            kept = list(steps(idx, fmask, start.mask, keeping))
             rng.seed(k)
-            assert list(steps(idx, fmask, choice, start.mask, scrambling)) == kept
+            assert list(steps(idx, fmask, start.mask, scrambling)) == kept
 
     def test_pause_and_resume_reproduce_the_run(self, errata, enc, medium_pool):
         # stop answering before every choice point in turn, then resume the
         # saved point twice with the remaining answers; compared pick by pick
         paused = 0
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
-            idx, fmask, choice = start_state(inst, None, start)
+            idx, fmask = start_state(inst, None, start)
             order = _random_chooser(random.Random(k), [])
-            whole = by_pick(steps(idx, fmask, choice, start.mask, order))
+            whole = by_pick(steps(idx, fmask, start.mask, order))
             answers = [ev[3] for ev in whole if ev[0] == "pick"]
             at_pick = [i for i, ev in enumerate(whole) if ev[0] == "pick"]
             for at in range(len(answers)):
-                head = list(steps(idx, fmask, choice, start.mask, _replay(answers[:at])))
+                head = list(steps(idx, fmask, start.mask, _replay(answers[:at])))
                 kind, point = head.pop()
                 assert kind == "pause"
                 assert by_pick(head) == whole[: at_pick[at]]
-                f, b, c, frames, depth, call = point
+                f, b, frames, depth, call = point
                 assert (f, b) == whole[at_pick[at]][1:3]
-                assert isinstance(c, tuple) and isinstance(frames, tuple)
+                assert isinstance(frames, tuple)
                 tails = [
-                    list(steps(idx, f, c, b, _replay(answers[at:]), frames, depth, call))
+                    list(steps(idx, f, b, _replay(answers[at:]), frames, depth, call))
                     for _ in range(2)
                 ]
                 assert tails[0] == tails[1]
@@ -312,26 +316,29 @@ class TestStepsContract:
 def test_steps_match_the_per_pick_oracle(small_pool, medium_pool, cyclic_pool):
     # steps against steps_by_pick, the recursion one choice point at a
     # time: the same picks and pivots under seeded random choosers, and the
-    # same pause point and tail when paused before any choice point
+    # same pause point and tail when paused before any choice point.  The
+    # oracle keeps its own edge per vertex, read off the start tree, and
+    # resumes with the one it saved
     cases = [(inst, _some_tree(inst)) for inst in small_pool + medium_pool[:60]]
     cases += cyclic_pool
     picks = 0
     for k, (inst, start) in enumerate(cases):
-        idx, fmask, choice = start_state(inst, None, start)
-        run = (idx, fmask, choice, start.mask)
+        idx, fmask = start_state(inst, None, start)
+        choice = [start.edge_at(v) for v in idx.order]
+        run, oracle = (idx, fmask, start.mask), (idx, fmask, choice, start.mask)
         whole = by_pick(steps(*run, _random_chooser(random.Random(k), [])))
-        assert whole == list(steps_by_pick(*run, _random_chooser(random.Random(k), [])))
+        assert whole == list(steps_by_pick(*oracle, _random_chooser(random.Random(k), [])))
         answers = [ev[3] for ev in whole if ev[0] == "pick"]
         for at in range(len(answers)):
             new = list(steps(*run, _replay(answers[:at])))
-            old = list(steps_by_pick(*run, _replay(answers[:at])))
+            old = list(steps_by_pick(*oracle, _replay(answers[:at])))
             assert by_pick(new[:-1]) == old[:-1]
-            f, b, c, frames, depth, call = new[-1][1]
+            f, b, frames, depth, call = new[-1][1]
             f0, b0, c0, frames0, depth0, call0 = old[-1][1]
-            assert (f, b, c, depth, call) == (f0, b0, c0, depth0, call0)
-            tail = steps(idx, f, c, b, _replay(answers[at:]), frames, depth, call)
+            assert (f, b, depth, call) == (f0, b0, depth0, call0)
+            tail = steps(idx, f, b, _replay(answers[at:]), frames, depth, call)
             rest = _replay(answers[at:])
-            assert by_pick(tail) == list(steps_by_pick(idx, f, c, b, rest, frames0, depth, call))
+            assert by_pick(tail) == list(steps_by_pick(idx, f, c0, b, rest, frames0, depth, call))
         picks += len(answers)
     assert picks
 
@@ -342,14 +349,14 @@ def test_one_order_call_per_descent(errata, enc, medium_pool, monkeypatch):
     real_steps = algorithms.steps
     runs = [0]
 
-    def counting_steps(idx, fmask, choice, bmask, order, *resume):
+    def counting_steps(idx, fmask, bmask, order, *resume):
         calls = [0]
 
         def counted(cands):
             calls[0] += 1
             return order(cands)
 
-        events = list(real_steps(idx, fmask, choice, bmask, counted, *resume))
+        events = list(real_steps(idx, fmask, bmask, counted, *resume))
         pivots = sum(ev[0] == "pivot" for ev in events)
         assert calls[0] <= 1 + pivots
         runs[0] += 1
@@ -361,7 +368,7 @@ def test_one_order_call_per_descent(errata, enc, medium_pool, monkeypatch):
     cases += [(inst, _some_tree(inst)) for inst in medium_pool]
     for k, (inst, start) in enumerate(cases):
         sigma = Permutation.from_order(sorted(inst.all_edges(), reverse=True))
-        idx, fmask, choice = start_state(inst, None, start)
+        idx, fmask = start_state(inst, None, start)
         runs[0] = 0
         run_random_facet(inst, None, start, random.Random(k))
         run_random_facet_star(inst, None, start, sigma)
@@ -370,9 +377,40 @@ def test_one_order_call_per_descent(errata, enc, medium_pool, monkeypatch):
         assert runs[0] == 8
         if k < 40 and inst.m <= 6:
             for rule in (RF, RF_STAR):
-                for _ in branches(idx, fmask, choice, start.mask, rule):
+                for _ in branches(idx, fmask, start.mask, rule):
                     pass
             assert runs[0] > 8
+
+
+def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkeypatch):
+    # a tree's edge per vertex lives only in its cached split, which every
+    # engine reads and none may write to; a tree's distances are read once
+    # per new split and once per start_state check (eight engine calls per
+    # case), so nothing else recomputes or caches them
+    distances = count_calls(monkeypatch, graph._Index, "tree_distances")
+    cases = [(inst, _some_tree(inst)) for inst in small_pool]
+    cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
+    pivots = splits = 0
+    for k, (inst, start) in enumerate(cases):
+        inst = Instance(inst.target, inst.edges, inst.vertices)  # an empty index
+        idx = inst._index
+        sigma = Permutation.from_order(sorted(inst.all_edges(), reverse=True))
+        before = distances[0]
+        pivots += run_random_facet(inst, None, start, random.Random(k)).pivot_count
+        pivots += run_random_facet_star(inst, None, start, sigma).pivot_count
+        for rule in (RF, RF_STAR):
+            pivots += sum(montecarlo.pivot_samples(inst, None, start, rule, 5, k))
+            comptree(inst, None, start, rule)
+        try:
+            expected_pivots_rf(inst, None, start)
+        except NonGenericInstance:
+            pass
+        expected_pivots_rf_star(inst, None, start)
+        assert distances[0] - before == len(idx.splits) + 8
+        for mask, (_, _, choice) in idx.splits.items():
+            assert choice == idx.choice_of_mask(mask)
+        splits += len(idx.splits)
+    assert pivots and splits > len(cases)
 
 
 def _pivot_sequence(events):
@@ -387,10 +425,10 @@ def test_rf_branches_match_the_scripted_runner(errata, enc, small_pool, medium_p
     cases = [(errata, enc.tree(f"{i:03b}")) for i in range(8)]
     cases += [(inst, _some_tree(inst)) for inst in small_pool + medium_pool[:24]]
     for inst, start in cases:
-        idx, fmask, choice = start_state(inst, None, start)
+        idx, fmask = start_state(inst, None, start)
         walked = Counter(
             (weight, _pivot_sequence(events))
-            for weight, events in executions(branches(idx, fmask, choice, start.mask, RF))
+            for weight, events in executions(branches(idx, fmask, start.mask, RF))
         )
         scripted = Counter(
             (prob, tuple((ev.entering, ev.leaving, ev.depth, ev.call_kind) for ev in res.trace))

@@ -149,7 +149,7 @@ class TestOptimumReuse:
         for inst, start in pool + cyclic_pool:
             idx = inst._index
             ev = ExactEvaluator(inst)
-            _, fmask, _ = start_state(inst, None, start)
+            _, fmask = start_state(inst, None, start)
             try:
                 ev.expected_rf(fmask, start.mask)
             except NonGenericInstance:
@@ -190,7 +190,7 @@ class TestFullSolveCount:
         # the recursion walks F minus B by bits; only a full solve would
         # ask edge_bits for a list of its facet subset, and none is needed
         start = enc.tree("001")
-        _, fmask, _ = start_state(errata, None, start)
+        _, fmask = start_state(errata, None, start)
         calls = count_calls(monkeypatch, _Index, "edge_bits")
         assert ExactEvaluator(errata).expected_rf(fmask, start.mask) == Fraction(7, 3)
         assert calls[0] == 0
@@ -205,7 +205,7 @@ class TestFullSolveCount:
     def test_errata_memo_states(self, errata, enc):
         for bits, states, value in (("001", 35, Fraction(7, 3)), ("111", 38, Fraction(11, 3))):
             start = enc.tree(bits)
-            _, fmask, _ = start_state(errata, None, start)
+            _, fmask = start_state(errata, None, start)
             ev = ExactEvaluator(errata)
             assert ev.expected_rf(fmask, start.mask) == value
             assert len(ev._memo) == states
@@ -240,8 +240,8 @@ class TestHistoryEnumeration:
     def test_errata_history_counts(self, errata, enc):
         for bits, histories in (("001", 36), ("111", 82)):
             start = enc.tree(bits)
-            idx, fmask, choice = start_state(errata, None, start)
-            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
+            idx, fmask = start_state(errata, None, start)
+            segments = branches(idx, fmask, start.mask, RF_STAR)
             weights = [w for w, _ in executions(segments)]
             assert len(weights) == histories
             assert sum(weights) == math.factorial(6)
@@ -257,8 +257,8 @@ class TestHistoryEnumeration:
         )
         for inst in pool:
             start = _worst_tree(inst)
-            idx, fmask, choice = start_state(inst, None, start)
-            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
+            idx, fmask = start_state(inst, None, start)
+            segments = branches(idx, fmask, start.mask, RF_STAR)
             weights = [w for w, _ in executions(segments)]
             assert sum(weights) == math.factorial(inst.m)
             orders = rfstar_by_permutations(inst, None, start)
@@ -298,10 +298,10 @@ class TestHistoryEnumeration:
         cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
         picks = 0
         for inst, start in cases:
-            idx, fmask, choice = start_state(inst, None, start)
-            for _ in branches(idx, fmask, choice, start.mask, RF):
+            idx, fmask = start_state(inst, None, start)
+            for _ in branches(idx, fmask, start.mask, RF):
                 pass
-            segments = branches(idx, fmask, choice, start.mask, RF_STAR)
+            segments = branches(idx, fmask, start.mask, RF_STAR)
             weights = {
                 pick_sequence(events): weight for weight, events in executions(segments)
             }

@@ -162,19 +162,19 @@ class TestGenericity:
         # m=20: 2^10 = 1 024 trees, each read and split once on the check's
         # own index; of the 3^10 = 59 049 covering subsets none is solved
         # or asked of ExactEvaluator.optimal, and the instance's per-tree
-        # caches keep none of the walked trees
+        # cache keeps none of the walked trees
         inst = random_instance(10, 2, 9, 0, require_generic=False)
         idx = inst._index
         idx.tree_split(sum(1 << out[0] for out in idx.out))
-        cached = (len(idx._dists), len(idx.splits))
+        cached = len(idx.splits)
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
         splits = count_calls(monkeypatch, graph._Index, "tree_split")
         distances = count_calls(monkeypatch, graph._Index, "tree_distances")
         asked = count_calls(monkeypatch, ExactEvaluator, "optimal")
         assert genericity_check(inst)
         assert (solves[0], splits[0], distances[0], asked[0]) == (0, 1024, 1024, 0)
-        assert cached == (1, 1)
-        assert (len(idx._dists), len(idx.splits)) == cached
+        assert cached == 1
+        assert len(idx.splits) == cached
 
 
 class TestRandomInstance:
@@ -201,6 +201,9 @@ class TestRandomInstance:
     def test_bad_shape_arguments(self):
         with pytest.raises(ValueError):
             random_instance(0, 2, 10, seed=0)
+        # refused up front, not inside random's randrange
+        with pytest.raises(ValueError, match="cost_bound >= 0"):
+            random_instance(3, 2, -1, 0)
 
     def test_too_large_to_check_refuses_unless_asked(self):
         # m = 22 is beyond the exhaustive genericity check
@@ -246,18 +249,19 @@ class TestErrataFixture:
         # The search scans 11 275 candidates in 23 head layouts.  Each
         # layout has at most 6 linear forms, and an out-map is built at
         # most once per tie-free sign cell met, never per candidate.  The
-        # cube tests run once per distinct out-map of the search (10) and
-        # once more for the winner.  Only a candidate that passes them
-        # becomes an Instance (besides one template per layout), and only
-        # the winner meets orientation_view: once in its check, once in
-        # errata_checks' path counts.  So the search reads no tree
-        # distance: the 43 all come from the winner's checks (91 105 when
-        # every candidate read its 8 trees).  Two Bellman-Ford solves,
-        # both errata_checks' optimal_tree calls: the genericity check
-        # walks trees and solves none.  At most one Kahn order and two
-        # path counts per orientation view; the unique-sink test, which no
-        # tie-free candidate fails, runs only for the winner, since the
-        # path counts reject every other candidate.
+        # cube tests run once per distinct out-map of the search (10);
+        # the unique-sink test among them, which no tie-free candidate
+        # fails, runs only where the path counts pass: once, for the
+        # winner.  Only a candidate that passes them becomes an Instance
+        # (besides one template per layout), and its check builds one
+        # orientation view, inside errata_checks.  So the search reads no
+        # tree distance: the 35 all come from the winner's checks (91 105
+        # when every candidate read its 8 trees): 8 for the view, 11
+        # start_state checks, one `improves` and 15 new tree splits, 8 of
+        # them the genericity walk's.  Two Bellman-Ford solves, both
+        # errata_checks' optimal_tree calls: the genericity check walks
+        # trees and solves none.  At most one Kahn order and two path
+        # counts per orientation view.
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
         out_maps = count_calls(monkeypatch, instances, "_out_map")
         passed = count_calls(monkeypatch, instances, "_matches_reference")
@@ -305,9 +309,9 @@ class TestErrataFixture:
         assert max(forms_per_layout) <= 6
         assert 0 < out_maps[0] <= len(cells)
         assert solves[0] == 2
-        assert views[0] == 2 * passed[0]
-        assert distances[0] == 43
-        assert cube_tests[0] == 10 + passed[0]
+        assert views[0] == passed[0]
+        assert distances[0] == 35
+        assert cube_tests[0] == 10
         assert builds[0] <= layouts + passed[0]
         assert len({id(v) for v in ordered}) == len(ordered)
         assert [n for (name, _), n in counted.items() if name == "unique_sink_every_face"] == [1]
