@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Mapping
 
 from fractions import Fraction
 
-from .errors import PermutationDomainTooSmall
+from .errors import NoTreeInSubset, PermutationDomainTooSmall
 from .graph import EdgeId, Instance, TreePolicy, facet_mask
 from .orders import _count_orders
 
@@ -126,8 +126,10 @@ def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePoli
         raise ValueError("start tree is not contained in the facet set")
     if idx.choice_of_mask(start.mask) is None:
         raise ValueError("start tree does not choose one edge per vertex")
-    if idx.tree_distances(start.mask) is None:
-        raise ValueError("start tree does not reach the target from every vertex")
+    try:
+        idx.splits.get(start.mask) or idx.tree_split(start.mask)
+    except NoTreeInSubset:
+        raise ValueError("start tree does not reach the target from every vertex") from None
     return idx, fmask
 
 

@@ -27,6 +27,15 @@ tree of F and of every subset between B and F.  No candidate below
 and no state below it meets a subset with two optimal trees.  The
 recursion stops at such a state; the tight edges the swap test lets
 pass close zero-cost cycles.
+
+A second lemma drops edges no run can pivot in.  Let pi be the whole
+instance's optimal distances, solved once per evaluator; d_T >= pi for
+every tree T.  An edge e = u->h outside B is dead at B iff cost(e) + pi(h)
+> d_B(u), strictly.  Pivots only lower distances, so each tree T a run
+from B reaches has cost(e) + d_T(h) >= cost(e) + pi(h) > d_B(u) >= d_T(u):
+e never improves T, dead(B) lies within dead(T), and by induction on |F|
+runs on F and on F minus e pivot alike (rfstar's order restricted to F
+minus e).  Strictly slack, e is on no optimal tree between B and F.
 """
 from __future__ import annotations
 
@@ -46,15 +55,16 @@ RF_STATE_BUDGET = 500_000
 class ExactEvaluator:
     """Evaluation context for exact expectations on one instance.
 
-    Memoizes the rf recursion on (facet mask, tree mask) pairs as a
-    reduced (numerator, denominator) integer pair and a final tree; a
-    Fraction is built only at the public expected_rf.  Reads each tree's
-    worse and better masks and edge per vertex off _Index.tree_split, the
-    per-tree cache algorithms.steps shares.  Counts the new memo states
-    against RF_STATE_BUDGET and raises StateBudgetExceeded past it.
-    The memo is confined to this object; create one per computation or
-    share it explicitly when evaluating many start trees of the same
-    instance.
+    Memoizes the rf recursion on (F minus dead(B), B) pairs, dead(B)
+    being the edges u->h with cost + pi(h) > d_B(u), strictly, which stay
+    dead at every tree a run from B reaches, as pivots only lower d_B:
+    per pair a reduced (numerator, denominator) integer pair and a final
+    tree; a Fraction is built only at the public expected_rf.  Reads each
+    tree's split off _Index.tree_split, the per-tree cache
+    algorithms.steps shares.  Counts new memo states against
+    RF_STATE_BUDGET and raises StateBudgetExceeded past it.  The memo is
+    confined to this object; create one per computation or share it
+    explicitly when evaluating many start trees of the same instance.
     """
 
     def __init__(self, inst: Instance):
@@ -62,6 +72,8 @@ class ExactEvaluator:
         self._idx = inst._index
         self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._states = 0
+        self._reduced: list[int] | None = None  # cost(e) + pi(h) - pi(u)
+        self._dead: dict[int, int] = {}
 
     def optimal(self, fmask: int):
         """(choice, tree mask, distances, unique) for a facet subset, uncached."""
@@ -74,7 +86,7 @@ class ExactEvaluator:
         tree inside fmask: a mask outside either raises ValueError, one
         that is not a tree NoTreeInSubset.  Recursion: zero when no edge
         of F minus B improves B and no tight one swaps in a second tree
-        (the lemma), otherwise the uniform average over removable
+        (the first lemma), otherwise the uniform average over removable
         edges e of the subproblem without e, plus, when e improves the
         tree where that subproblem's runs end (its unique optimum), one
         pivot and the expectation from the pivoted tree.
@@ -83,7 +95,36 @@ class ExactEvaluator:
             raise ValueError("facet set names an edge that is not in the instance")
         if bmask & ~fmask:
             raise ValueError("start tree is not contained in the facet set")
-        return Fraction(*self._rf(fmask, bmask)[:2])
+        return Fraction(*self._live(fmask, bmask)[:2])
+
+    def dead(self, bmask: int) -> int:
+        """The mask of edges dead at tree bmask, cached per tree."""
+        if bmask in self._dead:
+            return self._dead[bmask]
+        idx = self._idx
+        idx.splits.get(bmask) or idx.tree_split(bmask)  # refuses a non-tree
+        if self._reduced is None:
+            pi = idx.subgraph_shortest(idx.full_mask)[0]
+            self._reduced = [c + pi[h] - pi[u] for u, h, c in zip(idx.tail, idx.head, idx.cost)]
+        red = self._reduced
+        gap = idx.plan_distances(idx.tree_plan(bmask), red)  # d_B - pi
+        dead = self._dead[bmask] = sum(1 << e for e, u in enumerate(idx.tail) if red[e] > gap[u])
+        return dead
+
+    def _live(self, fmask: int, bmask: int) -> tuple[int, int, int]:
+        """_rf of (F minus dead(B), B), refusing ties as the loop would over F."""
+        dead = fmask & self.dead(bmask)
+        value = self._rf(fmask ^ dead, bmask)
+        if dead:
+            self._refuse_ties(fmask ^ dead, value[2])
+        return value
+
+    def _refuse_ties(self, fmask: int, final: int) -> None:
+        """Raise NonGenericInstance if fmask, with optimum final, has another."""
+        worse, _, choice = self._idx.splits[final]
+        if self._idx.count_optimal_trees(fmask & ~final & ~worse, choice) == 2:
+            tied = self._idx.edge_bits(fmask)
+            raise NonGenericInstance(f"facet subset {tied} has more than one optimal tree")
 
     def _rf(self, fmask: int, bmask: int) -> tuple[int, int, int]:
         """expected_rf as a reduced (numerator, denominator) pair, and a final tree.
@@ -107,7 +148,7 @@ class ExactEvaluator:
         free = fmask & ~bmask
         tight = free & ~worse
         if not tight or not tight & better and idx.count_optimal_trees(tight, choice) == 1:
-            value = memo[(fmask, bmask)] = (0, 1, bmask)  # the lemma
+            value = memo[(fmask, bmask)] = (0, 1, bmask)  # the first lemma
             return value
         num, den = 0, 1
         rest = free
@@ -120,14 +161,11 @@ class ExactEvaluator:
                 num += n1
             else:
                 num, den = num * d1 + n1 * den, den * d1
-            worse, better, choice = splits[final]  # final is an optimum of sub
-            if idx.count_optimal_trees(sub & ~final & ~worse, choice) == 2:
-                raise NonGenericInstance(
-                    f"facet subset {idx.edge_bits(sub)} has more than one optimal tree"
-                )
+            self._refuse_ties(sub, final)  # final is an optimum of sub
+            _, better, choice = splits[final]
             if better & low:
                 b2 = (final & ~(1 << choice[idx.tail[low.bit_length() - 1]])) | low
-                n2, d2, final = self._rf(fmask, b2)
+                n2, d2, final = self._live(fmask, b2)
                 n2 += d2  # one pivot, then the pivoted tree
                 if d2 == den:
                     num += n2
@@ -147,8 +185,8 @@ class ExactEvaluator:
         orders, over |F|!.
         """
         idx, fmask = start_state(self.inst, facets, start)
-        n = fmask.bit_count()
-        check_enumeration_bound(n, bound)
+        check_enumeration_bound(fmask.bit_count(), bound)
+        fmask &= ~self.dead(start.mask)
         total = 0
         pivots = [0]  # pivots[k]: pivots on the current path down to its k-th fork
         for forks, events, weight in branches(idx, fmask, start.mask, RF_STAR):
@@ -156,7 +194,7 @@ class ExactEvaluator:
             pivots.append(pivots[forks] + sum(1 for ev in events if ev[0] == "pivot"))
             if weight is not None:
                 total += weight * pivots[-1]
-        return Fraction(total, math.factorial(n))
+        return Fraction(total, math.factorial(fmask.bit_count()))
 
 
 def check_enumeration_bound(facet_count: int, bound: int | None) -> None:

@@ -69,11 +69,11 @@ class TestExact:
         assert "enumeration bound" in err
 
     def test_rf_state_budget_exits_2(self, capsys, errata_file, monkeypatch):
-        # exact rf from 001 needs 35 memo states
-        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 34)
+        # exact rf from 001 needs 18 memo states
+        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 17)
         code, out, err = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", "x0,y0,z1")
         assert (code, out) == (2, "")
-        assert "more than 34 memo states" in err
+        assert "more than 17 memo states" in err
 
     def test_unknown_edge_name(self, capsys, errata_file):
         code, _, err = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", "q7")

@@ -1,3 +1,4 @@
+import ast
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from randomfacet import (
     StateBudgetExceeded,
     TreePolicy,
     comptree,
+    estimate_expected_pivots,
     expected_pivots_rf,
     expected_pivots_rf_star,
     genericity_check,
@@ -91,18 +93,18 @@ class TestExpectedPivotsRf:
 
 class TestOptimalTreeStop:
     """expected_pivots_rf stops at a state whose tree is its facet set's
-    unique optimum and reads each subset's optimum off a final tree; the
-    plain recursion of tests/helpers solves every subset it meets and
-    never stops early.  Values must be equal,
-    and where one refuses the other must refuse with the same message."""
+    unique optimum, drops the edges dead at each tree and reads each
+    subset's optimum off a final tree; the plain recursion of
+    tests/helpers solves every subset it meets, keeps every edge and
+    never stops early.  Values must be equal, and where one refuses the
+    other must refuse.  The subset a refusal names may differ, since the
+    engine walks fewer subsets, but it must have two optimal trees."""
 
     def test_matches_subset_solves_on_the_cyclic_pool(self, errata, enc, cyclic_pool):
         cases = [(errata, enc.tree(bits)) for bits in all_bits(enc)] + cyclic_pool
         refused = 0
         for inst, start in cases:
-            got = _rf_or_refusal(expected_pivots_rf, inst, start)
-            assert got == _rf_or_refusal(rf_expectation_by_subset_solves, inst, start)
-            refused += isinstance(got, str)
+            refused += isinstance(_same_outcome(inst, start), str)
         assert 0 < refused < len(cases)
 
     @settings(max_examples=60, deadline=None)
@@ -113,29 +115,90 @@ class TestOptimalTreeStop:
     )
     def test_matches_subset_solves_where_ties_are_everywhere(self, seed, shape, cost_bound):
         inst, start = cyclic_instance(*shape, cost_bound=cost_bound, seed=seed)
-        assert _rf_or_refusal(expected_pivots_rf, inst, start) == _rf_or_refusal(
-            rf_expectation_by_subset_solves, inst, start
-        )
+        _same_outcome(inst, start)
 
 
 class TestStateBudget:
     def test_errata_fits_its_own_state_count(self, errata, enc, monkeypatch):
-        # exact rf from 001 needs 35 memo states
-        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 35)
+        # exact rf from 001 needs 18 memo states
+        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 18)
         assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
-        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 34)
+        monkeypatch.setattr(exact, "RF_STATE_BUDGET", 17)
         with pytest.raises(StateBudgetExceeded) as exc:
             expected_pivots_rf(errata, None, enc.tree("001"))
-        assert "more than 34 memo states" in str(exc.value)
+        assert "more than 17 memo states" in str(exc.value)
 
     def test_large_instance_refuses_instead_of_running_on(self, monkeypatch):
-        # m=40, where the unbounded recursion gave no result in minutes
+        # m=40: from this start exact rf answers 73/6 in 75 184 memo
+        # states, so a budget of 20 000 must refuse, not run on
         monkeypatch.setattr(exact, "RF_STATE_BUDGET", 20_000)
         inst = random_instance(20, 2, 9, 1, require_generic=False)
         ev = ExactEvaluator(inst)
         with pytest.raises(StateBudgetExceeded):
             ev.expected_rf(inst._index.full_mask, _worst_tree(inst).mask)
         assert len(ev._memo) < 20_000
+
+
+class TestDeadEdges:
+    """An edge e = u->h outside B with cost(e) + pi(h) > d_B(u), pi the
+    whole instance's optimum, is dead at B: no run from B pivots it in,
+    so the exact engines drop it.  Checked by routes that drop nothing."""
+
+    @staticmethod
+    def _pool(small_pool, medium_pool, cyclic_pool):
+        pool = [(inst, _worst_tree(inst)) for inst in small_pool + medium_pool[:60]]
+        return [(inst, start) for inst, start in pool + cyclic_pool if inst.m <= 6]
+
+    def test_dropped_edges_never_enter(self, small_pool, medium_pool, cyclic_pool):
+        # every tree the rf recursion met, against every rf execution from it
+        dropped = 0
+        for inst, start in self._pool(small_pool, medium_pool, cyclic_pool):
+            idx, fmask = start_state(inst, None, start)
+            ev = ExactEvaluator(inst)
+            try:
+                ev.expected_rf(fmask, start.mask)
+            except NonGenericInstance:
+                pass
+            for bmask, dead in ev._dead.items():
+                for _, events, _ in branches(idx, fmask, bmask, RF):
+                    assert not any(e[0] == "pivot" and dead >> e[1] & 1 for e in events)
+                dropped += dead.bit_count()
+        assert dropped
+
+    def test_rfstar_keeps_the_mean_over_every_order(self, small_pool, medium_pool, cyclic_pool):
+        starts = 0
+        for inst, start in self._pool(small_pool, medium_pool, cyclic_pool):
+            if not ExactEvaluator(inst).dead(start.mask):
+                continue
+            orders = rfstar_by_permutations(inst, None, start)  # all m! orders
+            expected = Fraction(sum(k * n for k, n in orders.items()), math.factorial(inst.m))
+            assert expected_pivots_rf_star(inst, None, start) == expected
+            starts += 1
+        assert starts
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (1, 4)]),
+        st.integers(0, 3),
+    )
+    def test_rf_matches_branches_where_it_answers(self, seed, shape, cost_bound):
+        inst, start = cyclic_instance(*shape, cost_bound=cost_bound, seed=seed)
+        try:
+            got = expected_pivots_rf(inst, None, start)
+        except NonGenericInstance:
+            return
+        assert got == rf_expectation_by_branches(inst, None, start)
+
+
+class TestReach:
+    def test_m40_agrees_with_monte_carlo(self):
+        # from the first edge at every vertex: 10 431 memo states
+        inst = random_instance(20, 2, 9, 0, require_generic=False)
+        start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
+        assert expected_pivots_rf(inst, None, start) == 12
+        est = estimate_expected_pivots(inst, None, start, RF, 1000, 0)
+        assert abs(est.mean - 12) <= 4 * est.stderr
 
 
 class TestOptimumReuse:
@@ -166,44 +229,47 @@ class TestOptimumReuse:
 
 
 class TestFullSolveCount:
-    """Pins how much work exact rf does.  The loop reads the optimum of
-    F minus e off the tree where the recursion from (F minus e, B) ends,
-    so no facet subset is solved by Bellman-Ford or asked of the subset
-    oracle ExactEvaluator.optimal, zero-cost cycles included."""
+    """Pins how much work exact rf does.  Each evaluator solves the whole
+    instance once, by Bellman-Ford, for the distances that tell which
+    edges are dead at a tree.  The loop reads the optimum of F minus e
+    off the tree where the recursion from (F minus e, B) ends, so no
+    facet subset is solved or asked of the subset oracle
+    ExactEvaluator.optimal, zero-cost cycles included."""
 
     def test_errata_from_001(self, errata, enc, monkeypatch):
-        # the loop asks about 18 facet subsets and solves none
-        solves = _count_solves(monkeypatch)
+        # the loop asks about 11 facet subsets and solves none
+        solved = _solved_masks(monkeypatch)
         assert expected_pivots_rf(errata, None, enc.tree("001")) == Fraction(7, 3)
-        assert solves[0] == 0
+        assert solved == [errata._index.full_mask]
 
     def test_generic_cyclic_pool_never_asks_for_a_subset(self, cyclic_pool, monkeypatch):
         generic = [(inst, start) for inst, start in cyclic_pool if genericity_check(inst)]
         assert any(has_zero_cost_cycle(inst) for inst, _ in generic)
-        solves = _count_solves(monkeypatch)
+        solved = _solved_masks(monkeypatch)
         asked = count_calls(monkeypatch, ExactEvaluator, "optimal")
         for inst, start in generic:
             expected_pivots_rf(inst, None, start)
-        assert (solves[0], asked[0]) == (0, 0)
+        assert solved == [inst._index.full_mask for inst, _ in generic]
+        assert asked[0] == 0
 
     def test_only_full_solves_list_their_facet_subsets(self, errata, enc, monkeypatch):
-        # the recursion walks F minus B by bits; only a full solve would
-        # ask edge_bits for a list of its facet subset, and none is needed
+        # the recursion walks F minus B by bits; only a solve asks
+        # edge_bits for a list of its edges, here the whole instance's
         start = enc.tree("001")
         _, fmask = start_state(errata, None, start)
         calls = count_calls(monkeypatch, _Index, "edge_bits")
         assert ExactEvaluator(errata).expected_rf(fmask, start.mask) == Fraction(7, 3)
-        assert calls[0] == 0
+        assert calls[0] == 1
 
     def test_random_instance(self, monkeypatch):
-        # m=8; the loop asks about 15 facet subsets and solves none
+        # m=8; the loop asks about 3 facet subsets and solves none
         inst = random_instance(4, 2, 9, 2)
-        solves = _count_solves(monkeypatch)
+        solved = _solved_masks(monkeypatch)
         assert expected_pivots_rf(inst, None, _worst_tree(inst)) == 2
-        assert solves[0] == 0
+        assert solved == [inst._index.full_mask]
 
     def test_errata_memo_states(self, errata, enc):
-        for bits, states, value in (("001", 35, Fraction(7, 3)), ("111", 38, Fraction(11, 3))):
+        for bits, states, value in (("001", 18, Fraction(7, 3)), ("111", 20, Fraction(11, 3))):
             start = enc.tree(bits)
             _, fmask = start_state(errata, None, start)
             ev = ExactEvaluator(errata)
@@ -348,6 +414,19 @@ class TestSubsetArguments:
         assert expected_pivots_rf_star(errata, face, enc.tree("011")) == 0
 
 
+def _same_outcome(inst, start):
+    """The engine's rf or refusal, checked against the subset-solving oracle."""
+    got = _rf_or_refusal(expected_pivots_rf, inst, start)
+    want = _rf_or_refusal(rf_expectation_by_subset_solves, inst, start)
+    assert isinstance(got, str) == isinstance(want, str)
+    if isinstance(got, str):
+        named = ast.literal_eval(got[got.index("["): got.index("]") + 1])
+        assert _Index.optimum(inst._index, sum(1 << e for e in named))[3] is False
+    else:
+        assert got == want
+    return got
+
+
 def _rf_or_refusal(rf, inst, start):
     """rf(inst, None, start), or the text of the NonGenericInstance it raises."""
     try:
@@ -372,6 +451,14 @@ def _direct_optimum(idx, fmask):
     return choice, tmask, dist, idx.count_optimal_trees(others, choice) == 1
 
 
-def _count_solves(monkeypatch):
-    """Count _Index.subgraph_shortest calls from now to the end of the test."""
-    return count_calls(monkeypatch, _Index, "subgraph_shortest")
+def _solved_masks(monkeypatch):
+    """The facet masks _Index.subgraph_shortest solves from now to the end of the test."""
+    solved = []
+    original = _Index.subgraph_shortest
+
+    def recording(idx, fmask):
+        solved.append(fmask)
+        return original(idx, fmask)
+
+    monkeypatch.setattr(_Index, "subgraph_shortest", recording)
+    return solved

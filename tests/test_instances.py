@@ -255,13 +255,17 @@ class TestErrataFixture:
         # winner.  Only a candidate that passes them becomes an Instance
         # (besides one template per layout), and its check builds one
         # orientation view, inside errata_checks.  So the search reads no
-        # tree distance: the 35 all come from the winner's checks (91 105
-        # when every candidate read its 8 trees): 8 for the view, 11
-        # start_state checks, one `improves` and 15 new tree splits, 8 of
-        # them the genericity walk's.  Two Bellman-Ford solves, both
-        # errata_checks' optimal_tree calls: the genericity check walks
-        # trees and solves none.  At most one Kahn order and two path
-        # counts per orientation view.
+        # tree distance: the 24 all come from the winner's checks (91 105
+        # when every candidate read its 8 trees): 8 for the view, one
+        # `improves` and 15 new tree splits, 8 of them the genericity
+        # walk's; start_state's checks reuse the splits.  Ten Bellman-Ford
+        # solves, all in errata_checks: its two optimal_tree calls (the
+        # optimum and the tree before z0 is pivoted in), and one
+        # whole-instance solve per exact evaluator, for the edges dead at
+        # its start: the four pinned expectations and the two sides of
+        # each dashed-edge check.  The genericity check walks trees and
+        # solves none.  At most one Kahn order and two path counts per
+        # orientation view.
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
         out_maps = count_calls(monkeypatch, instances, "_out_map")
         passed = count_calls(monkeypatch, instances, "_matches_reference")
@@ -308,9 +312,9 @@ class TestErrataFixture:
         assert (layouts, scanned[0], passed[0]) == (23, 11_275, 1)
         assert max(forms_per_layout) <= 6
         assert 0 < out_maps[0] <= len(cells)
-        assert solves[0] == 2
+        assert solves[0] == 10
         assert views[0] == passed[0]
-        assert distances[0] == 35
+        assert distances[0] == 24
         assert cube_tests[0] == 10
         assert builds[0] <= layouts + passed[0]
         assert len({id(v) for v in ordered}) == len(ordered)
