@@ -239,7 +239,7 @@ def _answers(hist: tuple, cands: list[EdgeId]) -> list[tuple]:
     return out
 
 
-def branches(idx, fmask: int, bmask: int, rule: str) -> Iterator[tuple]:
+def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tuple]:
     """Every distinct execution of `rule` from `bmask`, walked once as a tree.
 
     An execution is fixed by its answers at the choice points.  The walk
@@ -253,6 +253,12 @@ def branches(idx, fmask: int, bmask: int, rule: str) -> Iterator[tuple]:
     ends an execution of that weight, read off its history (before,
     width) (_answers).  RF weights are Fractions summing to one, RF_STAR
     weights integers summing to |F|!.
+
+    `dead(bmask)`, if given, names edges no run from tree bmask pivots in
+    (exact.ExactEvaluator.dead).  Each resumed fork then drops them,
+    except its own answer, from the facet mask and from every pending
+    frame's facets, picks and pick mask: the run pivots alike, pick for
+    pick, while the weights still count orders of all of F.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -262,6 +268,15 @@ def branches(idx, fmask: int, bmask: int, rule: str) -> Iterator[tuple]:
     while todo:
         forks, (fmask, bmask, frames, depth, kind), hist, answer = todo.pop()
         fork = None
+        if dead is not None and answer is not None:
+            # the answer is picked now: it stays, and the next resume drops it
+            dm = dead(bmask) & ~(1 << answer) & (frames[0][0] if frames else fmask)
+            if dm:
+                fmask &= ~dm
+                frames = tuple(
+                    (f & ~dm, [e for e in picks if not dm >> e & 1], pmask & ~dm, d, k)
+                    for f, picks, pmask, d, k in frames
+                )
 
         def order(cands: list[EdgeId]) -> list[EdgeId]:
             # the answers up to the next fork

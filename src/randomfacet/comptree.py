@@ -13,13 +13,20 @@ resumes and each execution ends in a leaf, so the nodes arrive in
 pre-order and the tree is kept as that list, each node holding its
 parent's index.  A node's mass is the weight of the executions below
 it and its probability is its mass over its parent's; a path's
-probability is its leaf's mass over the root's.  For the randomized
-rule each decision branch weighs the product of 1/|candidates| over its
-choice points, so each choice point branches uniformly.  For the
-permutation-driven rule each argmin history weighs the number of
-orderings of the |F| facets that produce it; a branch probability is
-then the number of orderings consistent with the history and choosing
-that facet next, divided by the number consistent with the history.
+probability is its leaf's mass over the root's.  Only the children of
+a fork, a choice point with more than one allowed answer, differ from
+their parent: any other node is its parent's only child, with the
+parent's mass and one shared probability 1, so a Fraction is built
+only at fork children.  For the randomized rule each decision branch
+weighs the product of 1/|candidates| over its choice points, so each
+choice point branches uniformly: masses run top-down from 1 at the
+root, a fork's k children sharing the probability 1/k and the mass
+1/k of their parent's.  For the permutation-driven rule each argmin
+history weighs the number of orderings of the |F| facets that produce
+it, an integer; masses are those integers summed bottom-up from |F|!
+at the root, and a branch probability is the number of orderings
+consistent with the history and choosing that facet next, divided by
+the number consistent with the history.
 Facets that can never re-enter a tree (the edge displaced by a pivot)
 are kept in the tree rather than merged away; queries such as
 pick_order_after_pivot marginalize over them on demand.
@@ -30,9 +37,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .algorithms import branches, start_state
+from .algorithms import RF, branches, start_state
 from .exact import check_enumeration_bound
 from .graph import EdgeId, Instance, TreePolicy, edge_names
+
+_ONE = Fraction(1)  # shared by every node that is its parent's only child
 
 
 @dataclass
@@ -262,7 +271,7 @@ def comptree(
     idx, fmask = start_state(inst, facets, start)
     bmask = start.mask
     check_enumeration_bound(fmask.bit_count(), enumeration_bound)
-    nodes = [CompNode(kind="root", prob=Fraction(1), facets=fmask, tree=bmask)]
+    nodes = [CompNode(kind="root", prob=_ONE, facets=fmask, tree=bmask)]
     # path[k]: the index of the node the segments below k forks hang
     # from, and the number of pivots on the way to it
     path = [(0, 0)]
@@ -285,15 +294,31 @@ def comptree(
         path.append((at, pivots))
         if weight is not None:
             nodes.append(CompNode("leaf", 1, pivots=pivots, parent=at, mass=weight))
-    # children follow their parent, so one backward pass totals the
-    # masses and one forward pass links the children in order
-    for node in reversed(nodes):
-        if node.parent is not None:
-            nodes[node.parent].mass += node.mass
+    # children follow their parent, so one forward pass links the
+    # children in order; rfstar then totals its integer masses backwards
     for node in nodes[1:]:
-        parent = nodes[node.parent]
-        parent.children.append(node)
-        node.prob = Fraction(node.mass, parent.mass)
+        nodes[node.parent].children.append(node)
+    if rule == RF:
+        nodes[0].mass = _ONE
+    else:
+        for node in reversed(nodes[1:]):
+            nodes[node.parent].mass += node.mass
+    # an only child has its parent's mass and probability 1; the children
+    # of a fork share 1/k under rf, the uniform pick among its k answers
+    for node in nodes:
+        kids = node.children
+        if len(kids) == 1:
+            kids[0].prob = _ONE
+            if rule == RF:
+                kids[0].mass = node.mass
+        elif kids and rule == RF:
+            prob = Fraction(1, len(kids))
+            mass = node.mass * prob
+            for kid in kids:
+                kid.prob, kid.mass = prob, mass
+        else:
+            for kid in kids:
+                kid.prob = Fraction(kid.mass, node.mass)
     return CompTree(
         rule=rule,
         instance=inst,

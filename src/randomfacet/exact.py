@@ -36,6 +36,12 @@ from B reaches has cost(e) + d_T(h) >= cost(e) + pi(h) > d_B(u) >= d_T(u):
 e never improves T, dead(B) lies within dead(T), and by induction on |F|
 runs on F and on F minus e pivot alike (rfstar's order restricted to F
 minus e).  Strictly slack, e is on no optimal tree between B and F.
+The same holds at every tree T a run reaches, for the edges dead at T:
+exact rfstar drops them along the run, where it resumes a fork
+(algorithms.branches), from the facets and the pending calls alike.
+Each order of the start's live edges consistent with a pruned history
+then gives exactly one unpruned execution, with the same pivots, so
+the weights still count orders of those live edges.
 """
 from __future__ import annotations
 
@@ -72,7 +78,7 @@ class ExactEvaluator:
         self._idx = inst._index
         self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._states = 0
-        self._reduced: list[int] | None = None  # cost(e) + pi(h) - pi(u)
+        self._pi: tuple[int, ...] | None = None
         self._dead: dict[int, int] = {}
 
     def optimal(self, fmask: int):
@@ -98,17 +104,26 @@ class ExactEvaluator:
         return Fraction(*self._live(fmask, bmask)[:2])
 
     def dead(self, bmask: int) -> int:
-        """The mask of edges dead at tree bmask, cached per tree."""
+        """The mask of edges dead at tree bmask, cached per tree.
+
+        Reads d_B off one tree_plan, and splits a new tree from the same
+        distances; a tree split before is planned again.
+        """
         if bmask in self._dead:
             return self._dead[bmask]
         idx = self._idx
-        idx.splits.get(bmask) or idx.tree_split(bmask)  # refuses a non-tree
-        if self._reduced is None:
-            pi = idx.subgraph_shortest(idx.full_mask)[0]
-            self._reduced = [c + pi[h] - pi[u] for u, h, c in zip(idx.tail, idx.head, idx.cost)]
-        red = self._reduced
-        gap = idx.plan_distances(idx.tree_plan(bmask), red)  # d_B - pi
-        dead = self._dead[bmask] = sum(1 << e for e, u in enumerate(idx.tail) if red[e] > gap[u])
+        if bmask in idx.splits:  # split before, as start_state's check does
+            dist = idx.plan_distances(idx.tree_plan(bmask), idx.cost)
+        else:  # a new tree: split it from the same plan
+            dist = idx.tree_distances(bmask)
+            idx.tree_split(bmask, dist)  # refuses a non-tree
+        if self._pi is None:
+            self._pi = idx.subgraph_shortest(idx.full_mask)[0]
+        pi = self._pi
+        dead = self._dead[bmask] = sum(
+            1 << e for e, (u, h, c) in enumerate(zip(idx.tail, idx.head, idx.cost))
+            if c + pi[h] > dist[u]
+        )
         return dead
 
     def _live(self, fmask: int, bmask: int) -> tuple[int, int, int]:
@@ -182,14 +197,16 @@ class ExactEvaluator:
         """Mean pivot count of run_random_facet_star over every order of F.
 
         Sums the pivots of each argmin history weighted by its number of
-        orders, over |F|!.
+        orders, over |F|!, with F the edges not dead at the start: the
+        second lemma.  The walk drops edges as they die along each run
+        too, and the enumeration bound counts the live edges.
         """
         idx, fmask = start_state(self.inst, facets, start)
-        check_enumeration_bound(fmask.bit_count(), bound)
         fmask &= ~self.dead(start.mask)
+        check_enumeration_bound(fmask.bit_count(), bound, "live facets")
         total = 0
         pivots = [0]  # pivots[k]: pivots on the current path down to its k-th fork
-        for forks, events, weight in branches(idx, fmask, start.mask, RF_STAR):
+        for forks, events, weight in branches(idx, fmask, start.mask, RF_STAR, self.dead):
             del pivots[forks + 1 :]
             pivots.append(pivots[forks] + sum(1 for ev in events if ev[0] == "pivot"))
             if weight is not None:
@@ -197,26 +214,31 @@ class ExactEvaluator:
         return Fraction(total, math.factorial(fmask.bit_count()))
 
 
-def check_enumeration_bound(facet_count: int, bound: int | None) -> None:
+def check_enumeration_bound(facet_count: int, bound: int | None, what: str = "facets") -> None:
     """Refuse exact rfstar or a computation tree on more facets than `bound`.
 
     None means DEFAULT_ENUMERATION_BOUND.  A bound above
     orders.MAX_UNIVERSE is capped there, because each history's weight
-    counts orders of the whole facet set; the refusal comes before any
-    history is enumerated.
+    counts orders of the facets enumerated; the refusal comes before any
+    history is enumerated.  `what` names the facets counted in the
+    message.
     """
     if bound is None:
         bound = DEFAULT_ENUMERATION_BOUND
     if facet_count > min(bound, MAX_UNIVERSE):
         cap = f", capped at {MAX_UNIVERSE}" if bound > MAX_UNIVERSE else ""
         raise EnumerationBoundExceeded(
-            f"{facet_count} facets exceed the enumeration bound {bound}{cap}; "
+            f"{facet_count} {what} exceed the enumeration bound {bound}{cap}; "
             "use Monte Carlo estimation instead"
         )
 
 
 def expected_pivots_rf(
-    inst: Instance, facets: Iterable[EdgeId] | None, start: TreePolicy
+    inst: Instance,
+    facets: Iterable[EdgeId] | None,
+    start: TreePolicy,
+    *,
+    evaluator: ExactEvaluator | None = None,
 ) -> Fraction:
     """Exact expected pivot count of the randomized rule.
 
@@ -225,10 +247,11 @@ def expected_pivots_rf(
     NonGenericInstance is raised.  Subsets below a state whose tree is
     already its facet set's unique optimum are not met, since the lemma
     makes them unique.  More than RF_STATE_BUDGET memo states raise
-    StateBudgetExceeded.
+    StateBudgetExceeded.  Pass an ExactEvaluator of inst to share its
+    memo across calls; by default each call builds its own.
     """
     _, fmask = start_state(inst, facets, start)
-    return ExactEvaluator(inst).expected_rf(fmask, start.mask)
+    return (evaluator or ExactEvaluator(inst)).expected_rf(fmask, start.mask)
 
 
 def expected_pivots_rf_star(
@@ -237,6 +260,7 @@ def expected_pivots_rf_star(
     start: TreePolicy,
     *,
     enumeration_bound: int | None = None,
+    evaluator: ExactEvaluator | None = None,
 ) -> Fraction:
     """Exact expectation of the permutation-driven rule.
 
@@ -244,7 +268,10 @@ def expected_pivots_rf_star(
     all |F|! permutations of the facet set, computed as an exact
     rational from the argmin histories, each weighted by the number of
     permutations that produce it.  Beyond the enumeration bound
-    (default 10 facets, never more than orders.MAX_UNIVERSE) this
-    raises instead of silently truncating.
+    (default 10 live facets, those not dead at the start, never more
+    than orders.MAX_UNIVERSE) this raises instead of silently
+    truncating.  Pass an ExactEvaluator of inst to share its dead
+    masks across calls.
     """
-    return ExactEvaluator(inst).expected_rf_star(facets, start, enumeration_bound)
+    evaluator = evaluator or ExactEvaluator(inst)
+    return evaluator.expected_rf_star(facets, start, enumeration_bound)

@@ -271,16 +271,20 @@ class _Index:
         plan = self.tree_plan(mask)
         return None if plan is None else self.plan_distances(plan, self.cost)
 
-    def tree_split(self, mask: int) -> tuple[int, int, list[EdgeId]]:
+    def tree_split(
+        self, mask: int, dist: tuple[int, ...] | None = None
+    ) -> tuple[int, int, list[EdgeId]]:
         """(worse, better, choice): the edges strictly worse and strictly
         better than the tree by its own distances, and its edge per vertex.
 
         `better` is the improving mask: e improves the tree iff its bit is
-        set.  Cached in `splits` per mask.  A mask that is not a tree, as a
-        pivot leaves on an unvalidated instance with a negative cycle,
-        raises NoTreeInSubset.
+        set.  Cached in `splits` per mask.  A caller that has the tree's
+        distances (tree_distances) may pass them as `dist`.  A mask that
+        is not a tree, as a pivot leaves on an unvalidated instance with a
+        negative cycle, raises NoTreeInSubset.
         """
-        dist = self.tree_distances(mask)
+        if dist is None:
+            dist = self.tree_distances(mask)
         if dist is None:
             raise NoTreeInSubset(f"tree {self.edge_bits(mask)} does not reach the target")
         worse = better = 0

@@ -43,7 +43,7 @@ from .errors import (
     TooLargeForExhaustiveCheck,
     WriteError,
 )
-from .exact import expected_pivots_rf, expected_pivots_rf_star
+from .exact import ExactEvaluator, expected_pivots_rf, expected_pivots_rf_star
 from .graph import (
     Edge,
     Instance,
@@ -394,10 +394,14 @@ def errata_checks(inst: Instance) -> list[tuple[str, str, str]]:
             got = f"error:{type(exc).__name__}"
         checks.append((name, _show(expected), got))
 
+    # one evaluator for every exact expectation: one whole-instance solve
+    # for the dead edges and one memo; a refusal is never memoized
+    evaluator = ExactEvaluator(inst)
+
     def pivots(rule: str, facets, tree: TreePolicy) -> Fraction:
         if rule == RF:
-            return expected_pivots_rf(inst, facets, tree)
-        return expected_pivots_rf_star(inst, facets, tree)
+            return expected_pivots_rf(inst, facets, tree, evaluator=evaluator)
+        return expected_pivots_rf_star(inst, facets, tree, evaluator=evaluator)
 
     expectation = functools.cache(lambda rule, bits: pivots(rule, None, enc.tree(bits)))
     view = functools.cache(lambda: orientation_view(inst))

@@ -15,7 +15,7 @@ from randomfacet import (
     random_instance,
 )
 from randomfacet import algorithms
-from helpers import pick_order_by_paths
+from helpers import executions, pick_order_by_paths
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +65,14 @@ class TestStructure:
 
 
 @pytest.fixture(scope="module")
-def node_list_trees(errata, enc, medium_pool):
+def node_list_trees(errata, enc, medium_pool, cyclic_pool):
+    # the cyclic members bring ties and zero-cost cycles
     starts = [(errata, enc.tree(bits)) for bits in ("001", "111")]
     starts += [
         (inst, TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es}))
         for inst in medium_pool[:20]
     ]
+    starts += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
     return [
         (rule, comptree(inst, None, start, rule)) for inst, start in starts for rule in (RF, RF_STAR)
     ]
@@ -91,14 +93,33 @@ class TestNodeList:
             assert all(a is b for a, b in zip(walked, tree.nodes))
 
     def test_masses_and_probabilities(self, node_list_trees):
+        forks = 0
         for rule, tree in node_list_trees:
             nodes = tree.nodes
             assert tree.root.mass == (1 if rule == RF else math.factorial(len(tree.facets)))
+            assert tree.root.prob == 1
             for node in nodes:
                 if node.children:
                     assert node.mass == sum(c.mass for c in node.children)
                 if node.parent is not None:
                     assert node.prob == Fraction(node.mass, nodes[node.parent].mass)
+                if node.kind in ("pivot", "leaf"):
+                    assert node.prob == 1
+                if len(node.children) == 1:
+                    assert node.children[0].prob == 1
+                elif node.children:  # a fork: its children are picks
+                    forks += 1
+                    assert {c.kind for c in node.children} == {"pick"}
+                    if rule == RF:
+                        k = len(node.children)
+                        assert all(c.prob == Fraction(1, k) for c in node.children)
+
+            # each leaf weighs its execution, read off the walk
+            idx, fmask = algorithms.start_state(tree.instance, tree.facets, tree.start)
+            weights = [w for w, _ in executions(
+                algorithms.branches(idx, fmask, tree.start.mask, rule))]
+            assert [n.mass for n in nodes if n.kind == "leaf"] == weights
+        assert forks
 
 
 class TestExpectations:

@@ -35,6 +35,7 @@ from helpers import (
     executions,
     has_zero_cost_cycle,
     pick_sequence,
+    real_trees,
     rf_expectation_by_branches,
     rf_expectation_by_subset_solves,
     rfstar_by_permutations,
@@ -166,15 +167,20 @@ class TestDeadEdges:
         assert dropped
 
     def test_rfstar_keeps_the_mean_over_every_order(self, small_pool, medium_pool, cyclic_pool):
-        starts = 0
+        # exact rfstar drops the edges dead at its start and, along each
+        # run, those dead at the trees it reaches; the oracle runs every
+        # order of all of F
+        dead_at_start = pruned = 0
         for inst, start in self._pool(small_pool, medium_pool, cyclic_pool):
-            if not ExactEvaluator(inst).dead(start.mask):
-                continue
             orders = rfstar_by_permutations(inst, None, start)  # all m! orders
             expected = Fraction(sum(k * n for k, n in orders.items()), math.factorial(inst.m))
             assert expected_pivots_rf_star(inst, None, start) == expected
-            starts += 1
-        assert starts
+            dead_at_start += bool(ExactEvaluator(inst).dead(start.mask))
+            # both walks start without the edges dead at the start, so a
+            # shorter pruned one dropped edges after a pivot
+            pruned += len(_rfstar_histories(inst, start, True)) < len(
+                _rfstar_histories(inst, start, False))
+        assert dead_at_start and pruned
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -303,14 +309,23 @@ class TestExpectedPivotsRfStar:
 
 
 class TestHistoryEnumeration:
-    def test_errata_history_counts(self, errata, enc):
-        for bits, histories in (("001", 36), ("111", 82)):
+    def test_errata_history_counts(self, errata, enc, monkeypatch):
+        # no edge is dead at either start; exact rfstar drops edges as they
+        # die along the run and weighs each of its histories once
+        weighed = count_calls(monkeypatch, algorithms, "_count_orders")
+        for bits, histories, pruned in (("001", 36, 18), ("111", 82, 29)):
             start = enc.tree(bits)
             idx, fmask = start_state(errata, None, start)
             segments = branches(idx, fmask, start.mask, RF_STAR)
             weights = [w for w, _ in executions(segments)]
             assert len(weights) == histories
             assert sum(weights) == math.factorial(6)
+            weights = [w for w, _ in _rfstar_histories(errata, start, True)]
+            assert len(weights) == pruned
+            assert sum(weights) == math.factorial(6)
+            before = weighed[0]
+            expected_pivots_rf_star(errata, None, start)
+            assert weighed[0] - before == pruned
 
     def test_matches_permutation_oracle(self, small_pool, medium_pool):
         # every small instance, the medium ones up to six edges among the
@@ -391,6 +406,71 @@ class TestHistoryEnumeration:
             comptree(fan, None, start, RF_STAR, enumeration_bound=13)
 
 
+class TestPruningAlongTheRun:
+    """Exact rfstar drops edges as they die: each resumed fork clears the
+    edges dead at its tree, except its own answer, from the facet mask and
+    from every pending frame's facets, picks and pick mask, while the
+    weights still count orders of the start's live edges."""
+
+    def test_matches_the_unpruned_walk_on_the_pools(self):
+        # both starts of random_instance(2..4, 2, 9, 0..24), up to m = 8;
+        # a frame that keeps a dead pick it no longer has in its facets
+        # hands it back as a candidate outside F, which first shows here
+        pruned = 0
+        for n in (2, 3, 4):
+            for seed in range(25):
+                inst = random_instance(n, 2, 9, seed, require_generic=False)
+                for at in (0, -1):
+                    start = TreePolicy({v: es[at].id for v, es in inst.out_edges.items() if es})
+                    got = expected_pivots_rf_star(inst, None, start)
+                    assert got == _unpruned_rfstar_mean(inst, start)
+                    pruned += len(_rfstar_histories(inst, start, True)) < len(
+                        _rfstar_histories(inst, start, False))
+        assert pruned
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (4, 2)]),
+        st.integers(0, 3),
+        st.integers(0, 10**6),
+    )
+    def test_matches_the_unpruned_walk_on_cyclic_shapes(self, seed, shape, cost_bound, pick):
+        # any real tree as the start; zero-cost cycles and ties included
+        inst, _ = cyclic_instance(*shape, cost_bound=cost_bound, seed=seed)
+        trees = real_trees(inst)
+        start = trees[pick % len(trees)]
+        assert expected_pivots_rf_star(inst, None, start) == _unpruned_rfstar_mean(inst, start)
+        weights = [w for w, _ in _rfstar_histories(inst, start, True)]
+        live = inst._index.full_mask & ~ExactEvaluator(inst).dead(start.mask)
+        assert sum(weights) == math.factorial(live.bit_count())
+
+    def test_pending_frames_drop_dead_edges(self):
+        # random_instance(4, 2, 9, 0) from the first-edge start, m = 8, no
+        # edge dead there: 1 448 histories unpruned, 188 pruned; 190 if only
+        # the facet mask dropped dead edges and the pending frames kept them
+        inst = random_instance(4, 2, 9, 0, require_generic=False)
+        start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
+        assert len(_rfstar_histories(inst, start, False)) == 1448
+        assert len(_rfstar_histories(inst, start, True)) == 188
+
+    def test_enumeration_bound_counts_live_edges(self):
+        # m = 14 from the first-edge start, 4 edges dead there: the 10 live
+        # edges fit the default bound, and the walk over them that drops
+        # nothing more takes 36 histories (24 pruned along the run)
+        inst = random_instance(7, 2, 9, 1, require_generic=False)
+        start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
+        assert inst.m == 14
+        live = inst._index.full_mask & ~ExactEvaluator(inst).dead(start.mask)
+        assert live.bit_count() == 10
+        assert len(_rfstar_histories(inst, start, False)) == 36
+        assert len(_rfstar_histories(inst, start, True)) == 24
+        expected = _unpruned_rfstar_mean(inst, start, live)
+        assert expected_pivots_rf_star(inst, None, start) == expected == 3
+        with pytest.raises(EnumerationBoundExceeded, match="^10 live facets exceed"):
+            expected_pivots_rf_star(inst, None, start, enumeration_bound=9)
+
+
 class TestSubsetArguments:
     def test_tree_outside_facets_rejected(self, errata, enc, names):
         with pytest.raises(ValueError):
@@ -433,6 +513,27 @@ def _rf_or_refusal(rf, inst, start):
         return rf(inst, None, start)
     except NonGenericInstance as exc:
         return f"NonGenericInstance: {exc}"
+
+
+def _rfstar_histories(inst, start, pruned):
+    """Executions of the rfstar walk over the edges live at the start,
+    dropping edges as they die along the run if `pruned`."""
+    ev = ExactEvaluator(inst)
+    idx, fmask = start_state(inst, None, start)
+    fmask &= ~ev.dead(start.mask)
+    dead = ev.dead if pruned else None
+    return list(executions(branches(idx, fmask, start.mask, RF_STAR, dead)))
+
+
+def _unpruned_rfstar_mean(inst, start, fmask=None):
+    """rfstar's mean over the walk on fmask (default all of F) that drops nothing."""
+    idx, full = start_state(inst, None, start)
+    fmask = full if fmask is None else fmask
+    runs = list(executions(branches(idx, fmask, start.mask, RF_STAR)))
+    total = math.factorial(fmask.bit_count())
+    assert sum(w for w, _ in runs) == total
+    pivots = sum(w * sum(1 for ev in events if ev[0] == "pivot") for w, events in runs)
+    return Fraction(pivots, total)
 
 
 def _worst_tree(inst):

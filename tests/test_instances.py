@@ -258,14 +258,14 @@ class TestErrataFixture:
         # tree distance: the 24 all come from the winner's checks (91 105
         # when every candidate read its 8 trees): 8 for the view, one
         # `improves` and 15 new tree splits, 8 of them the genericity
-        # walk's; start_state's checks reuse the splits.  Ten Bellman-Ford
+        # walk's; start_state's checks reuse the splits.  Three Bellman-Ford
         # solves, all in errata_checks: its two optimal_tree calls (the
         # optimum and the tree before z0 is pivoted in), and one
-        # whole-instance solve per exact evaluator, for the edges dead at
-        # its start: the four pinned expectations and the two sides of
-        # each dashed-edge check.  The genericity check walks trees and
-        # solves none.  At most one Kahn order and two path counts per
-        # orientation view.
+        # whole-instance solve for the dead edges, because one exact
+        # evaluator serves the four pinned expectations and the two sides
+        # of each dashed-edge check (ten solves when each built its own).
+        # The genericity check walks trees and solves none.  At most one
+        # Kahn order and two path counts per orientation view.
         solves = count_calls(monkeypatch, graph._Index, "subgraph_shortest")
         out_maps = count_calls(monkeypatch, instances, "_out_map")
         passed = count_calls(monkeypatch, instances, "_matches_reference")
@@ -312,7 +312,7 @@ class TestErrataFixture:
         assert (layouts, scanned[0], passed[0]) == (23, 11_275, 1)
         assert max(forms_per_layout) <= 6
         assert 0 < out_maps[0] <= len(cells)
-        assert solves[0] == 10
+        assert solves[0] == 3
         assert views[0] == passed[0]
         assert distances[0] == 24
         assert cube_tests[0] == 10
@@ -352,19 +352,24 @@ class TestErrataFixture:
 
     def test_errata_checks_compute_shared_values_once(self, errata, monkeypatch):
         calls = collections.Counter()
+        evaluators = set()
         for name in ("expected_pivots_rf", "expected_pivots_rf_star", "comptree",
                      "orientation_view"):
             def counted(*args, _fn=getattr(instances, name), _name=name, **kwargs):
                 calls[_name] += 1
+                if _name.startswith("expected"):
+                    evaluators.add(kwargs.get("evaluator"))
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(instances, name, counted)
         checks = errata_checks(errata)
         assert len(checks) == 20
         assert all(expected == got for _, expected, got in checks)
-        # four start expectations plus two per dashed-edge comparison
+        # four start expectations plus two per dashed-edge comparison, all
+        # through one shared evaluator
         assert calls == {"expected_pivots_rf": 4, "expected_pivots_rf_star": 4,
                          "comptree": 3, "orientation_view": 1}
+        assert len(evaluators) == 1 and isinstance(evaluators.pop(), ExactEvaluator)
 
     def test_checks_print_the_pinned_tables(self, errata):
         got = {name: expected for name, expected, _ in errata_checks(errata)}
