@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .errors import NoTreeInSubset, PermutationDomainTooSmall
-from .graph import EdgeId, Instance, TreePolicy, facet_mask
+from .graph import EdgeId, Instance, TreePolicy, _check_policy_shape, facet_mask
 from .orders import _count_orders
 
 RF = "rf"
@@ -117,15 +117,15 @@ class Permutation:
 def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePolicy):
     """(index, facet mask) of a validated start tree.
 
-    Raises ValueError unless `start` lies inside the facet set, chooses
-    one edge per vertex and reaches the target from every vertex.
+    Raises ValueError unless `start` lies inside the facet set, passes
+    graph's policy shape check (one edge per non-target vertex, each
+    leaving its own vertex), and reaches the target from every vertex.
     """
     idx = inst._index
     fmask = facet_mask(inst, facets)
     if start.mask & ~fmask:
         raise ValueError("start tree is not contained in the facet set")
-    if idx.choice_of_mask(start.mask) is None:
-        raise ValueError("start tree does not choose one edge per vertex")
+    _check_policy_shape(inst, start)
     try:
         idx.splits.get(start.mask) or idx.tree_split(start.mask)
     except NoTreeInSubset:

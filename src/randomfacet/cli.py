@@ -6,6 +6,12 @@ values always print as reduced fractions p/q so scripted consumers can
 compare strings.  Edge lists accept numeric ids or the symbolic names
 <vertex><ordinal> (x0, z1, ...) derived from ascending edge ids.
 
+One parent parser gives every command that reads an instance file its
+`file` and `--facets`.  The query commands exact, simulate and comptree
+take `--rule` and `--tree` from a second one and load their instance,
+facets and start tree once, through _query.  The engines refuse unknown
+edge ids and check the start tree (algorithms.start_state).
+
 The only environment override is RANDOMFACET_ENUM_BOUND, which widens
 or narrows the facet-count bound of exact rfstar and of the computation
 trees of both rules.
@@ -17,7 +23,7 @@ import os
 import sys
 
 from . import instances
-from .algorithms import RF, RF_STAR
+from .algorithms import RF, RULES
 from .comptree import _frac, comptree
 from .errors import RandomFacetError
 from .exact import expected_pivots_rf, expected_pivots_rf_star
@@ -47,20 +53,17 @@ def _load(path: str) -> Instance:
 
 
 def _edge_ids(inst: Instance, text: str) -> list[int]:
+    """Edge ids of a comma-separated list; unknown ids are refused where used."""
     names = edge_names(inst)
     ids = []
     for token in text.split(","):
         token = token.strip()
-        if not token:
-            continue
         if token.lstrip("-").isdigit():
-            eid = int(token)
-            inst.edge(eid)  # refuses unknown ids
+            ids.append(int(token))
         elif token in names:
-            eid = names[token]
-        else:
+            ids.append(names[token])
+        elif token:
             raise ValueError(f"unknown edge {token!r}")
-        ids.append(eid)
     return ids
 
 
@@ -68,8 +71,11 @@ def _facets(inst: Instance, text: str | None):
     return None if text is None else frozenset(_edge_ids(inst, text))
 
 
-def _tree(inst: Instance, text: str) -> TreePolicy:
-    return TreePolicy.from_edge_ids(inst, _edge_ids(inst, text))
+def _query(args) -> tuple[Instance, frozenset[int] | None, TreePolicy]:
+    """The instance, facets and start tree that a query command names."""
+    inst = _load(args.file)
+    tree = TreePolicy.from_edge_ids(inst, _edge_ids(inst, args.tree))
+    return inst, _facets(inst, args.facets), tree
 
 
 def _cmd_solve(args) -> int:
@@ -84,9 +90,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    inst = _load(args.file)
-    tree = _tree(inst, args.tree)
-    facets = _facets(inst, args.facets)
+    inst, facets, tree = _query(args)
     if args.rule == RF:
         value = expected_pivots_rf(inst, facets, tree)
     else:
@@ -98,25 +102,13 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    inst = _load(args.file)
-    tree = _tree(inst, args.tree)
-    est = estimate_expected_pivots(
-        inst, _facets(inst, args.facets), tree, args.rule, args.trials, args.seed
-    )
+    est = estimate_expected_pivots(*_query(args), args.rule, args.trials, args.seed)
     print(est.format())
     return 0
 
 
 def _cmd_comptree(args) -> int:
-    inst = _load(args.file)
-    tree = _tree(inst, args.tree)
-    ct = comptree(
-        inst,
-        _facets(inst, args.facets),
-        tree,
-        args.rule,
-        enumeration_bound=_enum_bound(),
-    )
+    ct = comptree(*_query(args), args.rule, enumeration_bound=_enum_bound())
     print(ct.to_dot() if args.format == "dot" else ct.to_text(), end="")
     return 0
 
@@ -151,33 +143,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pivoting-rule engines for single-target shortest paths",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("file")
+    instance.add_argument("--facets", help="edge ids or names, comma separated; default all")
+    query = argparse.ArgumentParser(add_help=False, parents=[instance])
+    query.add_argument("--rule", choices=RULES, required=True)
+    query.add_argument("--tree", required=True, help="start tree edge ids or names")
 
-    p = sub.add_parser("solve", help="optimal tree and distances of an instance file")
-    p.add_argument("file")
-    p.add_argument("--facets", help="edge ids or names, comma separated; default all")
+    p = sub.add_parser(
+        "solve", parents=[instance], help="optimal tree and distances of an instance file"
+    )
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("exact", help="exact expected pivot count as a fraction")
-    p.add_argument("file")
-    p.add_argument("--rule", choices=[RF, RF_STAR], required=True)
-    p.add_argument("--tree", required=True, help="start tree edge ids or names")
-    p.add_argument("--facets")
+    p = sub.add_parser("exact", parents=[query], help="exact expected pivot count as a fraction")
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo estimate")
-    p.add_argument("file")
-    p.add_argument("--rule", choices=[RF, RF_STAR], required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--facets")
+    p = sub.add_parser("simulate", parents=[query], help="seeded Monte Carlo estimate")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("comptree", help="probability-annotated computation tree")
-    p.add_argument("file")
-    p.add_argument("--rule", choices=[RF, RF_STAR], required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--facets")
+    p = sub.add_parser("comptree", parents=[query], help="probability-annotated computation tree")
     p.add_argument("--format", choices=["dot", "text"], default="text")
     p.set_defaults(func=_cmd_comptree)
 

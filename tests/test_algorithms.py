@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from randomfacet import (
     pivot,
     run_random_facet,
     run_random_facet_star,
+    tree_distances,
 )
 from randomfacet import algorithms, graph, montecarlo
 from randomfacet.algorithms import RF, RF_STAR, branches, start_state, steps
@@ -110,6 +112,43 @@ class TestRunRandomFacetStar:
             for order in itertools.permutations(range(6)):
                 res = run_random_facet_star(errata, None, start, Permutation.from_order(order))
                 assert res.final_tree == enc.tree("000")
+
+
+# every engine, with each rule it runs, on a start tree and the whole edge set
+_ENGINES = {
+    "run_random_facet": lambda inst, start: run_random_facet(inst, None, start, random.Random(0)),
+    "run_random_facet_star": lambda inst, start: run_random_facet_star(
+        inst, None, start, Permutation.from_order(range(inst.m))
+    ),
+    "pivot_samples-rf": lambda inst, start: montecarlo.pivot_samples(inst, None, start, RF, 3, 0),
+    "pivot_samples-rfstar": lambda inst, start: montecarlo.pivot_samples(
+        inst, None, start, RF_STAR, 3, 0
+    ),
+    "expected_pivots_rf": lambda inst, start: expected_pivots_rf(inst, None, start),
+    "expected_pivots_rf_star": lambda inst, start: expected_pivots_rf_star(inst, None, start),
+    "comptree-rf": lambda inst, start: comptree(inst, None, start, RF),
+    "comptree-rfstar": lambda inst, start: comptree(inst, None, start, RF_STAR),
+}
+
+
+@pytest.mark.parametrize("engine", _ENGINES.values(), ids=_ENGINES)
+@pytest.mark.parametrize(
+    "choice, message",
+    [
+        # the edges of tree 000, but edge 2 leaves y and edge 0 leaves x
+        ({"x": 2, "y": 0, "z": 4}, "edge 2 does not leave vertex 'x'"),
+        ({"x": 0, "y": 2, "z": 4, "w": 5}, "policy does not choose exactly one edge per vertex"),
+        ({"x": 0, "y": 2}, "policy does not choose exactly one edge per vertex"),
+    ],
+    ids=["mislabeled", "extra-vertex", "missing-vertex"],
+)
+def test_every_engine_checks_the_start_tree_as_tree_distances_does(errata, engine, choice, message):
+    start = TreePolicy(choice)
+    exact_message = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=exact_message):
+        tree_distances(errata, start)
+    with pytest.raises(ValueError, match=exact_message):
+        engine(errata, start)
 
 
 def names_rev(names):

@@ -44,8 +44,9 @@ class TestSolve:
 
 class TestExact:
     def test_rf_from_001(self, capsys, errata_file):
-        code, out, _ = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", "x0,y0,z1")
-        assert (code, out) == (0, "7/3\n")
+        for tree in ("x0,y0,z1", "x0,,y0,z1,"):  # empty tokens are skipped
+            code, out, _ = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", tree)
+            assert (code, out) == (0, "7/3\n")
 
     def test_rfstar_from_111(self, capsys, errata_file):
         code, out, _ = run_cli(capsys, "exact", errata_file, "--rule", "rfstar", "--tree", "x1,y1,z1")
@@ -92,6 +93,22 @@ class TestExact:
         assert (code, out) == (2, "")
         assert err == "error: unknown edge id 99\n"
 
+    def test_out_of_range_tree_id_exits_2(self, capsys, errata_file):
+        code, out, err = run_cli(capsys, "exact", errata_file, "--rule", "rf", "--tree", "x0,y0,99")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown edge id 99\n"
+
+    def test_colliding_names_leave_only_numeric_ids(self, capsys, tmp_path):
+        # x's eleventh edge and x1's first are both named x10, so no name is given
+        path = tmp_path / "collide.instance"
+        path.write_text(
+            "target t\n" + "".join(f"edge {i} x t {i}\n" for i in range(11)) + "edge 11 x1 t 0\n"
+        )
+        code, out, err = run_cli(capsys, "exact", str(path), "--rule", "rf", "--tree", "x0,11")
+        assert (code, out, err) == (2, "", "error: unknown edge 'x0'\n")
+        code, out, _ = run_cli(capsys, "exact", str(path), "--rule", "rf", "--tree", "0,11")
+        assert (code, out) == (0, "0/1\n")
+
     def test_non_generic_instance_exits_2(self, capsys, tmp_path):
         path = tmp_path / "tied.instance"
         path.write_text("target t\nedge 0 v t 9\nedge 1 v t 3\nedge 2 v t 3\n")
@@ -127,6 +144,15 @@ class TestSimulate:
         assert first.startswith("mean=") and "trials=300 seed=12" in first
 
 
+    def test_tree_equals_facets_prints_zero(self, capsys, errata_file):
+        for rule in ("rf", "rfstar"):
+            code, out, _ = run_cli(
+                capsys, "simulate", errata_file, "--rule", rule, "--tree", "x0,y0,z1",
+                "--facets", "x0,y0,z1", "--trials", "5", "--seed", "1",
+            )
+            assert (code, out) == (0, "mean=0.000000 stderr=0.000000 trials=5 seed=1\n")
+
+
 class TestComptree:
     def test_text_contains_the_five_eighths_annotation(self, capsys, errata_file):
         code, out, _ = run_cli(
@@ -153,6 +179,29 @@ class TestComptree:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(lines) == 2  # root plus one leaf
         assert lines[1].split()[2:] == ["leaf", "-", "1/1", "0"]
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (("exact", "--rule", "foo", "--tree", "x0,y0,z1"), "invalid choice: 'foo'"),
+            (
+                ("simulate", "--rule", "foo", "--tree", "x0,y0,z1", "--trials", "5", "--seed", "1"),
+                "invalid choice: 'foo'",
+            ),
+            (("comptree", "--rule", "foo", "--tree", "x0,y0,z1"), "invalid choice: 'foo'"),
+            (("solve", "--tree", "x0"), "unrecognized arguments: --tree x0"),
+        ],
+        ids=["exact", "simulate", "comptree", "solve"],
+    )
+    def test_parser_refusals_exit_2(self, capsys, errata_file, argv, complaint):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], errata_file, *argv[1:]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert complaint in captured.err
 
 
 class TestPerms:

@@ -24,6 +24,7 @@ from randomfacet import (
     NotCubeShaped,
     OrientationView,
     RandomFacetError,
+    TreePolicy,
     cube_encoding,
     errata_candidates,
     dumps_instance,
@@ -58,6 +59,11 @@ class TestCubeEncoding:
         with pytest.raises(NotCubeShaped):
             cube_encoding(inst)
 
+    def test_bits_of_refuses_an_edge_of_another_vertex(self, enc):
+        # the edges of tree 000, with x and y swapped
+        with pytest.raises(ValueError, match="^edge 2 is not an outgoing edge of 'x'$"):
+            enc.bits_of(TreePolicy({"x": 2, "y": 0, "z": 4}))
+
     def test_bad_bits_rejected(self, enc):
         with pytest.raises(ValueError):
             enc.tree("01")
@@ -85,6 +91,12 @@ class TestOrientationView:
         view = orientation_view(inst)
         assert view.out == (0, 1)
         assert view.sink() == "0"
+
+    def test_sink_refuses_two_sinks(self):
+        # a hand-made view in which no arrow leaves either tree
+        view = OrientationView(CubeEncoding(("a",), ((0, 1),)), (0, 0))
+        with pytest.raises(RandomFacetError, match="expected one sink"):
+            view.sink()
 
     def test_zero_axis_cube(self):
         # format(0, "b") is "0", but the one tree of the 0-cube is ""

@@ -475,6 +475,10 @@ class TestTreePolicyFromEdgeIds:
         with pytest.raises(ValueError, match="unknown edge id 6"):
             TreePolicy.from_edge_ids(errata, [0, 2, 6])
 
+    def test_two_vertices_on_one_edge_id(self):
+        with pytest.raises(ValueError, match="maps two vertices to the same edge id"):
+            TreePolicy({"x": 0, "y": 0})
+
 
 class TestFacetMask:
     def test_unknown_id(self, errata):
@@ -491,6 +495,11 @@ class TestEdgeNames:
         inst = Instance.build("t", [Edge(0, "v", "t", 1), Edge(1, "t", "v", 1)])
         with pytest.raises(TargetHasOutEdges, match=r"^target 't' has outgoing edges \[1\]$"):
             edge_names(inst)
+
+    def test_colliding_names_give_no_names(self):
+        # x's eleventh edge and x1's first would both be x10
+        edges = [Edge(i, "x", "t", i) for i in range(11)] + [Edge(11, "x1", "t", 0)]
+        assert edge_names(Instance.build("t", edges)) == {}
 
     def test_names_cover_all_edges(self, medium_pool):
         for inst in medium_pool[:10]:

@@ -20,6 +20,7 @@ from randomfacet import (
     derive_errata_instance,
     dumps_instance,
     errata_candidates,
+    errata_instance,
     expected_pivots_rf,
     expected_pivots_rf_star,
     genericity_check,
@@ -227,6 +228,12 @@ class TestErrataFixture:
         assert expected_pivots_rf_star(errata, None, enc.tree("001")) == Fraction(29, 12)
         assert expected_pivots_rf(errata, None, enc.tree("111")) == Fraction(11, 3)
         assert expected_pivots_rf_star(errata, None, enc.tree("111")) == Fraction(43, 12)
+
+    def test_missing_fixture_raises_file_not_found(self, tmp_path, monkeypatch):
+        # the package's data files resolve to an empty directory
+        monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+        with pytest.raises(FileNotFoundError, match="is missing"):
+            errata_instance()
 
     def test_fixture_passes_the_search_predicate(self, errata):
         assert _matches_reference(errata)

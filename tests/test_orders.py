@@ -51,6 +51,10 @@ class TestCountLinearExtensions:
         assert count_linear_extensions(3, [("a", "b"), ("b", "a")]) == 0
         assert count_linear_extensions(3, [("a", "a")]) == 0
 
+    def test_negative_universe(self):
+        with pytest.raises(ValueError, match="universe size must be non-negative"):
+            count_linear_extensions(-1, [])
+
     def test_universe_too_large(self):
         with pytest.raises(UniverseTooLarge):
             count_linear_extensions(13, [])
