@@ -117,15 +117,15 @@ class Permutation:
 def start_state(inst: Instance, facets: Iterable[EdgeId] | None, start: TreePolicy):
     """(index, facet mask) of a validated start tree.
 
-    Raises ValueError unless `start` lies inside the facet set, passes
-    graph's policy shape check (one edge per non-target vertex, each
-    leaving its own vertex), and reaches the target from every vertex.
+    Raises ValueError unless `start` passes graph's policy shape check
+    (one edge per non-target vertex, each leaving its own vertex), lies
+    inside the facet set, and reaches the target from every vertex.
     """
+    _check_policy_shape(inst, start)
     idx = inst._index
     fmask = facet_mask(inst, facets)
     if start.mask & ~fmask:
         raise ValueError("start tree is not contained in the facet set")
-    _check_policy_shape(inst, start)
     try:
         idx.splits.get(start.mask) or idx.tree_split(start.mask)
     except NoTreeInSubset:

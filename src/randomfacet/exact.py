@@ -9,24 +9,21 @@ its expectation is a sum over histories of those answers, each weighted
 by the number of orders of the facet set that extend it
 (algorithms.branches).  All arithmetic is exact rational.
 
-The randomized rule's recursion keeps, beside each state's value, a
-final tree: one where a run from the state ends, hence an optimal tree
-of its facet set.  At a choice point it reads the optimum of F minus e
-off the final tree of (F minus e, B): by that tree's own distances e
-improves iff it is strictly better, and F minus e has a second optimal
-tree iff a tight edge swaps in (_Index.count_optimal_trees), which is
-refused as NonGenericInstance.  No facet subset is solved.
-instances.genericity_check asks the same swap question of every tree.
+The randomized rule's recursion keeps, beside each state's value, the
+trees where runs from the state end, each an optimal tree of its facet
+set: one tree, as on every generic instance, or a distribution over
+several where the set's optima tie.  At a choice point it reads the
+optima of F minus e off the end trees of (F minus e, B).  They all
+have the same distances, so e improves every one of them or none, by
+being strictly better; each improved one pivots e in with its own
+probability.  No facet subset is solved, and ties are not refused.
 
-A lemma settles whole rf states.  Let B be a tree inside F such
-that, by B's own distances d_B, no edge of F minus B improves B and no
-tight one swaps in a second tree.  Then d_B is a feasible potential on
-F and B is the only tree of F's tight edges, so B is the unique optimal
-tree of F and of every subset between B and F.  No candidate below
-(F, B) ever improves, so its rf expectation is 0, its final tree is B,
-and no state below it meets a subset with two optimal trees.  The
-recursion stops at such a state; the tight edges the swap test lets
-pass close zero-cost cycles.
+A lemma settles whole rf states.  Let B be a tree inside F such that,
+by B's own distances d_B, no edge of F minus B improves B.  Then no
+run from (F, B) pivots: by induction on |F|, the run without e ends at
+B, which e does not improve.  So its rf expectation is 0 and its runs
+end at B, an optimal tree of F, since d_B is a feasible potential on F;
+ties and zero-cost cycles change nothing.  The recursion stops there.
 
 A second lemma drops edges no run can pivot in.  Let pi be the whole
 instance's optimal distances, solved once per evaluator; d_T >= pi for
@@ -50,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algorithms import RF_STAR, branches, start_state
-from .errors import EnumerationBoundExceeded, NonGenericInstance, StateBudgetExceeded
+from .errors import EnumerationBoundExceeded, StateBudgetExceeded
 from .graph import EdgeId, Instance, TreePolicy
 from .orders import MAX_UNIVERSE
 
@@ -64,8 +61,9 @@ class ExactEvaluator:
     Memoizes the rf recursion on (F minus dead(B), B) pairs, dead(B)
     being the edges u->h with cost + pi(h) > d_B(u), strictly, which stay
     dead at every tree a run from B reaches, as pivots only lower d_B:
-    per pair a reduced (numerator, denominator) integer pair and a final
-    tree; a Fraction is built only at the public expected_rf.  Reads each
+    per pair a reduced (numerator, denominator) integer pair and where
+    its runs end, one tree mask or a dict of tree masks to probabilities;
+    a Fraction is built only at the public expected_rf.  Reads each
     tree's split off _Index.tree_split, the per-tree cache
     algorithms.steps shares.  Counts new memo states against
     RF_STATE_BUDGET and raises StateBudgetExceeded past it.  The memo is
@@ -76,7 +74,7 @@ class ExactEvaluator:
     def __init__(self, inst: Instance):
         self.inst = inst
         self._idx = inst._index
-        self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._memo: dict[tuple[int, int], tuple[int, int, int | dict[int, Fraction]]] = {}
         self._states = 0
         self._pi: tuple[int, ...] | None = None
         self._dead: dict[int, int] = {}
@@ -91,17 +89,17 @@ class ExactEvaluator:
         fmask must name edges of the instance only and bmask must be a
         tree inside fmask: a mask outside either raises ValueError, one
         that is not a tree NoTreeInSubset.  Recursion: zero when no edge
-        of F minus B improves B and no tight one swaps in a second tree
-        (the first lemma), otherwise the uniform average over removable
-        edges e of the subproblem without e, plus, when e improves the
-        tree where that subproblem's runs end (its unique optimum), one
-        pivot and the expectation from the pivoted tree.
+        of F minus B improves B (the first lemma), otherwise the uniform
+        average over removable edges e of the subproblem without e, plus,
+        for each tree where that subproblem's runs end that e improves,
+        weighted by that tree's probability, one pivot and the
+        expectation from the pivoted tree.
         """
         if fmask & ~self._idx.full_mask:
             raise ValueError("facet set names an edge that is not in the instance")
         if bmask & ~fmask:
             raise ValueError("start tree is not contained in the facet set")
-        return Fraction(*self._live(fmask, bmask)[:2])
+        return Fraction(*self._rf(fmask & ~self.dead(bmask), bmask)[:2])
 
     def dead(self, bmask: int) -> int:
         """The mask of edges dead at tree bmask, cached per tree.
@@ -126,26 +124,12 @@ class ExactEvaluator:
         )
         return dead
 
-    def _live(self, fmask: int, bmask: int) -> tuple[int, int, int]:
-        """_rf of (F minus dead(B), B), refusing ties as the loop would over F."""
-        dead = fmask & self.dead(bmask)
-        value = self._rf(fmask ^ dead, bmask)
-        if dead:
-            self._refuse_ties(fmask ^ dead, value[2])
-        return value
+    def _rf(self, fmask: int, bmask: int) -> tuple[int, int, int | dict[int, Fraction]]:
+        """expected_rf as a reduced (numerator, denominator) pair, and where runs end.
 
-    def _refuse_ties(self, fmask: int, final: int) -> None:
-        """Raise NonGenericInstance if fmask, with optimum final, has another."""
-        worse, _, choice = self._idx.splits[final]
-        if self._idx.count_optimal_trees(fmask & ~final & ~worse, choice) == 2:
-            tied = self._idx.edge_bits(fmask)
-            raise NonGenericInstance(f"facet subset {tied} has more than one optimal tree")
-
-    def _rf(self, fmask: int, bmask: int) -> tuple[int, int, int]:
-        """expected_rf as a reduced (numerator, denominator) pair, and a final tree.
-
-        The final tree is where a run from (F, B) ends: B at a stop, else
-        the last branch's.  Every run ends at an optimum of F, so any will do.
+        Runs from (F, B) end at optima of F: B at a stop.  The third field
+        is that tree's mask when every run ends at the same tree, as on a
+        generic instance, else a dict of each end tree's probability.
         """
         memo = self._memo
         hit = memo.get((fmask, bmask))
@@ -159,35 +143,43 @@ class ExactEvaluator:
             )
         idx = self._idx
         splits = idx.splits
-        worse, better, choice = splits.get(bmask) or idx.tree_split(bmask)
+        _, better, _ = splits.get(bmask) or idx.tree_split(bmask)
         free = fmask & ~bmask
-        tight = free & ~worse
-        if not tight or not tight & better and idx.count_optimal_trees(tight, choice) == 1:
+        if not free & better:
             value = memo[(fmask, bmask)] = (0, 1, bmask)  # the first lemma
             return value
         num, den = 0, 1
+        ends = []
         rest = free
         while rest:  # the removable edges e, ascending
             low = rest & -rest
             rest ^= low
-            sub = fmask ^ low
-            n1, d1, final = self._rf(sub, bmask)
+            n1, d1, final = self._rf(fmask ^ low, bmask)
             if d1 == den:
                 num += n1
             else:
                 num, den = num * d1 + n1 * den, den * d1
-            self._refuse_ties(sub, final)  # final is an optimum of sub
-            _, better, choice = splits[final]
-            if better & low:
-                b2 = (final & ~(1 << choice[idx.tail[low.bit_length() - 1]])) | low
-                n2, d2, final = self._live(fmask, b2)
-                n2 += d2  # one pivot, then the pivoted tree
-                if d2 == den:
-                    num += n2
-                else:
-                    num, den = num * d2 + n2 * den, den * d2
-        den *= free.bit_count()
+            for end, p in _weighted(final):  # F minus e's optima share distances
+                _, better, choice = splits[end]
+                if better & low:
+                    b2 = (end & ~(1 << choice[idx.tail[low.bit_length() - 1]])) | low
+                    n2, d2, end = self._rf(fmask & ~self.dead(b2), b2)
+                    n2 = (n2 + d2) * p.numerator  # one pivot, then the pivoted tree
+                    d2 *= p.denominator
+                    if d2 == den:
+                        num += n2
+                    else:
+                        num, den = num * d2 + n2 * den, den * d2
+                ends.append((end, p))
+        k = free.bit_count()
+        den *= k
         g = math.gcd(num, den)
+        final = ends[0][0]
+        if any(end != final for end, _ in ends):
+            final = {}
+            for end, p in ends:
+                for b, q in _weighted(end):
+                    final[b] = final.get(b, 0) + Fraction(p * q, k)
         value = memo[(fmask, bmask)] = (num // g, den // g, final)
         return value
 
@@ -212,6 +204,11 @@ class ExactEvaluator:
             if weight is not None:
                 total += weight * pivots[-1]
         return Fraction(total, math.factorial(fmask.bit_count()))
+
+
+def _weighted(final: int | dict[int, Fraction]):
+    """An rf state's end trees as (tree mask, probability) pairs."""
+    return final.items() if isinstance(final, dict) else ((final, 1),)
 
 
 def check_enumeration_bound(facet_count: int, bound: int | None, what: str = "facets") -> None:
@@ -242,13 +239,12 @@ def expected_pivots_rf(
 ) -> Fraction:
     """Exact expected pivot count of the randomized rule.
 
-    Requires a generic instance: every facet subset met during the
-    recursion must have a unique optimal tree, otherwise
-    NonGenericInstance is raised.  Subsets below a state whose tree is
-    already its facet set's unique optimum are not met, since the lemma
-    makes them unique.  More than RF_STATE_BUDGET memo states raise
-    StateBudgetExceeded.  Pass an ExactEvaluator of inst to share its
-    memo across calls; by default each call builds its own.
+    Answers every valid instance, generic or not: where a facet subset
+    has several optimal trees, runs may end at any of them, and the
+    recursion follows each with its probability.  More than
+    RF_STATE_BUDGET memo states raise StateBudgetExceeded.  Pass an
+    ExactEvaluator of inst to share its memo across calls; by default
+    each call builds its own.
     """
     _, fmask = start_state(inst, facets, start)
     return (evaluator or ExactEvaluator(inst)).expected_rf(fmask, start.mask)

@@ -88,9 +88,10 @@ def rf_expectation_by_subset_solves(inst, facets, start):
 
     Memoizes values only: no stop at an already optimal tree and no
     optimum cache, so each choice point solves its subset afresh with
-    _Index.optimum.  Like the library, it raises NonGenericInstance at
-    the first subset it meets with two optimal trees, removable edges
-    taken in ascending order.
+    _Index.optimum.  Unlike the library, it is an oracle for generic
+    subsets only: it raises NonGenericInstance at the first subset it
+    meets with two optimal trees, removable edges taken in ascending
+    order.
     """
     idx, fmask = start_state(inst, facets, start)
     memo = {}

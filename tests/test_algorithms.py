@@ -11,7 +11,6 @@ from randomfacet import (
     CallKind,
     Edge,
     Instance,
-    NonGenericInstance,
     Permutation,
     PermutationDomainTooSmall,
     TreePolicy,
@@ -114,20 +113,24 @@ class TestRunRandomFacetStar:
                 assert res.final_tree == enc.tree("000")
 
 
-# every engine, with each rule it runs, on a start tree and the whole edge set
+# every engine, with each rule it runs, on a start tree and a facet set
 _ENGINES = {
-    "run_random_facet": lambda inst, start: run_random_facet(inst, None, start, random.Random(0)),
-    "run_random_facet_star": lambda inst, start: run_random_facet_star(
-        inst, None, start, Permutation.from_order(range(inst.m))
+    "run_random_facet": lambda inst, facets, start: run_random_facet(
+        inst, facets, start, random.Random(0)
     ),
-    "pivot_samples-rf": lambda inst, start: montecarlo.pivot_samples(inst, None, start, RF, 3, 0),
-    "pivot_samples-rfstar": lambda inst, start: montecarlo.pivot_samples(
-        inst, None, start, RF_STAR, 3, 0
+    "run_random_facet_star": lambda inst, facets, start: run_random_facet_star(
+        inst, facets, start, Permutation.from_order(range(inst.m))
     ),
-    "expected_pivots_rf": lambda inst, start: expected_pivots_rf(inst, None, start),
-    "expected_pivots_rf_star": lambda inst, start: expected_pivots_rf_star(inst, None, start),
-    "comptree-rf": lambda inst, start: comptree(inst, None, start, RF),
-    "comptree-rfstar": lambda inst, start: comptree(inst, None, start, RF_STAR),
+    "pivot_samples-rf": lambda inst, facets, start: montecarlo.pivot_samples(
+        inst, facets, start, RF, 3, 0
+    ),
+    "pivot_samples-rfstar": lambda inst, facets, start: montecarlo.pivot_samples(
+        inst, facets, start, RF_STAR, 3, 0
+    ),
+    "expected_pivots_rf": expected_pivots_rf,
+    "expected_pivots_rf_star": expected_pivots_rf_star,
+    "comptree-rf": lambda inst, facets, start: comptree(inst, facets, start, RF),
+    "comptree-rfstar": lambda inst, facets, start: comptree(inst, facets, start, RF_STAR),
 }
 
 
@@ -137,18 +140,23 @@ _ENGINES = {
     [
         # the edges of tree 000, but edge 2 leaves y and edge 0 leaves x
         ({"x": 2, "y": 0, "z": 4}, "edge 2 does not leave vertex 'x'"),
+        # edge 9 is past the last edge: neither in the facet set nor known
+        ({"x": 9, "y": 2, "z": 4}, "edge 9 does not leave vertex 'x'"),
         ({"x": 0, "y": 2, "z": 4, "w": 5}, "policy does not choose exactly one edge per vertex"),
         ({"x": 0, "y": 2}, "policy does not choose exactly one edge per vertex"),
     ],
-    ids=["mislabeled", "extra-vertex", "missing-vertex"],
+    ids=["mislabeled", "unknown-edge", "extra-vertex", "missing-vertex"],
 )
-def test_every_engine_checks_the_start_tree_as_tree_distances_does(errata, engine, choice, message):
+@pytest.mark.parametrize("facets", [None, [0, 2, 4, 9]], ids=["all-edges", "with-edge-9"])
+def test_every_engine_checks_the_start_tree_as_tree_distances_does(
+    errata, engine, choice, message, facets
+):
     start = TreePolicy(choice)
     exact_message = f"^{re.escape(message)}$"
     with pytest.raises(ValueError, match=exact_message):
         tree_distances(errata, start)
     with pytest.raises(ValueError, match=exact_message):
-        engine(errata, start)
+        engine(errata, facets, start)
 
 
 def names_rev(names):
@@ -440,10 +448,7 @@ def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkey
         for rule in (RF, RF_STAR):
             pivots += sum(montecarlo.pivot_samples(inst, None, start, rule, 5, k))
             comptree(inst, None, start, rule)
-        try:
-            expected_pivots_rf(inst, None, start)
-        except NonGenericInstance:
-            pass
+        expected_pivots_rf(inst, None, start)
         expected_pivots_rf_star(inst, None, start)
         assert distances[0] - before == len(idx.splits)
         for mask, (_, _, choice) in idx.splits.items():

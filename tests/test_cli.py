@@ -109,12 +109,14 @@ class TestExact:
         code, out, _ = run_cli(capsys, "exact", str(path), "--rule", "rf", "--tree", "0,11")
         assert (code, out) == (0, "0/1\n")
 
-    def test_non_generic_instance_exits_2(self, capsys, tmp_path):
+    def test_non_generic_instance_answers(self, capsys, tmp_path):
+        # edges 1 and 2 tie, so the subset without edge 0 has two optima
         path = tmp_path / "tied.instance"
         path.write_text("target t\nedge 0 v t 9\nedge 1 v t 3\nedge 2 v t 3\n")
-        code, _, err = run_cli(capsys, "exact", str(path), "--rule", "rf", "--tree", "1")
-        assert code == 2
-        assert "optimal tree" in err
+        for tree, value in (("1", "0/1\n"), ("0", "1/1\n")):
+            for rule in ("rf", "rfstar"):
+                code, out, err = run_cli(capsys, "exact", str(path), "--rule", rule, "--tree", tree)
+                assert (code, out, err) == (0, value, "")
 
 
 class TestSimulate:
@@ -254,12 +256,12 @@ CHECK dashed_edge_rfstar_unchanged expected=True got=True PASS
 
 _VERIFY_X1_COST_2 = """\
 CHECK optimal_tree expected=000 got=000 PASS
-CHECK rf_from_001 expected=7/3 got=error:NonGenericInstance FAIL
+CHECK rf_from_001 expected=7/3 got=2/1 FAIL
 CHECK rfstar_from_001 expected=29/12 got=2/1 FAIL
-CHECK rf_from_111 expected=11/3 got=error:NonGenericInstance FAIL
+CHECK rf_from_111 expected=11/3 got=3/1 FAIL
 CHECK rfstar_from_111 expected=43/12 got=3/1 FAIL
-CHECK rfstar_slower_from_001 expected=True got=error:NonGenericInstance FAIL
-CHECK rfstar_faster_from_111 expected=True got=error:NonGenericInstance FAIL
+CHECK rfstar_slower_from_001 expected=True got=False FAIL
+CHECK rfstar_faster_from_111 expected=True got=False FAIL
 CHECK orders_from_001_path3 expected=150 got=150 PASS
 CHECK orders_from_111_path2 expected=150 got=150 PASS
 CHECK path_probability expected=5/24 got=5/24 PASS
@@ -271,18 +273,18 @@ CHECK rfstar_001_pick_x1_after_z0 expected=3/8 got=3/8 PASS
 CHECK rf_001_pick_y0_after_z0 expected=1/2 got=1/2 PASS
 CHECK rf_001_pick_x1_after_z0 expected=1/2 got=1/2 PASS
 CHECK rfstar_111_pick_x1_after_z0 expected=5/8 got=5/8 PASS
-CHECK dashed_edge_rf_unchanged expected=True got=error:NonGenericInstance FAIL
+CHECK dashed_edge_rf_unchanged expected=True got=True PASS
 CHECK dashed_edge_rfstar_unchanged expected=True got=True PASS
 """
 
 _VERIFY_Y1_COST_0 = """\
 CHECK optimal_tree expected=000 got=010 FAIL
-CHECK rf_from_001 expected=7/3 got=error:NonGenericInstance FAIL
+CHECK rf_from_001 expected=7/3 got=3/2 FAIL
 CHECK rfstar_from_001 expected=29/12 got=3/2 FAIL
-CHECK rf_from_111 expected=11/3 got=error:NonGenericInstance FAIL
+CHECK rf_from_111 expected=11/3 got=2/1 FAIL
 CHECK rfstar_from_111 expected=43/12 got=2/1 FAIL
-CHECK rfstar_slower_from_001 expected=True got=error:NonGenericInstance FAIL
-CHECK rfstar_faster_from_111 expected=True got=error:NonGenericInstance FAIL
+CHECK rfstar_slower_from_001 expected=True got=False FAIL
+CHECK rfstar_faster_from_111 expected=True got=False FAIL
 CHECK orders_from_001_path3 expected=150 got=150 PASS
 CHECK orders_from_111_path2 expected=150 got=150 PASS
 CHECK path_probability expected=5/24 got=5/24 PASS
@@ -294,7 +296,7 @@ CHECK rfstar_001_pick_x1_after_z0 expected=3/8 got=3/8 PASS
 CHECK rf_001_pick_y0_after_z0 expected=1/2 got=1/2 PASS
 CHECK rf_001_pick_x1_after_z0 expected=1/2 got=1/2 PASS
 CHECK rfstar_111_pick_x1_after_z0 expected=5/8 got=5/8 PASS
-CHECK dashed_edge_rf_unchanged expected=True got=error:NonGenericInstance FAIL
+CHECK dashed_edge_rf_unchanged expected=True got=True PASS
 CHECK dashed_edge_rfstar_unchanged expected=True got=True PASS
 """
 
@@ -317,14 +319,14 @@ class TestVerifyErrata:
             capsys, errata, monkeypatch, "edge 1 x z 1", "edge 1 x z 2"
         )
         assert (code, out) == (1, _VERIFY_X1_COST_2)
-        assert out.count(" FAIL\n") == 9
+        assert out.count(" FAIL\n") == 8
 
     def test_perturbed_optimum_fails(self, capsys, errata, monkeypatch):
         code, out, _ = self._verify_perturbed(
             capsys, errata, monkeypatch, "edge 3 y t 2", "edge 3 y t 0"
         )
         assert (code, out) == (1, _VERIFY_Y1_COST_0)
-        assert out.count(" FAIL\n") == 10
+        assert out.count(" FAIL\n") == 9
 
     def test_missing_fixture_falls_back_to_derivation(self, capsys, errata, monkeypatch):
         def missing():
