@@ -13,19 +13,42 @@ run_random_facet does, all of a descent's draws in one _draws call; a
 Random-Facet* trial draws a uniform order of all edges by Fisher-Yates
 and sorts each descent by it, exactly as run_random_facet_star does
 with that order.
+
+pivot_samples splits range(trials) into contiguous shares, one per
+usable CPU but none smaller than MIN_SHARE trials.  The calling process
+runs share 0 itself; each other share runs in a child made by os.fork,
+which writes its counts to a pipe and leaves by os._exit.  The parent
+joins the counts in trial order, so every sample, sum, mean and stderr
+is the serial one, bit for bit.  A child that exits nonzero or sends
+too few counts has its share rerun in the parent, which then raises the
+same error or returns the same counts; if the parent raises, it kills
+and reaps every child first, so no process outlives the call.  The run
+stays serial, in the calling process, when there would be fewer than
+two shares, when os.fork does not exist, or when another thread is
+alive.  There is no flag: the split cannot change a result.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import random
+import signal
+import threading
+from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .algorithms import RF, RF_STAR, random_order, start_state, steps
 from .errors import ZeroTrials
 from .graph import EdgeId, Instance, TreePolicy
+
+# the fewest trials worth a process of their own: on a 2-core x86 machine
+# under Python 3.11 a fork and its join cost about 2 ms, and MIN_SHARE
+# errata trials about 12 ms
+MIN_SHARE = 500
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,82 @@ def _random_ranks(getrandbits, m: int) -> list[int]:
     return sorted(range(m), key=order.__getitem__)
 
 
+def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
+            lo: int, hi: int) -> list[int]:
+    """Pivot counts of trials lo..hi-1 from the checked start state."""
+    samples = []
+    for i in range(lo, hi):
+        getrandbits = trial_rng(seed, i).getrandbits
+        if rule == RF:
+            order = random_order(partial(_draws, getrandbits))
+        else:
+            order = partial(sorted, key=_random_ranks(getrandbits, m).__getitem__)
+        pivots = 0
+        for ev in steps(idx, fmask, bmask, order):
+            if ev[0] == "pivot":
+                pivots += 1
+        samples.append(pivots)
+    return samples
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(trials: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) trial ranges, one per process that runs them."""
+    k = min(_usable_cpus(), trials // MIN_SHARE)
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [(0, trials)]
+    return [(trials * j // k, trials * (j + 1) // k) for j in range(k)]
+
+
+def _run_shares(run: Callable[[int, int], list[int]], shares: list[tuple[int, int]]) -> list[int]:
+    """run over every share in trial order: share 0 here, each other in a child."""
+    children = []  # (pid, read end, lo, hi) of each child not yet reaped
+    end = shares[0][1]  # trials [0, end) run here or in a child
+    try:
+        for lo, hi in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent runs the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # the child; a line tracer in the parent never sees these
+                try:
+                    os.close(r)  # a write then fails, not blocks, if the parent dies
+                    os.write(w, array("q", run(lo, hi)).tobytes())
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, r, lo, hi))
+            end = hi
+        samples = run(*shares[0])
+        while children:
+            pid, r, lo, hi = children[0]
+            with open(r, "rb") as pipe:
+                sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status == 0 and len(sent) == 8 * (hi - lo):
+                samples += memoryview(sent).cast("q")
+            else:
+                samples += run(lo, hi)
+        return samples + run(end, shares[-1][1])
+    finally:
+        for pid, r, _, _ in children:
+            with contextlib.suppress(OSError):
+                os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def pivot_samples(
     inst: Instance,
     facets: Iterable[EdgeId] | None,
@@ -88,20 +187,8 @@ def pivot_samples(
     if rule not in (RF, RF_STAR):
         raise ValueError(f"unknown rule {rule!r}")
     idx, fmask = start_state(inst, facets, start)
-    bmask = start.mask
-    samples = []
-    for i in range(trials):
-        getrandbits = trial_rng(seed, i).getrandbits
-        if rule == RF:
-            order = random_order(partial(_draws, getrandbits))
-        else:
-            order = partial(sorted, key=_random_ranks(getrandbits, inst.m).__getitem__)
-        pivots = 0
-        for ev in steps(idx, fmask, bmask, order):
-            if ev[0] == "pivot":
-                pivots += 1
-        samples.append(pivots)
-    return samples
+    run = partial(_trials, idx, fmask, start.mask, rule, inst.m, seed)
+    return _run_shares(run, _shares(trials))
 
 
 def estimate_expected_pivots(

@@ -45,6 +45,11 @@ class TestPermutation:
         assert p.rank(2) == 2
         assert p.sort([0, 2, 4]) == [4, 2, 0]
 
+    def test_len_and_repr(self):
+        p = Permutation.from_order([4, 2, 0])
+        assert len(p) == 3
+        assert repr(p) == "Permutation(4 < 2 < 0)"
+
 
 class TestRunRandomFacet:
     def test_base_case_no_pivots(self, errata, enc):

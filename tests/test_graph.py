@@ -479,6 +479,15 @@ class TestTreePolicyFromEdgeIds:
         with pytest.raises(ValueError, match="maps two vertices to the same edge id"):
             TreePolicy({"x": 0, "y": 0})
 
+    def test_repr_lists_choices_by_vertex(self):
+        assert repr(TreePolicy({"y": 3, "x": 0})) == "TreePolicy(x->0, y->3)"
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        tree = TreePolicy({"v": 1})
+        assert tree.__eq__({"v": 1}) is NotImplemented
+        assert tree != {"v": 1}
+        assert tree == TreePolicy({"v": 1})
+
 
 class TestFacetMask:
     def test_unknown_id(self, errata):

@@ -1,4 +1,6 @@
+import os
 import random
+import threading
 
 import pytest
 
@@ -7,6 +9,7 @@ from randomfacet import (
     RF_STAR,
     Edge,
     Instance,
+    NoTreeInSubset,
     TreePolicy,
     ZeroTrials,
     estimate_expected_pivots,
@@ -210,3 +213,233 @@ class TestRefusal:
         cycle = TreePolicy({"a": 0, "b": 1})
         with pytest.raises(ValueError):
             pivot_samples(inst, None, cycle, rule, 10, 1)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set the CPU count pivot_samples splits its trials over."""
+    return lambda k: monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: k)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids os.fork returns, in call order; 0 is never recorded."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture(scope="module")
+def m40():
+    # the simulate bench's m=40 instance from its first-edge tree
+    inst = random_instance(20, 2, 9, 0, require_generic=False)
+    assert inst.m == 40
+    return inst, TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
+
+
+MIN_SHARE = montecarlo.MIN_SHARE
+SPLIT_COUNTS = (2 * MIN_SHARE - 1, 2 * MIN_SHARE, 3 * MIN_SHARE + 1)
+
+
+class TestShares:
+    def test_contiguous_ranges_cover_every_trial(self, cpus):
+        cpus(3)
+        assert montecarlo._shares(2 * MIN_SHARE - 1) == [(0, 2 * MIN_SHARE - 1)]
+        assert montecarlo._shares(2 * MIN_SHARE) == [(0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE)]
+        assert montecarlo._shares(3 * MIN_SHARE + 1) == [
+            (0, MIN_SHARE), (MIN_SHARE, 2 * MIN_SHARE), (2 * MIN_SHARE, 3 * MIN_SHARE + 1)]
+        cpus(64)
+        assert len(montecarlo._shares(3 * MIN_SHARE + 1)) == 3
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert montecarlo._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert montecarlo._usable_cpus() == (os.cpu_count() or 1)
+
+
+class TestForkedEqualsSerial:
+    @pytest.mark.parametrize("rule", [RF, RF_STAR])
+    @pytest.mark.parametrize("case", ["errata", "m40"])
+    def test_samples_and_estimates(self, monkeypatch, cpus, forks, errata, enc, m40, rule, case):
+        inst, start = (errata, enc.tree("001")) if case == "errata" else m40
+        # estimate_expected_pivots reads pivot_samples from the module, so
+        # one call yields both the samples and the Estimate built on them
+        seen = []
+
+        def recording(*args):
+            seen.append(pivot_samples(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(montecarlo, "pivot_samples", recording)
+        for trials in SPLIT_COUNTS:
+            results = []
+            for k in (1, 2, 3):
+                cpus(k)
+                del forks[:]
+                est = estimate_expected_pivots(inst, None, start, rule, trials, 2026)
+                results.append((seen[-1], est.format()))
+                assert len(forks) == max(min(k, trials // MIN_SHARE) - 1, 0), (trials, k)
+                _no_child_left()
+            assert results[1] == results[0] and results[2] == results[0], (trials, rule)
+            assert len(results[0][0]) == trials
+
+
+class Boom(Exception):
+    pass
+
+
+class TestChildFailure:
+    @pytest.fixture()
+    def serial(self, errata, enc, cpus):
+        cpus(1)
+        return pivot_samples(errata, None, enc.tree("001"), RF, 3 * MIN_SHARE + 1, 8)
+
+    def _fail_in_children(self, monkeypatch, lo):
+        parent, real = os.getpid(), montecarlo.trial_rng
+
+        def failing(seed, index):
+            if os.getpid() != parent and index >= lo:
+                raise Boom(f"trial {index} in a child")
+            return real(seed, index)
+
+        monkeypatch.setattr(montecarlo, "trial_rng", failing)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_failed_child_share_is_rerun(self, monkeypatch, cpus, forks, errata, enc, serial, k):
+        # only the last share's child fails; the parent reruns its range
+        self._fail_in_children(monkeypatch, 2 * MIN_SHARE)
+        cpus(k)
+        got = pivot_samples(errata, None, enc.tree("001"), RF, 3 * MIN_SHARE + 1, 8)
+        assert got == serial
+        assert len(forks) == k - 1
+        _no_child_left()
+
+    def test_short_child_answer_is_rerun(self, monkeypatch, cpus, forks, errata, enc, serial):
+        parent, real = os.getpid(), montecarlo._trials
+
+        def short(*args):
+            samples = real(*args)
+            return samples[:-1] if os.getpid() != parent else samples
+
+        monkeypatch.setattr(montecarlo, "_trials", short)
+        cpus(3)
+        assert pivot_samples(errata, None, enc.tree("001"), RF, 3 * MIN_SHARE + 1, 8) == serial
+        assert len(forks) == 2
+        _no_child_left()
+
+    def test_nonzero_exit_is_rerun_even_with_every_count_sent(
+        self, monkeypatch, cpus, errata, enc, serial
+    ):
+        parent, real_exit, real_rng = os.getpid(), os._exit, montecarlo.trial_rng
+        here = []  # the trials the parent draws
+
+        def counting(seed, index):
+            if os.getpid() == parent:
+                here.append(index)
+            return real_rng(seed, index)
+
+        monkeypatch.setattr(montecarlo, "trial_rng", counting)
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(code or 3))
+        cpus(2)
+        assert pivot_samples(errata, None, enc.tree("001"), RF, 3 * MIN_SHARE + 1, 8) == serial
+        assert here == list(range(3 * MIN_SHARE + 1))
+        _no_child_left()
+
+    def test_parent_failure_kills_and_reaps_every_child(self, monkeypatch, cpus, forks, errata, enc):
+        parent, real = os.getpid(), montecarlo.trial_rng
+
+        def failing(seed, index):
+            if os.getpid() == parent:
+                raise Boom(f"trial {index} in the parent")
+            return real(seed, index)
+
+        monkeypatch.setattr(montecarlo, "trial_rng", failing)
+        cpus(3)
+        with pytest.raises(Boom, match="trial 0 in the parent"):
+            pivot_samples(errata, None, enc.tree("001"), RF, 3 * MIN_SHARE, 8)
+        assert len(forks) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize("refused", [1, 2])
+    def test_fork_refused_runs_the_rest_here(self, monkeypatch, cpus, errata, enc, serial, refused):
+        # os.fork fails from its `refused`-th call on: the parent runs
+        # every share from there on itself
+        real, calls = os.fork, []
+
+        def fork():
+            calls.append(1)
+            if len(calls) >= refused:
+                raise BlockingIOError("no process to spare")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        cpus(3)
+        assert pivot_samples(errata, None, enc.tree("001"), RF, 3 * MIN_SHARE + 1, 8) == serial
+        assert len(calls) == refused
+        _no_child_left()
+
+    @pytest.mark.parametrize("rule", [RF, RF_STAR])
+    def test_negative_cycle_raises_the_same_error_in_both_modes(self, cpus, forks, rule):
+        # unvalidated: x and y close a cycle of cost -2 that a pivot closes
+        inst = Instance.build(
+            "t",
+            [Edge(0, "x", "y", -1), Edge(1, "y", "x", -1), Edge(2, "x", "t", 0), Edge(3, "y", "t", 0)],
+        )
+        start = TreePolicy({"x": 2, "y": 3})
+        messages = []
+        for k in (1, 2):
+            cpus(k)
+            with pytest.raises(NoTreeInSubset) as err:
+                pivot_samples(inst, None, start, rule, 2 * MIN_SHARE, 0)
+            messages.append(str(err.value))
+            _no_child_left()
+        assert messages[0] == messages[1]
+        assert len(forks) == 1
+
+
+class TestSerialGuards:
+    """pivot_samples never forks where a run should stay in one process."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refuse)
+
+    def test_below_the_threshold(self, cpus, one_vertex):
+        cpus(64)
+        assert pivot_samples(one_vertex[0], None, one_vertex[1], RF, 2 * MIN_SHARE - 1, 1)
+
+    def test_with_one_usable_cpu(self, cpus, one_vertex):
+        cpus(1)
+        assert pivot_samples(one_vertex[0], None, one_vertex[1], RF, 8 * MIN_SHARE, 1)
+
+    def test_with_a_second_live_thread(self, cpus, one_vertex):
+        cpus(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert pivot_samples(one_vertex[0], None, one_vertex[1], RF, 2 * MIN_SHARE, 1)
+        finally:
+            release.set()
+            other.join()
+
+    def test_without_fork(self, monkeypatch, cpus, one_vertex):
+        cpus(2)
+        monkeypatch.delattr(os, "fork")
+        assert pivot_samples(one_vertex[0], None, one_vertex[1], RF, 2 * MIN_SHARE, 1)
