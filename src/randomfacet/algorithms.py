@@ -9,11 +9,11 @@ picked edge, so the descent's picks are one ordering of F minus B, and
 steps() asks the chooser for it once per descent (at the start and
 after each pivot) and keeps it as one frame.  At the base case F = B,
 so the calls waiting on the stack are the picks themselves: steps()
-reads the tree's split once (_Index.tree_split, the one per-tree cache,
-which no engine writes to), drops every descent without an improving
-pick whole, and pivots the last improving pick, its leaving edge being
-the split's edge at its tail; the candidates of the next descent are
-the picks popped above it plus the leaving edge.  A shorter ordering
+reads the tree's improving mask once, off its split (_Index.tree_split,
+the one per-tree cache), drops every descent without an improving pick
+whole, and pivots the last improving pick in place of the tree's edge
+at its tail; the candidates of the next descent are the picks popped
+above it plus the leaving edge.  A shorter ordering
 pauses the run at (fmask, bmask, frames, depth, kind), and steps()
 resumes it from there.  run_random_facet draws a fresh
 uniformly random facet at every choice point; run_random_facet_star is
@@ -147,10 +147,10 @@ def steps(
     at i = 0, where it has the descent's own depth d and kind.  After
     each exchange ("pivot", entering, leaving, depth, kind, fmask, bmask)
     is yielded with the state after it; depth and kind describe the call
-    that pivoted, the leaving edge read off the tree's shared split,
-    which steps never writes to.  The run ends when no enclosing call can
-    pivot, its last base case having split the final tree.  Every pivot
-    strictly improves the tree, so it terminates.
+    that pivoted, the leaving edge being the tree's edge at the entering
+    edge's tail.  The run ends when no enclosing call can pivot, its last
+    base case having split the final tree.  Every pivot strictly improves
+    the tree, so it terminates.
 
     An ordering shorter than the candidates pauses the run at the next
     choice point with a last event ("pause", (fmask, bmask, frames,
@@ -159,7 +159,7 @@ def steps(
     that does not reach the target, as a pivot leaves on an unvalidated
     instance with a negative cycle, raises NoTreeInSubset.
     """
-    splits, tree_split, tail = idx.splits, idx.tree_split, idx.tail
+    splits, tree_split, at_tail = idx.splits, idx.tree_split, idx.at_tail
     first, second = CallKind.FIRST, CallKind.SECOND
     # one frame per descent whose calls wait for their first recursive
     # call to return: (facet mask before it, picks, their mask, depth, kind)
@@ -179,7 +179,7 @@ def steps(
             yield ("pause", (fmask, bmask, tuple(stack), depth, kind))
             return
         # base case reached, where F = B: unwind to the last improving pick
-        _, better, choice = splits.get(bmask) or tree_split(bmask)
+        _, better = splits.get(bmask) or tree_split(bmask)
         rest: list[EdgeId] = []  # the picks of the frames popped so far
         while stack:
             f, picks, pmask, d, k = stack.pop()
@@ -193,7 +193,7 @@ def steps(
             e = picks[i]
             if i:  # the calls above it keep waiting
                 stack.append((f, picks[:i], pmask & ~suffix, d, k))
-            leaving = choice[tail[e]]
+            leaving = (bmask & at_tail[e]).bit_length() - 1
             bmask = (bmask & ~(1 << leaving)) | (1 << e)
             fmask = (f & ~pmask) | suffix
             yield ("pivot", e, leaving, d + i, k if i == 0 else first, fmask, bmask)
@@ -350,13 +350,13 @@ def random_order(draws):
 
 def _run(idx, fmask, bmask, order) -> RunResult:
     """Fold one run's pivot events into its result, reading the final
-    tree off the split that steps' last base case made of it."""
+    tree's edge per vertex off its mask."""
     trace: list[PivotEvent] = []
     for ev in steps(idx, fmask, bmask, order):
         if ev[0] == "pivot":
             _, entering, leaving, depth, kind, _, bmask = ev
             trace.append(PivotEvent(entering, leaving, depth, kind))
-    final = idx.policy_from_choice(idx.splits[bmask][2])
+    final = idx.policy_from_choice(idx.choice_of_mask(bmask))
     return RunResult(final_tree=final, pivot_count=len(trace), trace=tuple(trace))
 
 

@@ -157,9 +157,9 @@ class OrientationView:
 def orientation_view(inst: Instance) -> OrientationView:
     """Orient every cube edge between adjacent trees in the improving direction.
 
-    A tie (neither direction improves) happens only on non-generic
-    instances.  The errata search reads the same directions off sign
-    cells instead (instances._layout_cells).
+    A tie (f = 0 below) happens only on non-generic instances.  The
+    errata search reads the same forms off sign cells instead
+    (instances._layout_cells).
     """
     enc = cube_encoding(inst)
     idx = inst._index
@@ -169,20 +169,21 @@ def orientation_view(inst: Instance) -> OrientationView:
         raise NotATree(f"tree {_bit_string(dists.index(None), n)} does not reach the target")
     tail, head, cost = idx.tail, idx.head, idx.cost
     out = [0] * (1 << n)
-    for j, (zero, one) in enumerate(enc.pairs):
+    for j, (_, one) in enumerate(enc.pairs):
         axis = 1 << (n - 1 - j)
-        x, h0, c0, h1, c1 = tail[zero], head[zero], cost[zero], head[one], cost[one]
+        x, h1, c1 = tail[one], head[one], cost[one]
         for v in range(1 << n):
             if v & axis:
                 continue
-            dv, dw = dists[v], dists[v | axis]
-            v_to_w = c1 + dv[h1] < dv[x]
-            if v_to_w == (c0 + dw[h0] < dw[x]):
+            # v and w = v | axis are trees that differ only at x, so h1's path in
+            # v and h0's in w avoid x: w's form c0 + d_w(h0) - d_w(x) is -f
+            f = c1 + dists[v][h1] - dists[v][x]
+            if not f:
                 raise NonGenericInstance(
                     f"adjacent trees {_bit_string(v, n)} and {_bit_string(v | axis, n)} "
                     "have no improving direction"
                 )
-            out[v if v_to_w else v | axis] |= axis
+            out[v if f < 0 else v | axis] |= axis
     return OrientationView(encoding=enc, out=tuple(out))
 
 

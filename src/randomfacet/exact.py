@@ -38,7 +38,8 @@ exact rfstar drops them along the run, where it resumes a fork
 (algorithms.branches), from the facets and the pending calls alike.
 Each order of the start's live edges consistent with a pruned history
 then gives exactly one unpruned execution, with the same pivots, so
-the weights still count orders of those live edges.
+the weights still count orders of those live edges.  d_B comes off
+B's split, which the runs read too, so each tree is planned once.
 """
 from __future__ import annotations
 
@@ -63,12 +64,12 @@ class ExactEvaluator:
     dead at every tree a run from B reaches, as pivots only lower d_B:
     per pair a reduced (numerator, denominator) integer pair and where
     its runs end, one tree mask or a dict of tree masks to probabilities;
-    a Fraction is built only at the public expected_rf.  Reads each
-    tree's split off _Index.tree_split, the per-tree cache
-    algorithms.steps shares.  Counts new memo states against
-    RF_STATE_BUDGET and raises StateBudgetExceeded past it.  The memo is
-    confined to this object; create one per computation or share it
-    explicitly when evaluating many start trees of the same instance.
+    a Fraction is built only at the public expected_rf.  Reads d_B and
+    the improving mask off the tree's split (_Index.tree_split, the
+    per-tree cache algorithms.steps shares).  Counts new memo states
+    against RF_STATE_BUDGET and raises StateBudgetExceeded past it.  The
+    memo is confined to this object; create one per computation or share
+    it explicitly when evaluating many start trees of the same instance.
     """
 
     def __init__(self, inst: Instance):
@@ -104,17 +105,13 @@ class ExactEvaluator:
     def dead(self, bmask: int) -> int:
         """The mask of edges dead at tree bmask, cached per tree.
 
-        Reads d_B off one tree_plan, and splits a new tree from the same
-        distances; a tree split before is planned again.
+        Reads d_B off the tree's split, splitting a tree not met before;
+        a mask that is not a tree raises NoTreeInSubset.
         """
         if bmask in self._dead:
             return self._dead[bmask]
         idx = self._idx
-        if bmask in idx.splits:  # split before, as start_state's check does
-            dist = idx.plan_distances(idx.tree_plan(bmask), idx.cost)
-        else:  # a new tree: split it from the same plan
-            dist = idx.tree_distances(bmask)
-            idx.tree_split(bmask, dist)  # refuses a non-tree
+        dist, _ = idx.splits.get(bmask) or idx.tree_split(bmask)
         if self._pi is None:
             self._pi = idx.subgraph_shortest(idx.full_mask)[0]
         pi = self._pi
@@ -143,7 +140,7 @@ class ExactEvaluator:
             )
         idx = self._idx
         splits = idx.splits
-        _, better, _ = splits.get(bmask) or idx.tree_split(bmask)
+        _, better = splits.get(bmask) or idx.tree_split(bmask)
         free = fmask & ~bmask
         if not free & better:
             value = memo[(fmask, bmask)] = (0, 1, bmask)  # the first lemma
@@ -160,9 +157,8 @@ class ExactEvaluator:
             else:
                 num, den = num * d1 + n1 * den, den * d1
             for end, p in _weighted(final):  # F minus e's optima share distances
-                _, better, choice = splits[end]
-                if better & low:
-                    b2 = (end & ~(1 << choice[idx.tail[low.bit_length() - 1]])) | low
+                if splits[end][1] & low:
+                    b2 = (end & ~idx.at_tail[low.bit_length() - 1]) | low
                     n2, d2, end = self._rf(fmask & ~self.dead(b2), b2)
                     n2 = (n2 + d2) * p.numerator  # one pivot, then the pivoted tree
                     d2 *= p.denominator

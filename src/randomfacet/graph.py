@@ -7,9 +7,10 @@ edge per non-target vertex such that every vertex reaches the target.
 Replacing one chosen edge by a strictly shorter alternative (a pivot)
 is the improvement step that all higher-level machinery counts.
 
-All values are immutable after construction and safe to share across
-threads.  Distances are exact integers throughout; there is no
-floating-point path anywhere in this module.
+Edges, instances and tree policies are immutable.  An instance's index
+(_Index) is built on first use, and its tree cache fills as engines
+run, each entry written once and never changed.  Distances are exact
+integers throughout; there is no floating-point path in this module.
 """
 from __future__ import annotations
 
@@ -175,8 +176,9 @@ class _Index:
     of the target would make tail -1 and overwrite that slot, so such
     instances are refused with TargetHasOutEdges.  Facet subsets and
     trees travel as bit masks over edge ids, which is what the runners
-    and exact engines key their caches on.  `splits` caches tree_split:
-    a tree's whole state, which every engine reads and none writes to.
+    and exact engines key their caches on.  `splits` caches tree_split
+    per tree mask, each entry written once.  at_tail[e] masks the edges
+    leaving e's tail, so a tree mask & at_tail[e] is the tree's edge there.
     """
 
     def __init__(self, inst: Instance):
@@ -196,7 +198,9 @@ class _Index:
         for e in inst.edges:
             self.out[self.pos[e.tail]].append(e.id)
         self.full_mask = (1 << m) - 1
-        self.splits: dict[int, tuple[int, int, list[EdgeId]]] = {}
+        vmask = [sum(1 << e for e in out) for out in self.out]
+        self.at_tail = [vmask[u] for u in self.tail]
+        self.splits: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def edge_bits(self, mask: int) -> list[EdgeId]:
         """Edge ids in a mask, ascending, as a new list the caller owns."""
@@ -271,33 +275,23 @@ class _Index:
         plan = self.tree_plan(mask)
         return None if plan is None else self.plan_distances(plan, self.cost)
 
-    def tree_split(
-        self, mask: int, dist: tuple[int, ...] | None = None
-    ) -> tuple[int, int, list[EdgeId]]:
-        """(worse, better, choice): the edges strictly worse and strictly
-        better than the tree by its own distances, and its edge per vertex.
+    def tree_split(self, mask: int) -> tuple[tuple[int, ...], int]:
+        """(dist, better): the tree's distances (tree_distances) and the
+        mask of the edges strictly better than it by them.
 
         `better` is the improving mask: e improves the tree iff its bit is
-        set.  Cached in `splits` per mask.  A caller that has the tree's
-        distances (tree_distances) may pass them as `dist`.  A mask that
-        is not a tree, as a pivot leaves on an unvalidated instance with a
-        negative cycle, raises NoTreeInSubset.
+        set.  Cached in `splits` per mask.  A mask that is not a tree, as a
+        pivot leaves on an unvalidated instance with a negative cycle,
+        raises NoTreeInSubset.
         """
-        if dist is None:
-            dist = self.tree_distances(mask)
+        dist = self.tree_distances(mask)
         if dist is None:
             raise NoTreeInSubset(f"tree {self.edge_bits(mask)} does not reach the target")
-        worse = better = 0
-        choice = [0] * len(self.order)
+        better = 0
         for e, (u, h, c) in enumerate(zip(self.tail, self.head, self.cost)):
-            d = c + dist[h]
-            if d > dist[u]:
-                worse |= 1 << e
-            elif d < dist[u]:
+            if c + dist[h] < dist[u]:
                 better |= 1 << e
-            elif mask >> e & 1:  # a tree edge, tight like every one
-                choice[u] = e
-        split = self.splits[mask] = (worse, better, choice)
+        split = self.splits[mask] = (dist, better)
         return split
 
     def subgraph_shortest(self, fmask: int):

@@ -155,8 +155,8 @@ def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
     trees of T plus e: no edge of that subset improves T.  Conversely,
     two optimal trees of one subset differ by a single swap of a tight
     edge into one of them (_Index.count_optimal_trees).  So the check
-    runs that swap test on every tree's tight edges, one choice per
-    vertex, without solving any subset.  Desk-sized only.
+    runs that swap test on every tree's tight edges, by its split's
+    distances, without solving any subset.  Desk-sized only.
     """
     m = inst.m
     if m > max_edges:
@@ -164,13 +164,15 @@ def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
             f"{m} edges exceed the exhaustive-check bound {max_edges}"
         )
     idx = _Index(inst)  # its own index, so the walked trees are not cached on inst
-    for ids in itertools.product(*idx.out):
+    tail, head, cost = idx.tail, idx.head, idx.cost
+    for ids in itertools.product(*idx.out):  # ids: the tree's edge per vertex
         mask = sum(1 << eid for eid in ids)
         try:
-            worse, better, choice = idx.tree_split(mask)
+            dist, _ = idx.tree_split(mask)
         except NoTreeInSubset:  # a choice vector with a cycle
             continue
-        if idx.count_optimal_trees(idx.full_mask & ~mask & ~worse & ~better, choice) == 2:
+        tight = sum(1 << e for e, u in enumerate(tail) if cost[e] + dist[head[e]] == dist[u])
+        if idx.count_optimal_trees(tight & ~mask, ids) == 2:
             return False
     return True
 

@@ -1,0 +1,135 @@
+"""Mutants of src/randomfacet/ that named tier-1 tests must kill.
+
+Usage, from the repository root:
+
+    python tests/mutants.py
+
+Each mutant replaces one exact text of a module by another.  For each
+mutant the runner copies src/ to a temporary directory, applies the
+mutant there and runs only the mutant's tests, in a pytest child that
+imports the package from the copy.  It prints one line per mutant,
+killed or survived with the seconds it took, then a summary.  A mutant
+is killed iff a listed test fails or the run outlasts TIMEOUT seconds,
+as a pivot loop that no longer strictly improves may never end.  The
+exit status is 1 iff some mutant was not killed.
+
+This file is not a test module: pytest does not collect it and tier-1
+never runs a mutant.  tests/test_mutants.py checks only that each old
+text occurs exactly once in its module, so a change that moves mutated
+code must update the list.  Standard library and pytest only.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "randomfacet"
+TIMEOUT = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # a module of PACKAGE
+    old: str  # occurs exactly once in the module
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+
+
+MUTANTS = [
+    Mutant(
+        "steps reads the leaving edge off the facet mask, not the tree mask",
+        "algorithms.py",
+        "leaving = (bmask & at_tail[e]).bit_length() - 1",
+        "leaving = (f & at_tail[e]).bit_length() - 1",
+        ("tests/test_algorithms.py::TestTraceContracts::test_pivot_events_have_matching_tails",
+         "tests/test_algorithms.py::TestTraceContracts::test_replay_reproduces_final_tree"),
+    ),
+    Mutant(
+        "tree_split counts tight edges as improving",
+        "graph.py",
+        "if c + dist[h] < dist[u]:",
+        "if c + dist[h] <= dist[u]:",
+        ("tests/test_algorithms.py::test_engines_share_each_split_and_write_none",),
+    ),
+    Mutant(
+        "an edge tight against the optimum counts as dead",
+        "exact.py",
+        "if c + pi[h] > dist[u]",
+        "if c + pi[h] >= dist[u]",
+        ("tests/test_exact.py::TestDeadEdges::test_rfstar_keeps_the_mean_over_every_order",
+         "tests/test_exact.py::TestDeadEdges::test_dropped_edges_never_enter"),
+    ),
+    Mutant(
+        "genericity_check swap-tests the tree's own edges too",
+        "instances.py",
+        "idx.count_optimal_trees(tight & ~mask, ids)",
+        "idx.count_optimal_trees(tight, ids)",
+        ("tests/test_instances.py::TestGenericity::test_errata_is_generic",),
+    ),
+    Mutant(
+        "orientation_view orients a tie instead of refusing it",
+        "cube.py",
+        "            if not f:\n",
+        "            if False:\n",
+        ("tests/test_cube.py::TestOrientationView::test_tied_adjacent_trees_are_non_generic",),
+    ),
+    Mutant(
+        "orientation_view points each arrow the wrong way",
+        "cube.py",
+        "out[v if f < 0 else v | axis] |= axis",
+        "out[v if f > 0 else v | axis] |= axis",
+        ("tests/test_cube.py::TestOrientationView::test_sink_is_the_optimal_tree",),
+    ),
+    Mutant(
+        "exact rf pivots e in without dropping the tree's edge at e's tail",
+        "exact.py",
+        "b2 = (end & ~idx.at_tail[low.bit_length() - 1]) | low",
+        "b2 = end | low",
+        ("tests/test_exact.py::TestExpectedPivotsRf::test_errata_from_001",),
+    ),
+]
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or why the mutant's tests could not run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "randomfacet" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "stale (old text not found exactly once)"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        # the ini option pythonpath would put the repository's src/ first
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "-o", f"pythonpath={src}", *mutant.tests]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            code = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+        except subprocess.TimeoutExpired:
+            return "killed"
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main() -> int:
+    killed, began = 0, time.perf_counter()
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        verdict = run(mutant)
+        killed += verdict == "killed"
+        print(f"{verdict:<8} {time.perf_counter() - start:6.1f} s  {mutant.file}: {mutant.name}",
+              flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - began:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

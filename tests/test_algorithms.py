@@ -435,10 +435,10 @@ def test_one_order_call_per_descent(errata, enc, medium_pool, monkeypatch):
 
 
 def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkeypatch):
-    # a tree's edge per vertex lives only in its cached split, which every
-    # engine reads and none may write to; a tree's distances are read once
-    # per new split, start_state's check and exact rf's dead edges
-    # included, so nothing else recomputes or caches them
+    # a tree's distances and improving mask live only in its cached split,
+    # which every engine reads and none may write to; a tree's distances
+    # are read once per new split, start_state's check and exact rf's dead
+    # edges included, so nothing else recomputes or caches them
     distances = count_calls(monkeypatch, graph._Index, "tree_distances")
     cases = [(inst, _some_tree(inst)) for inst in small_pool]
     cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
@@ -456,8 +456,10 @@ def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkey
         expected_pivots_rf(inst, None, start)
         expected_pivots_rf_star(inst, None, start)
         assert distances[0] - before == len(idx.splits)
-        for mask, (_, _, choice) in idx.splits.items():
-            assert choice == idx.choice_of_mask(mask)
+        for mask, (dist, better) in idx.splits.items():
+            policy = idx.policy_from_choice(idx.choice_of_mask(mask))
+            assert dist == idx.tree_distances(mask)
+            assert better == sum(1 << e for e in range(inst.m) if improves(inst, policy, e))
         splits += len(idx.splits)
     assert pivots and splits > len(cases)
 
