@@ -23,7 +23,8 @@ the events into a RunResult, counting one pivot per exchange.
 branches() walks the tree of every execution of a rule once, depth
 first: it pauses steps() where executions part and resumes the saved
 point once per answer.  Exact rfstar and both computation trees
-consume it, and Monte Carlo consumes steps() directly.
+consume it, and Monte Carlo consumes steps() directly, so branches()
+is the one place that refuses an exact enumeration.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -39,13 +40,14 @@ from typing import Iterable, Iterator, Mapping
 
 from fractions import Fraction
 
-from .errors import NoTreeInSubset, PermutationDomainTooSmall
+from .errors import EnumerationBoundExceeded, NoTreeInSubset, PermutationDomainTooSmall
 from .graph import EdgeId, Instance, TreePolicy, _check_policy_shape, facet_mask
-from .orders import _count_orders
+from .orders import MAX_UNIVERSE, _count_orders
 
 RF = "rf"
 RF_STAR = "rfstar"
 RULES = (RF, RF_STAR)
+EXECUTION_BUDGET = 50_000
 
 
 class CallKind(str, enum.Enum):
@@ -259,10 +261,22 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
     except its own answer, from the facet mask and from every pending
     frame's facets, picks and pick mask: the run pivots alike, pick for
     pick, while the weights still count orders of all of F.
+
+    Every exact enumeration is refused here, with
+    EnumerationBoundExceeded, rather than truncated: RF_STAR on more
+    than orders.MAX_UNIVERSE facets before any run, as the weights
+    count orders of F, and either rule once the executions pass
+    EXECUTION_BUDGET.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     ids = idx.edge_bits(fmask)
+    if rule == RF_STAR and len(ids) > MAX_UNIVERSE:
+        raise EnumerationBoundExceeded(
+            f"{len(ids)} facets exceed the {MAX_UNIVERSE} whose orders rfstar can weigh; "
+            "use Monte Carlo estimation instead"
+        )
+    executions = 0
     hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, 1)
     todo = [(0, (fmask, bmask, (), 0, CallKind.ROOT), hist, None)]
     while todo:
@@ -299,7 +313,14 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
             point = events.pop()[1]
             todo.extend((forks + 1, point, child, e) for e, child in reversed(fork))
             yield forks, events, None
-        elif hist[0] is None:  # RF: hist is (None, width)
+            continue
+        executions += 1
+        if executions > EXECUTION_BUDGET:
+            raise EnumerationBoundExceeded(
+                f"more than {EXECUTION_BUDGET} executions to enumerate; "
+                "use Monte Carlo estimation instead"
+            )
+        if hist[0] is None:  # RF: hist is (None, width)
             yield forks, events, Fraction(1, hist[1])
         else:
             yield forks, events, _count_orders(hist[0], len(ids))

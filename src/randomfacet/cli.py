@@ -12,14 +12,16 @@ take `--rule` and `--tree` from a second one and load their instance,
 facets and start tree once, through _query.  The engines refuse unknown
 edge ids and check the start tree (algorithms.start_state).
 
-The only environment override is RANDOMFACET_ENUM_BOUND, which widens
-or narrows the facet-count bound of exact rfstar and of the computation
-trees of both rules.
+No option or environment variable widens an engine's limits.  Exact
+rfstar and the computation trees of both rules refuse past
+algorithms.EXECUTION_BUDGET executions, and rfstar past
+orders.MAX_UNIVERSE facets; exact rf refuses past
+exact.RF_STATE_BUDGET memo states.  A refusal exits 2 with nothing on
+standard output.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import instances
@@ -41,11 +43,6 @@ from .orders import ConstraintSet, conditional_order_probability, count_linear_e
 # seams the tests monkeypatch to simulate a missing or perturbed fixture
 _load_errata = instances.errata_instance
 _derive_errata = instances.derive_errata_instance
-
-
-def _enum_bound() -> int | None:
-    raw = os.environ.get("RANDOMFACET_ENUM_BOUND")
-    return int(raw) if raw else None
 
 
 def _load(path: str) -> Instance:
@@ -90,14 +87,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    inst, facets, tree = _query(args)
-    if args.rule == RF:
-        value = expected_pivots_rf(inst, facets, tree)
-    else:
-        value = expected_pivots_rf_star(
-            inst, facets, tree, enumeration_bound=_enum_bound()
-        )
-    print(_frac(value))
+    engine = expected_pivots_rf if args.rule == RF else expected_pivots_rf_star
+    print(_frac(engine(*_query(args))))
     return 0
 
 
@@ -108,7 +99,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_comptree(args) -> int:
-    ct = comptree(*_query(args), args.rule, enumeration_bound=_enum_bound())
+    ct = comptree(*_query(args), args.rule)
     print(ct.to_dot() if args.format == "dot" else ct.to_text(), end="")
     return 0
 

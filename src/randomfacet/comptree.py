@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from .algorithms import RF, branches, start_state
-from .exact import check_enumeration_bound
 from .graph import EdgeId, Instance, TreePolicy, edge_names
 
 _ONE = Fraction(1)  # shared by every node that is its parent's only child
@@ -256,21 +255,15 @@ class CompTree:
         return "\n".join(out) + "\n"
 
 
-def comptree(
-    inst: Instance,
-    facets,
-    start: TreePolicy,
-    rule: str,
-    *,
-    enumeration_bound: int | None = None,
-) -> CompTree:
+def comptree(inst: Instance, facets, start: TreePolicy, rule: str) -> CompTree:
     """Build the full computation tree for one rule.
 
-    Refuses more facets than the enumeration bound before any run.
+    algorithms.branches refuses, with EnumerationBoundExceeded, a tree
+    of more than algorithms.EXECUTION_BUDGET leaves, and an rfstar tree
+    over more than orders.MAX_UNIVERSE facets before any run.
     """
     idx, fmask = start_state(inst, facets, start)
     bmask = start.mask
-    check_enumeration_bound(fmask.bit_count(), enumeration_bound)
     nodes = [CompNode(kind="root", prob=_ONE, facets=fmask, tree=bmask)]
     # path[k]: the index of the node the segments below k forks hang
     # from, and the number of pivots on the way to it

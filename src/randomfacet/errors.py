@@ -53,7 +53,9 @@ class NonGenericInstance(RandomFacetError):
 
 
 class EnumerationBoundExceeded(RandomFacetError):
-    """An exact enumeration was requested beyond the configured bound."""
+    """An exact enumeration would pass algorithms.EXECUTION_BUDGET
+    executions, or weigh rfstar orders of more than orders.MAX_UNIVERSE
+    facets (algorithms.branches)."""
 
 
 class StateBudgetExceeded(RandomFacetError):

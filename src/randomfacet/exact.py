@@ -7,7 +7,9 @@ skews the order of the remaining facets.  A run sees its permutation
 only through which candidate is the minimum at each choice point, so
 its expectation is a sum over histories of those answers, each weighted
 by the number of orders of the facet set that extend it
-(algorithms.branches).  All arithmetic is exact rational.
+(algorithms.branches, which refuses more than
+algorithms.EXECUTION_BUDGET histories or orders.MAX_UNIVERSE live
+facets).  All arithmetic is exact rational.
 
 The randomized rule's recursion keeps, beside each state's value, the
 trees where runs from the state end, each an optimal tree of its facet
@@ -48,11 +50,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algorithms import RF_STAR, branches, start_state
-from .errors import EnumerationBoundExceeded, StateBudgetExceeded
+from .errors import StateBudgetExceeded
 from .graph import EdgeId, Instance, TreePolicy
-from .orders import MAX_UNIVERSE
 
-DEFAULT_ENUMERATION_BOUND = 10
 RF_STATE_BUDGET = 500_000
 
 
@@ -179,19 +179,17 @@ class ExactEvaluator:
         value = memo[(fmask, bmask)] = (num // g, den // g, final)
         return value
 
-    def expected_rf_star(
-        self, facets: Iterable[EdgeId] | None, start: TreePolicy, bound: int | None
-    ) -> Fraction:
+    def expected_rf_star(self, facets: Iterable[EdgeId] | None, start: TreePolicy) -> Fraction:
         """Mean pivot count of run_random_facet_star over every order of F.
 
         Sums the pivots of each argmin history weighted by its number of
         orders, over |F|!, with F the edges not dead at the start: the
         second lemma.  The walk drops edges as they die along each run
-        too, and the enumeration bound counts the live edges.
+        too.  branches refuses more than orders.MAX_UNIVERSE live edges,
+        or more than algorithms.EXECUTION_BUDGET histories.
         """
         idx, fmask = start_state(self.inst, facets, start)
         fmask &= ~self.dead(start.mask)
-        check_enumeration_bound(fmask.bit_count(), bound, "live facets")
         total = 0
         pivots = [0]  # pivots[k]: pivots on the current path down to its k-th fork
         for forks, events, weight in branches(idx, fmask, start.mask, RF_STAR, self.dead):
@@ -205,25 +203,6 @@ class ExactEvaluator:
 def _weighted(final: int | dict[int, Fraction]):
     """An rf state's end trees as (tree mask, probability) pairs."""
     return final.items() if isinstance(final, dict) else ((final, 1),)
-
-
-def check_enumeration_bound(facet_count: int, bound: int | None, what: str = "facets") -> None:
-    """Refuse exact rfstar or a computation tree on more facets than `bound`.
-
-    None means DEFAULT_ENUMERATION_BOUND.  A bound above
-    orders.MAX_UNIVERSE is capped there, because each history's weight
-    counts orders of the facets enumerated; the refusal comes before any
-    history is enumerated.  `what` names the facets counted in the
-    message.
-    """
-    if bound is None:
-        bound = DEFAULT_ENUMERATION_BOUND
-    if facet_count > min(bound, MAX_UNIVERSE):
-        cap = f", capped at {MAX_UNIVERSE}" if bound > MAX_UNIVERSE else ""
-        raise EnumerationBoundExceeded(
-            f"{facet_count} {what} exceed the enumeration bound {bound}{cap}; "
-            "use Monte Carlo estimation instead"
-        )
 
 
 def expected_pivots_rf(
@@ -251,7 +230,6 @@ def expected_pivots_rf_star(
     facets: Iterable[EdgeId] | None,
     start: TreePolicy,
     *,
-    enumeration_bound: int | None = None,
     evaluator: ExactEvaluator | None = None,
 ) -> Fraction:
     """Exact expectation of the permutation-driven rule.
@@ -259,11 +237,10 @@ def expected_pivots_rf_star(
     Defined as the mean pivot count of the deterministic runner over
     all |F|! permutations of the facet set, computed as an exact
     rational from the argmin histories, each weighted by the number of
-    permutations that produce it.  Beyond the enumeration bound
-    (default 10 live facets, those not dead at the start, never more
-    than orders.MAX_UNIVERSE) this raises instead of silently
-    truncating.  Pass an ExactEvaluator of inst to share its dead
-    masks across calls.
+    permutations that produce it.  More than orders.MAX_UNIVERSE live
+    facets (those not dead at the start) or more than
+    algorithms.EXECUTION_BUDGET histories raise EnumerationBoundExceeded
+    instead of silently truncating.  Pass an ExactEvaluator of inst to
+    share its dead masks across calls.
     """
-    evaluator = evaluator or ExactEvaluator(inst)
-    return evaluator.expected_rf_star(facets, start, enumeration_bound)
+    return (evaluator or ExactEvaluator(inst)).expected_rf_star(facets, start)

@@ -37,7 +37,6 @@ from .comptree import _frac, comptree
 from .cube import OrientationView, cube_encoding, orientation_view, tree_masks
 from .errors import (
     GenerationFailedAfterRetries,
-    NoTreeInSubset,
     ParseError,
     SearchExhausted,
     TooLargeForExhaustiveCheck,
@@ -48,7 +47,6 @@ from .graph import (
     Edge,
     Instance,
     TreePolicy,
-    _Index,
     edge_names,
     optimal_tree,
     pivot,
@@ -155,21 +153,21 @@ def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
     trees of T plus e: no edge of that subset improves T.  Conversely,
     two optimal trees of one subset differ by a single swap of a tight
     edge into one of them (_Index.count_optimal_trees).  So the check
-    runs that swap test on every tree's tight edges, by its split's
-    distances, without solving any subset.  Desk-sized only.
+    runs that swap test on every tree's tight edges, by its distances
+    (_Index.tree_distances, uncached), without solving any subset.
+    Desk-sized only.
     """
     m = inst.m
     if m > max_edges:
         raise TooLargeForExhaustiveCheck(
             f"{m} edges exceed the exhaustive-check bound {max_edges}"
         )
-    idx = _Index(inst)  # its own index, so the walked trees are not cached on inst
+    idx = inst._index
     tail, head, cost = idx.tail, idx.head, idx.cost
     for ids in itertools.product(*idx.out):  # ids: the tree's edge per vertex
         mask = sum(1 << eid for eid in ids)
-        try:
-            dist, _ = idx.tree_split(mask)
-        except NoTreeInSubset:  # a choice vector with a cycle
+        dist = idx.tree_distances(mask)
+        if dist is None:  # a choice vector with a cycle
             continue
         tight = sum(1 << e for e, u in enumerate(tail) if cost[e] + dist[head[e]] == dist[u])
         if idx.count_optimal_trees(tight & ~mask, ids) == 2:

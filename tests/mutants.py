@@ -94,6 +94,28 @@ MUTANTS = [
         "b2 = end | low",
         ("tests/test_exact.py::TestExpectedPivotsRf::test_errata_from_001",),
     ),
+    Mutant(
+        "branches never checks the execution budget",
+        "algorithms.py",
+        "if executions > EXECUTION_BUDGET:",
+        "if False:",
+        ("tests/test_exact.py::TestEnumerationLimits::test_errata_fits_its_own_history_count",
+         "tests/test_comptree.py::TestExports::test_execution_budget_counts_leaves"),
+    ),
+    Mutant(
+        "branches drops the universe cap",
+        "algorithms.py",
+        "if rule == RF_STAR and len(ids) > MAX_UNIVERSE:",
+        "if False:",
+        ("tests/test_exact.py::TestEnumerationLimits::test_universe_cap_refuses_before_any_run",),
+    ),
+    Mutant(
+        "_count_orders leaves out the n!/k! factor of the free elements",
+        "orders.py",
+        "return ways.get(named, 0) * math.factorial(universe_size) // math.factorial(len(preds))",
+        "return ways.get(named, 0)",
+        ("tests/test_orders.py::TestCountOrders::test_sparse_masks_match_brute_force",),
+    ),
 ]
 
 

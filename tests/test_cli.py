@@ -1,6 +1,6 @@
 import pytest
 
-from randomfacet import cli, dumps_instance, exact, loads_instance, validate_instance
+from randomfacet import algorithms, cli, dumps_instance, exact, loads_instance, validate_instance
 
 
 @pytest.fixture()
@@ -63,11 +63,16 @@ class TestExact:
         )
         assert (code, out) == (0, "0/1\n")
 
-    def test_enum_bound_override(self, capsys, errata_file, monkeypatch):
-        monkeypatch.setenv("RANDOMFACET_ENUM_BOUND", "3")
-        code, _, err = run_cli(capsys, "exact", errata_file, "--rule", "rfstar", "--tree", "x0,y0,z1")
-        assert code == 2
-        assert "enumeration bound" in err
+    @pytest.mark.parametrize(
+        "command, rule", [("exact", "rfstar"), ("comptree", "rfstar"), ("comptree", "rf")]
+    )
+    def test_execution_budget_exits_2(self, capsys, errata_file, monkeypatch, command, rule):
+        # from 001 exact rfstar walks 18 histories, the computation trees
+        # 36 and 190 executions
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 17)
+        code, out, err = run_cli(capsys, command, errata_file, "--rule", rule, "--tree", "x0,y0,z1")
+        assert (code, out) == (2, "")
+        assert "more than 17 executions" in err and "Monte Carlo" in err
 
     def test_rf_state_budget_exits_2(self, capsys, errata_file, monkeypatch):
         # exact rf from 001 needs 18 memo states

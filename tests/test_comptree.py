@@ -248,17 +248,27 @@ class TestExports:
         assert "shape=box" in dot
         assert "1/3" in dot
 
-    def test_enumeration_bound_respected(self, errata, enc):
-        with pytest.raises(EnumerationBoundExceeded):
-            comptree(errata, None, enc.tree("001"), RF_STAR, enumeration_bound=4)
+    @pytest.mark.parametrize("rule", [RF, RF_STAR])
+    def test_execution_budget_counts_leaves(self, errata, enc, trees_001, monkeypatch, rule):
+        # 190 rf executions and 36 rfstar histories from 001: a budget of
+        # exactly the leaves builds the same tree, one fewer refuses it
+        nodes = trees_001[rule].nodes
+        leaves = sum(node.kind == "leaf" for node in nodes)
+        assert leaves == {RF: 190, RF_STAR: 36}[rule]
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", leaves)
+        assert len(comptree(errata, None, enc.tree("001"), rule).nodes) == len(nodes)
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", leaves - 1)
+        with pytest.raises(EnumerationBoundExceeded, match=f"more than {leaves - 1} executions"):
+            comptree(errata, None, enc.tree("001"), rule)
 
-    def test_enumeration_bound_respected_for_rf(self, errata, enc, monkeypatch):
-        def no_runs(*args):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(algorithms, "steps", no_runs)
-        with pytest.raises(EnumerationBoundExceeded):
-            comptree(errata, None, enc.tree("001"), RF, enumeration_bound=4)
+    def test_default_budget_refuses_a_huge_rf_tree(self):
+        # m = 9 from the last-edge start: 2 749 320 rf executions, refused
+        # once the walk passes the default budget
+        inst = random_instance(3, 3, 9, 7, require_generic=False)
+        start = TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es})
+        assert inst.m == 9
+        with pytest.raises(EnumerationBoundExceeded, match="Monte Carlo"):
+            comptree(inst, None, start, RF)
 
     def test_unknown_rule_rejected(self, errata, enc):
         with pytest.raises(ValueError):

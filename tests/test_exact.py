@@ -14,7 +14,6 @@ from randomfacet import (
     Instance,
     NonGenericInstance,
     NoTreeInSubset,
-    RandomFacetError,
     StateBudgetExceeded,
     TreePolicy,
     comptree,
@@ -382,11 +381,6 @@ class TestExpectedPivotsRfStar:
         tree = enc.tree("011")
         assert expected_pivots_rf_star(errata, tree.edge_ids, tree) == 0
 
-    def test_enumeration_bound(self, errata, enc):
-        with pytest.raises(EnumerationBoundExceeded) as exc:
-            expected_pivots_rf_star(errata, None, enc.tree("001"), enumeration_bound=5)
-        assert "Monte Carlo" in str(exc.value)
-
     def test_two_directional_gap(self, errata, enc):
         f001 = expected_pivots_rf(errata, None, enc.tree("001"))
         g001 = expected_pivots_rf_star(errata, None, enc.tree("001"))
@@ -394,6 +388,47 @@ class TestExpectedPivotsRfStar:
         g111 = expected_pivots_rf_star(errata, None, enc.tree("111"))
         assert g001 > f001
         assert g111 < f111
+
+
+class TestEnumerationLimits:
+    """algorithms.branches refuses every exact enumeration: rfstar over
+    more than orders.MAX_UNIVERSE facets before any run, and either rule
+    once its executions pass algorithms.EXECUTION_BUDGET."""
+
+    def test_errata_fits_its_own_history_count(self, errata, enc, monkeypatch):
+        # exact rfstar from 001 walks 18 histories
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 18)
+        assert expected_pivots_rf_star(errata, None, enc.tree("001")) == Fraction(29, 12)
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 17)
+        with pytest.raises(EnumerationBoundExceeded) as exc:
+            expected_pivots_rf_star(errata, None, enc.tree("001"))
+        assert "more than 17 executions" in str(exc.value)
+        assert "Monte Carlo" in str(exc.value)
+
+    def test_universe_cap_refuses_before_any_run(self, monkeypatch):
+        # 13 live facets cannot be weighed (orders.MAX_UNIVERSE is 12)
+        def no_runs(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(algorithms, "steps", no_runs)
+        fan = Instance.build("t", [Edge(i, "v", "t", i + 1) for i in range(13)])
+        start = TreePolicy({"v": 12})
+        with pytest.raises(EnumerationBoundExceeded, match="^13 facets exceed the 12"):
+            expected_pivots_rf_star(fan, None, start)
+        with pytest.raises(EnumerationBoundExceeded, match="^13 facets exceed the 12"):
+            comptree(fan, None, start, RF_STAR)
+
+    def test_budget_refuses_a_start_the_cap_admits(self, monkeypatch):
+        # m = 12 from the first-edge start, all 12 edges live: the walk
+        # passes the default budget of 50 000 histories (about 4-6 s), so
+        # a lowered budget shows the same refusal sooner
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 5_000)
+        inst = random_instance(4, 3, 9, 3, require_generic=False)
+        start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
+        live = inst._index.full_mask & ~ExactEvaluator(inst).dead(start.mask)
+        assert inst.m == live.bit_count() == 12
+        with pytest.raises(EnumerationBoundExceeded, match="more than 5000 executions"):
+            expected_pivots_rf_star(inst, None, start)
 
 
 class TestHistoryEnumeration:
@@ -478,21 +513,6 @@ class TestHistoryEnumeration:
             picks += sum(map(len, weights))
         assert picks and forced[0]  # histories have picks, and some were forced
 
-    def test_bound_above_the_universe_cap_refuses_first(self, monkeypatch):
-        # 13 facets cannot be weighed (orders.MAX_UNIVERSE is 12), so a
-        # caller's bound of 13 must refuse before any run starts
-        def no_runs(*args):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(algorithms, "steps", no_runs)
-        fan = Instance.build("t", [Edge(i, "v", "t", i + 1) for i in range(13)])
-        start = TreePolicy({"v": 12})
-        with pytest.raises(RandomFacetError) as exc:
-            expected_pivots_rf_star(fan, None, start, enumeration_bound=13)
-        assert "enumeration bound" in str(exc.value)
-        with pytest.raises(RandomFacetError):
-            comptree(fan, None, start, RF_STAR, enumeration_bound=13)
-
 
 class TestPruningAlongTheRun:
     """Exact rfstar drops edges as they die: each resumed fork clears the
@@ -542,10 +562,10 @@ class TestPruningAlongTheRun:
         assert len(_rfstar_histories(inst, start, False)) == 1448
         assert len(_rfstar_histories(inst, start, True)) == 188
 
-    def test_enumeration_bound_counts_live_edges(self):
-        # m = 14 from the first-edge start, 4 edges dead there: the 10 live
-        # edges fit the default bound, and the walk over them that drops
-        # nothing more takes 36 histories (24 pruned along the run)
+    def test_universe_cap_counts_live_edges(self):
+        # m = 14 from the first-edge start, 4 edges dead there: the walk
+        # over the 10 live edges that drops nothing more takes 36
+        # histories (24 pruned along the run)
         inst = random_instance(7, 2, 9, 1, require_generic=False)
         start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
         assert inst.m == 14
@@ -555,8 +575,13 @@ class TestPruningAlongTheRun:
         assert len(_rfstar_histories(inst, start, True)) == 24
         expected = _unpruned_rfstar_mean(inst, start, live)
         assert expected_pivots_rf_star(inst, None, start) == expected == 3
-        with pytest.raises(EnumerationBoundExceeded, match="^10 live facets exceed"):
-            expected_pivots_rf_star(inst, None, start, enumeration_bound=9)
+        # m = 14 with 12 live edges: more edges than the cap, but only the
+        # live ones are weighed
+        inst = random_instance(7, 2, 9, 5, require_generic=False)
+        start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
+        live = inst._index.full_mask & ~ExactEvaluator(inst).dead(start.mask)
+        assert (inst.m, live.bit_count()) == (14, 12)
+        assert expected_pivots_rf_star(inst, None, start) == Fraction(19, 4)
 
 
 class TestSubsetArguments:

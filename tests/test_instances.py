@@ -160,8 +160,8 @@ class TestGenericity:
         assert True in answers and False in answers
 
     def test_walks_trees_without_solving_a_subset(self, monkeypatch):
-        # m=20: 2^10 = 1 024 trees, each read and split once on the check's
-        # own index; of the 3^10 = 59 049 covering subsets none is solved
+        # m=20: 2^10 = 1 024 trees, each read once by its distances and
+        # none split; of the 3^10 = 59 049 covering subsets none is solved
         # or asked of ExactEvaluator.optimal, and the instance's per-tree
         # cache keeps none of the walked trees
         inst = random_instance(10, 2, 9, 0, require_generic=False)
@@ -173,7 +173,7 @@ class TestGenericity:
         distances = count_calls(monkeypatch, graph._Index, "tree_distances")
         asked = count_calls(monkeypatch, ExactEvaluator, "optimal")
         assert genericity_check(inst)
-        assert (solves[0], splits[0], distances[0], asked[0]) == (0, 1024, 1024, 0)
+        assert (solves[0], splits[0], distances[0], asked[0]) == (0, 0, 1024, 0)
         assert cached == 1
         assert len(idx.splits) == cached
 
