@@ -21,10 +21,10 @@ deterministic and always removes the facet ranked first by a fixed
 permutation, so each descent is F minus B sorted by rank.  Both fold
 the events into a RunResult, counting one pivot per exchange.
 branches() walks the tree of every execution of a rule once, depth
-first: it pauses steps() where executions part and resumes the saved
-point once per answer.  Exact rfstar and both computation trees
-consume it, and Monte Carlo consumes steps() directly, so branches()
-is the one place that refuses an exact enumeration.
+first, resuming steps() with one answer at each choice point that has
+several candidates.  Exact rfstar and both computation trees consume
+it, and Monte Carlo consumes steps() directly, so branches() is the
+one place that refuses an exact enumeration.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -244,23 +244,27 @@ def _answers(hist: tuple, cands: list[EdgeId]) -> list[tuple]:
 def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tuple]:
     """Every distinct execution of `rule` from `bmask`, walked once as a tree.
 
-    An execution is fixed by its answers at the choice points.  The walk
-    pauses steps() at each fork, a choice point with more than one
-    allowed answer, and resumes the saved point (fmask, bmask, frames,
-    depth, kind) once per allowed answer, depth first.  It yields
-    (forks, events, weight) per segment, in pre-order: `forks` counts the
-    forks above the segment, its events start with the descent of its
-    answer (except at the root), and `weight` is None if it ends at a
-    fork, whose segments follow in ascending answer order; otherwise it
-    ends an execution of that weight, read off its history (before,
-    width) (_answers).  RF weights are Fractions summing to one, RF_STAR
-    weights integers summing to |F|!.
+    An execution is fixed by its answers at the choice points.  A
+    transition resumes a pause point (fmask, bmask, frames, depth, kind)
+    of steps() with one answer up to the next choice point with two or
+    more candidates; a single one is forced under either rule, so the
+    transition depends on neither rule nor history.  A pause with one
+    allowed answer (_answers) goes on; one with several is a fork,
+    resumed once per answer, in ascending order, depth first.  Per
+    segment, in pre-order, it yields (forks, events, weight): `forks`
+    counts the forks above it, its events run from its fork's answer
+    (the start, at the root) to the next fork, with `weight` None, or to
+    the end of an execution of that weight, read off its history (before,
+    width): Fractions summing to one under RF, integers summing to |F|!
+    under RF_STAR.  Without `dead`, a transition runs steps() once, and
+    its events, shared by every path through it, must not be changed.
 
     `dead(bmask)`, if given, names edges no run from tree bmask pivots in
-    (exact.ExactEvaluator.dead).  Each resumed fork then drops them,
-    except its own answer, from the facet mask and from every pending
+    (exact.ExactEvaluator.dead).  Each pause then drops them, before its
+    answers are listed, from the facet mask and from every pending
     frame's facets, picks and pick mask: the run pivots alike, pick for
-    pick, while the weights still count orders of all of F.
+    pick, while the weights still count orders of all of F.  Pruned
+    pauses seldom recur, so this walk keeps no transition.
 
     Every exact enumeration is refused here, with
     EnumerationBoundExceeded, rather than truncated: RF_STAR on more
@@ -277,41 +281,52 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
             "use Monte Carlo estimation instead"
         )
     executions = 0
-    hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, 1)
-    todo = [(0, (fmask, bmask, (), 0, CallKind.ROOT), hist, None)]
-    while todo:
-        forks, (fmask, bmask, frames, depth, kind), hist, answer = todo.pop()
-        fork = None
-        if dead is not None and answer is not None:
-            # the answer is picked now: it stays, and the next resume drops it
-            dm = dead(bmask) & ~(1 << answer) & (frames[0][0] if frames else fmask)
-            if dm:
-                fmask &= ~dm
-                frames = tuple(
-                    (f & ~dm, [e for e in picks if not dm >> e & 1], pmask & ~dm, d, k)
-                    for f, picks, pmask, d, k in frames
-                )
+    pauses: dict[tuple, tuple] = {}  # by value: (point, {answer: (events, next pause)})
 
+    def resume(point, answer):
+        # the events up to the next choice point with two or more candidates
         def order(cands: list[EdgeId]) -> list[EdgeId]:
-            # the answers up to the next fork
-            nonlocal answer, fork, hist
-            out = []
-            while cands:
-                e, answer = answer, None  # a fork's answer is already in `hist`
-                if e is None:
-                    options = _answers(hist, cands)
-                    if len(options) > 1:
-                        fork = options
-                        break
-                    e, hist = options[0]
-                out.append(e)
-                cands.remove(e)
+            nonlocal answer
+            out = [] if answer is None else [cands.pop(cands.index(answer))]
+            answer = None
+            while len(cands) == 1:
+                out.append(cands.pop())
             return out
 
-        events = list(steps(idx, fmask, bmask, order, frames, depth, kind))
-        if fork is not None:
-            point = events.pop()[1]
-            todo.extend((forks + 1, point, child, e) for e, child in reversed(fork))
+        events = list(steps(idx, *point[:2], order, *point[2:]))
+        if not events or events[-1][0] != "pause":
+            return events, None
+        if dead is not None:
+            return events, (events.pop()[1], None)
+        point = fmask, bmask, frames, depth, kind = events.pop()[1]
+        key = (fmask, bmask, tuple((f, tuple(p), d, k) for f, p, _, d, k in frames), depth, kind)
+        return events, pauses.setdefault(key, (point, {}))
+
+    hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, 1)
+    todo = [(0, ((fmask, bmask, (), 0, CallKind.ROOT), None if dead else {}), hist, None)]
+    while todo:
+        forks, (point, moves), hist, answer = todo.pop()
+        events: list[tuple] = []
+        while True:
+            if moves is not None and answer not in moves:
+                moves[answer] = resume(point, answer)
+            segment, pause = resume(point, answer) if moves is None else moves[answer]
+            events += segment
+            if pause is None:
+                break
+            point, moves = pause
+            fmask, bmask, frames, depth, kind = point
+            if dead is not None:  # drop the edges dead here before listing the answers
+                dm = dead(bmask) & (frames[0][0] if frames else fmask)
+                frames = tuple((f & ~dm, [e for e in p if not dm >> e & 1], pm & ~dm, d, k)
+                               for f, p, pm, d, k in frames)
+                point = (fmask & ~dm, bmask, frames, depth, kind)
+            options = _answers(hist, idx.edge_bits(point[0] & ~bmask))
+            if len(options) > 1:
+                break
+            answer, hist = options[0] if options else (None, hist)
+        if pause is not None:
+            todo.extend((forks + 1, (point, moves), child, e) for e, child in reversed(options))
             yield forks, events, None
             continue
         executions += 1

@@ -36,7 +36,7 @@ e never improves T, dead(B) lies within dead(T), and by induction on |F|
 runs on F and on F minus e pivot alike (rfstar's order restricted to F
 minus e).  Strictly slack, e is on no optimal tree between B and F.
 The same holds at every tree T a run reaches, for the edges dead at T:
-exact rfstar drops them along the run, where it resumes a fork
+exact rfstar drops them at each pause of its walk, before listing answers
 (algorithms.branches), from the facets and the pending calls alike.
 Each order of the start's live edges consistent with a pruned history
 then gives exactly one unpruned execution, with the same pivots, so

@@ -64,7 +64,8 @@ MUTANTS = [
         "if c + pi[h] > dist[u]",
         "if c + pi[h] >= dist[u]",
         ("tests/test_exact.py::TestDeadEdges::test_rfstar_keeps_the_mean_over_every_order",
-         "tests/test_exact.py::TestDeadEdges::test_dropped_edges_never_enter"),
+         "tests/test_exact.py::TestDeadEdges::test_dropped_edges_never_enter",
+         "tests/test_exact.py::TestHistoryEnumeration::test_errata_history_counts"),
     ),
     Mutant(
         "genericity_check swap-tests the tree's own edges too",
@@ -101,6 +102,31 @@ MUTANTS = [
         "if False:",
         ("tests/test_exact.py::TestEnumerationLimits::test_errata_fits_its_own_history_count",
          "tests/test_comptree.py::TestExports::test_execution_budget_counts_leaves"),
+    ),
+    Mutant(
+        "branches prunes at the resume instead of at the pause: forks list dead answers",
+        "algorithms.py",
+        "                dm = dead(bmask) & (frames[0][0] if frames else fmask)\n",
+        "                dm = dead(bmask) & (frames[0][0] if frames else fmask)\n"
+        "                dm &= ~sum(1 << e for e, _ in _answers(hist, idx.edge_bits(fmask & ~bmask)))\n",
+        ("tests/test_exact.py::TestHistoryEnumeration::test_errata_history_counts",
+         "tests/test_exact.py::TestPruningAlongTheRun::test_pending_frames_drop_dead_edges",
+         "tests/test_exact.py::TestPruningAlongTheRun::test_universe_cap_counts_live_edges"),
+    ),
+    Mutant(
+        "the transition key leaves out the pending frames",
+        "algorithms.py",
+        "key = (fmask, bmask, tuple((f, tuple(p), d, k) for f, p, _, d, k in frames), depth, kind)",
+        "key = (fmask, bmask, depth, kind)",
+        ("tests/test_algorithms.py::test_rf_branches_match_the_scripted_runner",
+         "tests/test_comptree.py::test_golden_renderings"),
+    ),
+    Mutant(
+        "the transition key leaves out the depth",
+        "algorithms.py",
+        "for f, p, _, d, k in frames), depth, kind)",
+        "for f, p, _, d, k in frames), kind)",
+        ("tests/test_algorithms.py::test_rf_branches_match_the_scripted_runner",),
     ),
     Mutant(
         "branches drops the universe cap",

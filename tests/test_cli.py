@@ -67,12 +67,12 @@ class TestExact:
         "command, rule", [("exact", "rfstar"), ("comptree", "rfstar"), ("comptree", "rf")]
     )
     def test_execution_budget_exits_2(self, capsys, errata_file, monkeypatch, command, rule):
-        # from 001 exact rfstar walks 18 histories, the computation trees
+        # from 001 exact rfstar walks 8 histories, the computation trees
         # 36 and 190 executions
-        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 17)
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 7)
         code, out, err = run_cli(capsys, command, errata_file, "--rule", rule, "--tree", "x0,y0,z1")
         assert (code, out) == (2, "")
-        assert "more than 17 executions" in err and "Monte Carlo" in err
+        assert "more than 7 executions" in err and "Monte Carlo" in err
 
     def test_rf_state_budget_exits_2(self, capsys, errata_file, monkeypatch):
         # exact rf from 001 needs 18 memo states

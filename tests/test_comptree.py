@@ -8,6 +8,7 @@ from randomfacet import (
     RF,
     RF_STAR,
     EnumerationBoundExceeded,
+    Instance,
     TreePolicy,
     comptree,
     expected_pivots_rf,
@@ -15,7 +16,7 @@ from randomfacet import (
     random_instance,
 )
 from randomfacet import algorithms
-from helpers import executions, pick_order_by_paths
+from helpers import count_calls, executions, pick_order_by_paths
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +270,20 @@ class TestExports:
         assert inst.m == 9
         with pytest.raises(EnumerationBoundExceeded, match="Monte Carlo"):
             comptree(inst, None, start, RF)
+
+    def test_each_transition_runs_steps_once(self, errata, enc, monkeypatch):
+        # the walk resumes a pause with one answer up to the next choice
+        # point with two or more candidates, and keeps each such transition,
+        # so a tree runs steps() once per distinct (pause, answer), the start
+        # included: 57 / 92 from 001 / 111 under both rules (348 / 521 for
+        # rf and 68 / 157 for rfstar when every fork ran its own resume)
+        runs = count_calls(monkeypatch, algorithms, "steps")
+        for bits, want in (("001", 57), ("111", 92)):
+            for rule in (RF, RF_STAR):
+                inst = Instance(errata.target, errata.edges, errata.vertices)  # an empty index
+                before = runs[0]
+                comptree(inst, None, enc.tree(bits), rule)
+                assert runs[0] - before == want
 
     def test_unknown_rule_rejected(self, errata, enc):
         with pytest.raises(ValueError):

@@ -396,13 +396,13 @@ class TestEnumerationLimits:
     once its executions pass algorithms.EXECUTION_BUDGET."""
 
     def test_errata_fits_its_own_history_count(self, errata, enc, monkeypatch):
-        # exact rfstar from 001 walks 18 histories
-        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 18)
+        # exact rfstar from 001 walks 8 histories
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 8)
         assert expected_pivots_rf_star(errata, None, enc.tree("001")) == Fraction(29, 12)
-        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 17)
+        monkeypatch.setattr(algorithms, "EXECUTION_BUDGET", 7)
         with pytest.raises(EnumerationBoundExceeded) as exc:
             expected_pivots_rf_star(errata, None, enc.tree("001"))
-        assert "more than 17 executions" in str(exc.value)
+        assert "more than 7 executions" in str(exc.value)
         assert "Monte Carlo" in str(exc.value)
 
     def test_universe_cap_refuses_before_any_run(self, monkeypatch):
@@ -430,13 +430,23 @@ class TestEnumerationLimits:
         with pytest.raises(EnumerationBoundExceeded, match="more than 5000 executions"):
             expected_pivots_rf_star(inst, None, start)
 
+    def test_default_budget_answers_a_3_out_start(self):
+        # m = 12 from the last-edge start, 11 edges live there: 7 288
+        # histories when each pause drops the edges dead at its tree before
+        # listing its answers, 95 052 (over the default budget) when forks
+        # still listed them
+        inst = random_instance(4, 3, 9, 0, require_generic=False)
+        start = TreePolicy({v: es[-1].id for v, es in inst.out_edges.items() if es})
+        assert expected_pivots_rf_star(inst, None, start) == Fraction(21, 4)
+
 
 class TestHistoryEnumeration:
     def test_errata_history_counts(self, errata, enc, monkeypatch):
         # no edge is dead at either start; exact rfstar drops edges as they
-        # die along the run and weighs each of its histories once
+        # die along the run, before each fork lists its answers, and weighs
+        # each of its histories once
         weighed = count_calls(monkeypatch, algorithms, "_count_orders")
-        for bits, histories, pruned in (("001", 36, 18), ("111", 82, 29)):
+        for bits, histories, pruned in (("001", 36, 8), ("111", 82, 8)):
             start = enc.tree(bits)
             idx, fmask = start_state(errata, None, start)
             segments = branches(idx, fmask, start.mask, RF_STAR)
@@ -515,9 +525,9 @@ class TestHistoryEnumeration:
 
 
 class TestPruningAlongTheRun:
-    """Exact rfstar drops edges as they die: each resumed fork clears the
-    edges dead at its tree, except its own answer, from the facet mask and
-    from every pending frame's facets, picks and pick mask, while the
+    """Exact rfstar drops edges as they die: each pause clears the edges
+    dead at its tree, before its answers are listed, from the facet mask
+    and from every pending frame's facets, picks and pick mask, while the
     weights still count orders of the start's live edges."""
 
     def test_matches_the_unpruned_walk_on_the_pools(self):
@@ -555,24 +565,23 @@ class TestPruningAlongTheRun:
 
     def test_pending_frames_drop_dead_edges(self):
         # random_instance(4, 2, 9, 0) from the first-edge start, m = 8, no
-        # edge dead there: 1 448 histories unpruned, 188 pruned; 190 if only
-        # the facet mask dropped dead edges and the pending frames kept them
+        # edge dead there: 1 448 histories unpruned, 24 pruned
         inst = random_instance(4, 2, 9, 0, require_generic=False)
         start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
         assert len(_rfstar_histories(inst, start, False)) == 1448
-        assert len(_rfstar_histories(inst, start, True)) == 188
+        assert len(_rfstar_histories(inst, start, True)) == 24
 
     def test_universe_cap_counts_live_edges(self):
         # m = 14 from the first-edge start, 4 edges dead there: the walk
         # over the 10 live edges that drops nothing more takes 36
-        # histories (24 pruned along the run)
+        # histories (6 pruned along the run)
         inst = random_instance(7, 2, 9, 1, require_generic=False)
         start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
         assert inst.m == 14
         live = inst._index.full_mask & ~ExactEvaluator(inst).dead(start.mask)
         assert live.bit_count() == 10
         assert len(_rfstar_histories(inst, start, False)) == 36
-        assert len(_rfstar_histories(inst, start, True)) == 24
+        assert len(_rfstar_histories(inst, start, True)) == 6
         expected = _unpruned_rfstar_mean(inst, start, live)
         assert expected_pivots_rf_star(inst, None, start) == expected == 3
         # m = 14 with 12 live edges: more edges than the cap, but only the
