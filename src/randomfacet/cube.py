@@ -158,8 +158,8 @@ def orientation_view(inst: Instance) -> OrientationView:
     """Orient every cube edge between adjacent trees in the improving direction.
 
     A tie (f = 0 below) happens only on non-generic instances.  The
-    errata search reads the same forms off sign cells instead
-    (instances._layout_cells).
+    errata search signs the same forms on a whole cost grid at once,
+    a bitset per form (instances._sign_cells).
     """
     enc = cube_encoding(inst)
     idx = inst._index

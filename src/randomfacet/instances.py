@@ -9,7 +9,7 @@ and from 111 to 000; a unique sink on every face; every line of
 errata_checks, the list verify-errata prints (optimal tree 000,
 expected pivot counts 7/3 and 29/12 from start tree 001, 11/3 and
 43/12 from 111, ...); genericity on every edge subset.  Sign cells
-(_layout_cells) orient the candidates' cubes.  The found instance is
+(_sign_cells) orient the candidates' cubes.  The found instance is
 frozen as data/errata-cube.instance and loaded by errata_instance().
 
 Text format (UTF-8, '#' starts a comment):
@@ -268,8 +268,8 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
     candidate of the space fails the unique-sink test, so it runs after
     the path counts, which reject all but the winner.
 
-    The cube tests run in _cube_survivors, which orients a cube by sign
-    cells of its head layout and tests each distinct out-map once; only a
+    The cube tests run in _cube_survivors, which splits a head layout's
+    cost grid into sign cells and tests each distinct out-map once; only a
     candidate that passes them becomes an Instance, which
     _matches_reference checks from scratch with errata_checks (building
     its one OrientationView) and genericity_check.  Exhausting the space
@@ -288,24 +288,24 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
 def _cube_survivors(max_one_cost: int) -> Iterator[Instance]:
     """The candidates, in search order, that pass the cheap cube tests.
 
-    A layout builds one out-map per tie-free sign key (_layout_cells) it
-    meets; the cube tests run once per distinct out-map of a search.
+    Each distinct form met (_layout_cells) is signed once per call on the
+    whole cost grid (_form_signs); a layout builds one out-map per sign
+    cell (_sign_cells), and the cube tests run once per distinct out-map.
     """
     verdicts: dict[tuple[int, ...], bool] = {}
+    signs: dict[tuple[int, ...], tuple[int, int]] = {}  # form: its (negative, zero) masks
     for heads, cost_space in _candidate_space(max_one_cost):
         enc, forms, arrows = _layout_cells(heads)
-        passing: dict[int, bool] = {}
-        for costs in cost_space:
-            key = _sign_key(forms, costs)
-            if key is None:  # a tie
-                continue
-            if key not in passing:
-                out = _out_map(arrows, key)
-                if out not in verdicts:
-                    verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))
-                passing[key] = verdicts[out]
-            if passing[key]:
-                yield _candidate(heads, costs)
+        signs.update((form, _form_signs(form, cost_space)) for form in set(forms) - signs.keys())
+        passing = 0
+        for key, cell in _sign_cells([signs[form] for form in forms], len(cost_space)):
+            out = _out_map(arrows, key)
+            if out not in verdicts:
+                verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))
+            if verdicts[out]:
+                passing |= cell
+        if passing:  # in ascending index order, the search order
+            yield from (_candidate(heads, c) for i, c in enumerate(cost_space) if passing >> i & 1)
 
 
 def _layout_cells(heads: tuple[str, ...]):
@@ -316,6 +316,7 @@ def _layout_cells(heads: tuple[str, ...]):
     Heads lie downstream, so the arrow (form index, v, axis) of the cube
     edge from tree v (u on its 0-edge) to v | axis leaves v iff its form
     cost(u's 1-edge) + d_v(its head) - d_v(u) is negative; zero is a tie.
+    A layout has at most 6 distinct forms; the 36 layouts have 13.
     """
     template = _candidate(heads, (0, 0, 0))
     idx, enc = template._index, cube_encoding(template)
@@ -333,16 +334,28 @@ def _layout_cells(heads: tuple[str, ...]):
     return enc, list(forms), arrows
 
 
-def _sign_key(forms: list[tuple[int, ...]], costs: tuple[int, ...]) -> int | None:
-    """Bit i set iff form i is negative at costs; None if a form is zero (a tie)."""
-    cx, cy, cz = costs
-    key = 0
-    for i, (a, b, c) in enumerate(forms):
+def _form_signs(form: tuple[int, ...], cost_space: list[tuple[int, ...]]) -> tuple[int, int]:
+    """Bitsets over cost_space's indices: where form is negative, and where it is zero."""
+    a, b, c = form
+    neg = zero = 0
+    for i, (cx, cy, cz) in enumerate(cost_space):
         value = a * cx + b * cy + c * cz
-        if not value:
-            return None
-        key |= (value < 0) << i
-    return key
+        if value < 0:
+            neg |= 1 << i
+        elif not value:
+            zero |= 1 << i
+    return neg, zero
+
+
+def _sign_cells(signs: list[tuple[int, int]], size: int) -> list[tuple[int, int]]:
+    """(key, indices) per nonempty tie-free cell of `size` cost tuples, given
+    each form's (negative, zero) masks: key bit i says form i is negative."""
+    cells, ties = [(0, (1 << size) - 1)], 0
+    for i, (neg, zero) in enumerate(signs):
+        ties |= zero
+        cells = [(key | bit, part) for key, cell in cells
+                 for bit, part in ((1 << i, cell & neg), (0, cell & ~neg)) if part]
+    return [(key, cell & ~ties) for key, cell in cells if cell & ~ties]
 
 
 def _out_map(arrows: list[tuple[int, int, int]], key: int) -> tuple[int, ...]:

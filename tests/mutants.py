@@ -114,6 +114,50 @@ MUTANTS = [
          "tests/test_exact.py::TestPruningAlongTheRun::test_universe_cap_counts_live_edges"),
     ),
     Mutant(
+        "a pause prunes only its facet mask, not the pending frames",
+        "algorithms.py",
+        "                frames = tuple((f & ~dm, [e for e in p if not dm >> e & 1], pm & ~dm, d, k)\n"
+        "                               for f, p, pm, d, k in frames)\n",
+        "",
+        ("tests/test_exact.py::TestPruningAlongTheRun::"
+         "test_pending_frames_drop_dead_edges_before_resuming",),
+    ),
+    Mutant(
+        "the sign cells keep the ties",
+        "instances.py",
+        "        ties |= zero\n",
+        "",
+        ("tests/test_cube.py::test_sign_cells_group_the_tie_free_costs_by_the_oracle_key",),
+    ),
+    Mutant(
+        "a form's negative and non-negative parts are swapped",
+        "instances.py",
+        "((1 << i, cell & neg), (0, cell & ~neg))",
+        "((1 << i, cell & ~neg), (0, cell & neg))",
+        ("tests/test_cube.py::test_sign_cells_group_the_tie_free_costs_by_the_oracle_key",),
+    ),
+    Mutant(
+        "the verdict memo is keyed on the head layout, not the out-map",
+        "instances.py",
+        "            if out not in verdicts:\n"
+        "                verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))\n"
+        "            if verdicts[out]:\n",
+        "            if heads not in verdicts:\n"
+        "                verdicts[heads] = _passes_cube_tests(OrientationView(encoding=enc, out=out))\n"
+        "            if verdicts[heads]:\n",
+        ("tests/test_instances.py::TestErrataFixture::test_derivation_work",),
+    ),
+    Mutant(
+        "survivors are yielded cell by cell, not in cost order",
+        "instances.py",
+        "            if verdicts[out]:\n"
+        "                passing |= cell\n",
+        "            if verdicts[out]:\n"
+        "                yield from (_candidate(heads, c) for i, c in enumerate(cost_space)\n"
+        "                            if cell >> i & 1)\n",
+        ("tests/test_cube.py::test_survivors_of_several_cells_come_in_search_order",),
+    ),
+    Mutant(
         "the transition key leaves out the pending frames",
         "algorithms.py",
         "key = (fmask, bmask, tuple((f, tuple(p), d, k) for f, p, _, d, k in frames), depth, kind)",

@@ -32,15 +32,18 @@ from randomfacet import (
     optimal_tree,
     orientation_view,
 )
+from randomfacet import instances
 from randomfacet.instances import (
     _AXES,
     _DOWNSTREAM,
     _candidate,
+    _candidate_space,
     _cube_survivors,
+    _form_signs,
     _layout_cells,
     _out_map,
     _passes_cube_tests,
-    _sign_key,
+    _sign_cells,
 )
 
 
@@ -248,10 +251,53 @@ def test_orientation_agrees_with_improves_on_cyclic_cubes():
     assert min(kinds[NotATree], kinds[NonGenericInstance], kinds["view"]) >= 10, kinds
 
 
+def sign_key(forms, costs):
+    """Bit i set iff form i is negative at costs; None if a form is zero (a tie).
+
+    The per-candidate oracle of the search's sign cells (_sign_cells)."""
+    cx, cy, cz = costs
+    key = 0
+    for i, (a, b, c) in enumerate(forms):
+        value = a * cx + b * cy + c * cz
+        if not value:
+            return None
+        key |= (value < 0) << i
+    return key
+
+
 def sign_cell_outcome(forms, arrows, cand):
     """The out-map of cand's sign key on its layout's forms, or NonGenericInstance for a tie."""
-    key = _sign_key(forms, tuple(e.cost for e in cand.edges[1::2]))
+    key = sign_key(forms, tuple(e.cost for e in cand.edges[1::2]))
     return NonGenericInstance if key is None else _out_map(arrows, key)
+
+
+@pytest.mark.parametrize("max_one_cost", [3, 8])
+def test_sign_cells_group_the_tie_free_costs_by_the_oracle_key(max_one_cost):
+    # per layout: the cells hold exactly the tie-free cost tuples, grouped
+    # by sign key, and what no cell holds is exactly the oracle's ties
+    for heads, cost_space in _candidate_space(max_one_cost):
+        _, forms, _ = _layout_cells(heads)
+        cells = _sign_cells([_form_signs(form, cost_space) for form in forms], len(cost_space))
+        by_key, ties = {}, set()
+        for i, costs in enumerate(cost_space):
+            key = sign_key(forms, costs)
+            if key is None:
+                ties.add(i)
+            else:
+                by_key[key] = by_key.get(key, 0) | 1 << i
+        assert dict(cells) == by_key and len(cells) == len(by_key)
+        held = sum(cell for _, cell in cells)  # the cells are disjoint, as by_key's are
+        assert {i for i in range(len(cost_space)) if not held >> i & 1} == ties
+
+
+def test_survivors_of_several_cells_come_in_search_order(monkeypatch):
+    # no layout of the search has two passing cells; with every out-map
+    # passing, each layout has several, and the survivors must still be
+    # the tie-free candidates in search order
+    monkeypatch.setattr(instances, "_passes_cube_tests", lambda view: True)
+    tie_free = [dumps_instance(cand) for cand in errata_candidates(3)
+                if orientation_outcome(cand) is not NonGenericInstance]
+    assert len(tie_free) > 36 and [dumps_instance(i) for i in _cube_survivors(3)] == tie_free
 
 
 def test_sign_keys_agree_with_orientation_view_on_every_candidate():

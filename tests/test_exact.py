@@ -571,6 +571,16 @@ class TestPruningAlongTheRun:
         assert len(_rfstar_histories(inst, start, False)) == 1448
         assert len(_rfstar_histories(inst, start, True)) == 24
 
+    def test_pending_frames_drop_dead_edges_before_resuming(self, monkeypatch):
+        # random_instance(4, 2, 9, 13) from the first-edge start: dead
+        # edges kept in the pending frames change no history and no value,
+        # only the walk's work, 94 steps calls against 90
+        inst = random_instance(4, 2, 9, 13, require_generic=False)
+        start = TreePolicy({v: es[0].id for v, es in inst.out_edges.items() if es})
+        calls = count_calls(monkeypatch, algorithms, "steps")
+        assert expected_pivots_rf_star(inst, None, start) == 3
+        assert calls[0] == 90
+
     def test_universe_cap_counts_live_edges(self):
         # m = 14 from the first-edge start, 4 edges dead there: the walk
         # over the 10 live edges that drops nothing more takes 36

@@ -253,9 +253,13 @@ class TestErrataFixture:
         assert derive_errata_instance() == errata
 
     def test_derivation_work(self, monkeypatch):
-        # The search scans 11 275 candidates in 23 head layouts.  Each
-        # layout has at most 6 linear forms, and an out-map is built at
-        # most once per tie-free sign cell met, never per candidate.  The
+        # The search reaches the winner in the 23rd head layout.  Each
+        # layout has at most 6 linear forms; each distinct form met (12;
+        # the 36 layouts have 13) is classified once, over the whole cost
+        # grid, into a negative and a tie bitset, and no candidate is keyed
+        # by itself.  Splitting the layouts by those bitsets meets 46
+        # tie-free sign cells, and an out-map is built at most once per
+        # cell.  The
         # cube tests run once per distinct out-map of the search (10);
         # the unique-sink test among them, which no tie-free candidate
         # fails, runs only where the path counts pass: once, for the
@@ -280,22 +284,21 @@ class TestErrataFixture:
         views = count_calls(monkeypatch, instances, "orientation_view")
         distances = count_calls(monkeypatch, graph._Index, "tree_distances")
         builds = count_calls(monkeypatch, graph.Instance, "build")
-        forms_per_layout, scanned, cells = [], [0], set()
+        classified = count_calls(monkeypatch, instances, "_form_signs")
+        forms_per_layout, cells = [], [0]
 
         def layout_cells(heads, _fn=instances._layout_cells):
             enc, forms, arrows = _fn(heads)
             forms_per_layout.append(len(forms))
             return enc, forms, arrows
 
-        def sign_key(forms, costs, _fn=instances._sign_key):
-            scanned[0] += 1
-            key = _fn(forms, costs)
-            if key is not None:
-                cells.add((len(forms_per_layout), key))
-            return key
+        def sign_cells(signs, size, _fn=instances._sign_cells):
+            found = _fn(signs, size)
+            cells[0] += len(found)
+            return found
 
         monkeypatch.setattr(instances, "_layout_cells", layout_cells)
-        monkeypatch.setattr(instances, "_sign_key", sign_key)
+        monkeypatch.setattr(instances, "_sign_cells", sign_cells)
         ordered = []
         original_order = cube.OrientationView._arrow_order.func
 
@@ -316,9 +319,10 @@ class TestErrataFixture:
         monkeypatch.setattr(cube.OrientationView, "_arrow_order", order)
         derive_errata_instance()
         layouts = len(forms_per_layout)
-        assert (layouts, scanned[0], passed[0]) == (23, 11_275, 1)
+        assert (layouts, passed[0]) == (23, 1)
         assert max(forms_per_layout) <= 6
-        assert 0 < out_maps[0] <= len(cells)
+        assert (classified[0], cells[0]) == (12, 46)
+        assert 0 < out_maps[0] <= cells[0]
         assert solves[0] == 3
         assert views[0] == passed[0]
         assert distances[0] == 24
@@ -342,9 +346,11 @@ class TestErrataFixture:
             derive_errata_instance(2)
 
     @pytest.mark.parametrize("max_one_cost", [0, -1])
-    def test_an_empty_cost_space_is_exhausted(self, max_one_cost):
+    def test_an_empty_cost_space_is_exhausted(self, max_one_cost, monkeypatch):
+        cells = count_calls(monkeypatch, instances, "_sign_cells")
         with pytest.raises(SearchExhausted, match="; widen the bounds$"):
             derive_errata_instance(max_one_cost)
+        assert cells[0] == 36  # every layout splits its empty grid, into no cell
 
     def test_the_fixture_is_first_within_cost_bound_3(self):
         fixture = importlib.resources.files("randomfacet").joinpath(f"data/{FIXTURE_NAME}")
