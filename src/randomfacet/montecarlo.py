@@ -14,6 +14,19 @@ Random-Facet* trial draws a uniform order of all edges by Fisher-Yates
 and sorts each descent by it, exactly as run_random_facet_star does
 with that order.
 
+A share of at least |F|! trials, the number of orders of F, must repeat
+rfstar's runs, and repeats rf's on every instance that small measured;
+there _trials keeps a trie of the descents the share has met, local to
+the call.  A descent
+met before replays its pivot count and next pause point; a new one
+resumes steps() from its pause point for that one descent, as
+branches() does.  The chooser is still asked once per descent, so every
+trial makes the same draws, and a descent's pivots and next pause are a
+function of its pause point and picks, so no count can change.  Below
+the threshold each trial runs steps() from the start: where runs
+seldom repeat the memo only costs (always on, it doubled the time of
+3 000 trials at m = 40).
+
 pivot_samples splits range(trials) into contiguous shares, one per
 usable CPU but none smaller than MIN_SHARE trials.  The calling process
 runs share 0 itself; each other share runs in a child made by os.fork,
@@ -41,13 +54,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
-from .algorithms import RF, RF_STAR, random_order, start_state, steps
+from .algorithms import RF, RF_STAR, CallKind, random_order, start_state, steps
 from .errors import ZeroTrials
 from .graph import EdgeId, Instance, TreePolicy
 
 # the fewest trials worth a process of their own: on a 2-core x86 machine
 # under Python 3.11 a fork and its join cost about 2 ms, and MIN_SHARE
-# errata trials about 12 ms
+# errata trials about 11 ms; 1 000 errata trials take about as long in
+# two such shares, below the memo's 6! trials, as in one with the memo
 MIN_SHARE = 500
 
 
@@ -95,7 +109,15 @@ def _random_ranks(getrandbits, m: int) -> list[int]:
 
 def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
             lo: int, hi: int) -> list[int]:
-    """Pivot counts of trials lo..hi-1 from the checked start state."""
+    """Pivot counts of trials lo..hi-1 from the checked start state.
+
+    From |F|! trials on, each descent is looked up in the memo of the
+    module docstring, a trie whose node is (pause point, its candidates,
+    {picks: (pivots, next node or None)}); the chooser gets a copy of the
+    node's candidates, the list steps() would give it.
+    """
+    root = ((fmask, bmask, (), 0, CallKind.ROOT), idx.edge_bits(fmask & ~bmask), {})
+    memo = math.factorial(fmask.bit_count()) <= hi - lo
     samples = []
     for i in range(lo, hi):
         getrandbits = trial_rng(seed, i).getrandbits
@@ -104,11 +126,36 @@ def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
         else:
             order = partial(sorted, key=_random_ranks(getrandbits, m).__getitem__)
         pivots = 0
-        for ev in steps(idx, fmask, bmask, order):
-            if ev[0] == "pivot":
-                pivots += 1
+        if memo:
+            node = root
+            while node:
+                point, cands, moves = node
+                picks = order(cands.copy())
+                key = tuple(picks)
+                if key in moves:
+                    n, node = moves[key]
+                else:
+                    n, node = moves[key] = _descent(idx, point, picks)
+                pivots += n
+        else:
+            for ev in steps(idx, fmask, bmask, order):
+                if ev[0] == "pivot":
+                    pivots += 1
         samples.append(pivots)
     return samples
+
+
+def _descent(idx, point, picks: list[EdgeId]) -> tuple:
+    """(pivots, next memo node or None at the run's end) of the descent
+    that removes `picks` from pause point `point`."""
+    answers = [picks]
+    events = list(steps(idx, *point[:2], lambda cands: answers.pop() if answers else [],
+                        *point[2:]))
+    pivots = sum(ev[0] == "pivot" for ev in events)
+    if not events or events[-1][0] != "pause":
+        return pivots, None
+    point = events[-1][1]
+    return pivots, (point, idx.edge_bits(point[0] & ~point[1]), {})
 
 
 def _usable_cpus() -> int:

@@ -42,6 +42,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
 
 
+MEMO_ERRATA = ("tests/test_montecarlo.py::TestDescentMemo::"
+               "test_samples_equal_the_public_runners_at_the_threshold[errata]")
+MEMO_STEPS = "tests/test_montecarlo.py::TestDescentMemo::test_steps_calls_pin_the_threshold_and_the_memo"
+
 MUTANTS = [
     Mutant(
         "steps reads the leaving edge off the facet mask, not the tree mask",
@@ -185,6 +189,42 @@ MUTANTS = [
         "return ways.get(named, 0) * math.factorial(universe_size) // math.factorial(len(preds))",
         "return ways.get(named, 0)",
         ("tests/test_orders.py::TestCountOrders::test_sparse_masks_match_brute_force",),
+    ),
+    Mutant(
+        "the descent memo keys on the set of picks, not their order",
+        "montecarlo.py",
+        "key = tuple(picks)",
+        "key = frozenset(picks)",
+        (MEMO_ERRATA,),
+    ),
+    Mutant(
+        "the descent memo needs more than |F|! trials",
+        "montecarlo.py",
+        "memo = math.factorial(fmask.bit_count()) <= hi - lo",
+        "memo = math.factorial(fmask.bit_count()) < hi - lo",
+        (MEMO_STEPS,),
+    ),
+    Mutant(
+        "the descent memo is on below |F|! trials and off from there",
+        "montecarlo.py",
+        "memo = math.factorial(fmask.bit_count()) <= hi - lo",
+        "memo = math.factorial(fmask.bit_count()) > hi - lo",
+        (MEMO_STEPS,),
+    ),
+    Mutant(
+        "a replayed descent adds no pivots",
+        "montecarlo.py",
+        "                    n, node = moves[key]\n",
+        "                    n, node = 0, moves[key][1]\n",
+        (MEMO_ERRATA,),
+    ),
+    Mutant(
+        "the descent memo is made once per process, not once per call",
+        "montecarlo.py",
+        "root = ((fmask, bmask, (), 0, CallKind.ROOT), idx.edge_bits(fmask & ~bmask), {})",
+        "root = _trials.__dict__.setdefault(\n"
+        "        \"root\", ((fmask, bmask, (), 0, CallKind.ROOT), idx.edge_bits(fmask & ~bmask), {}))",
+        (MEMO_ERRATA,),
     ),
 ]
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import threading
@@ -180,6 +181,65 @@ class TestIndependentRoute:
             assert est.format() == pinned[(rule, "errata")]
             est = estimate_expected_pivots(big, None, _last_edge_tree(big), rule, 200, 2026)
             assert est.format() == pinned[(rule, "big")]
+
+
+class TestDescentMemo:
+    """A share of at least |F|! trials replays repeated descents from a memo."""
+
+    @staticmethod
+    def _cases(pool, errata, enc, small_pool, cyclic_pool):
+        if pool == "errata":
+            starts = [enc.tree(bits) for bits in ("001", "111")]
+            # F = B: the root descent removes nothing and ends the run
+            return [(errata, None, s) for s in starts] + [(errata, starts[0].edge_ids, starts[0])]
+        if pool == "small":
+            return [(inst, None, _last_edge_tree(inst)) for inst in small_pool]
+        # ties and zero-cost cycles among them
+        cases = [(inst, None, start) for inst, start in cyclic_pool if inst.m <= 6]
+        assert any(has_zero_cost_cycle(inst) for inst, _, _ in cases)
+        assert not all(genericity_check(inst) for inst, _, _ in cases)
+        return cases
+
+    @pytest.mark.parametrize("pool", ["errata", "small", "cyclic"])
+    def test_samples_equal_the_public_runners_at_the_threshold(
+        self, cpus, errata, enc, small_pool, cyclic_pool, pool
+    ):
+        cpus(1)
+        for k, (inst, facets, start) in enumerate(
+            self._cases(pool, errata, enc, small_pool, cyclic_pool)
+        ):
+            trials = math.factorial(len(inst.all_edges() if facets is None else facets))
+            for rule in (RF, RF_STAR):
+                got = pivot_samples(inst, facets, start, rule, trials, k)
+                assert got == _by_public_runners(inst, facets, start, rule, trials, k), (k, rule)
+
+    def test_steps_calls_pin_the_threshold_and_the_memo(self, monkeypatch, cpus, errata, enc, m40):
+        # one call per trial below 6! trials, one per new descent from 6! on
+        calls = []
+        real = montecarlo.steps
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "steps", counting)
+        cpus(1)
+        pinned = {
+            ("001", RF): (177, 292), ("001", RF_STAR): (88, 90),
+            ("111", RF): (292, 421), ("111", RF_STAR): (154, 165),
+        }
+        for (bits, rule), (at_720, at_20000) in pinned.items():
+            got = []
+            for trials in (719, 720, 20_000):
+                del calls[:]
+                pivot_samples(errata, None, enc.tree(bits), rule, trials, 0)
+                got.append(len(calls))
+            assert got == [719, at_720, at_20000], (bits, rule)
+        inst, start = m40
+        for rule in (RF, RF_STAR):
+            del calls[:]
+            pivot_samples(inst, None, start, rule, 3000, 0)
+            assert len(calls) == 3000, rule
 
 
 class TestRefusal:
