@@ -264,7 +264,9 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
     answers are listed, from the facet mask and from every pending
     frame's facets, picks and pick mask: the run pivots alike, pick for
     pick, while the weights still count orders of all of F.  Pruned
-    pauses seldom recur, so this walk keeps no transition.
+    pauses do recur, but this walk keeps no transition: keyed by value,
+    they cut steps() calls by up to 2.6 times, yet the walk ran slower
+    and held over twice the memory.
 
     Every exact enumeration is refused here, with
     EnumerationBoundExceeded, rather than truncated: RF_STAR on more

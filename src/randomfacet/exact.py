@@ -41,7 +41,7 @@ exact rfstar drops them at each pause of its walk, before listing answers
 Each order of the start's live edges consistent with a pruned history
 then gives exactly one unpruned execution, with the same pivots, so
 the weights still count orders of those live edges.  d_B comes off
-B's split, which the runs read too, so each tree is planned once.
+B's split, which the runs read too, so each tree is split once.
 """
 from __future__ import annotations
 

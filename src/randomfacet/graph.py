@@ -176,9 +176,10 @@ class _Index:
     of the target would make tail -1 and overwrite that slot, so such
     instances are refused with TargetHasOutEdges.  Facet subsets and
     trees travel as bit masks over edge ids, which is what the runners
-    and exact engines key their caches on.  `splits` caches tree_split
-    per tree mask, each entry written once.  at_tail[e] masks the edges
-    leaving e's tail, so a tree mask & at_tail[e] is the tree's edge there.
+    and exact engines key their caches on.  `splits` caches tree_split,
+    one tree_distances walk, per tree mask, each entry written once.
+    at_tail[e] masks the edges leaving e's tail, so a tree mask &
+    at_tail[e] is the tree's edge there.
     """
 
     def __init__(self, inst: Instance):
@@ -227,23 +228,22 @@ class _Index:
             return None
         return choice
 
-    def tree_plan(self, mask: int) -> list[tuple[int, EdgeId]] | None:
-        """The tree's (vertex, edge) pairs, each edge's head the target or placed earlier.
+    def tree_distances(self, mask: int) -> tuple[int, ...] | None:
+        """Exact distances to the target along the tree; None if not a tree.
 
         The choice is read off the mask in one low-bit walk.  Each vertex
         then follows its chain of choices, marking the vertices it passes,
-        until a placed vertex or the target ends the chain, and the chain
-        is placed backwards; reaching a vertex of the chain itself instead
-        means the chain closed a cycle.  None if the mask is not a tree.
-        The plan depends on heads only, so it serves any cost list
-        (plan_distances).
+        until a vertex with a distance or the target ends the chain, and
+        the chain's distances are set backwards; reaching a vertex of the
+        chain itself instead means the chain closed a cycle.  Uncached:
+        the engines keep a tree's split (tree_split) instead.
         """
         choice = self.choice_of_mask(mask)
         if choice is None:
             return None
-        head, n = self.head, len(choice)
-        state = [0] * n + [2]  # 0 unseen, 1 on the current chain, 2 placed (the target)
-        plan: list[tuple[int, EdgeId]] = []
+        head, cost, n = self.head, self.cost, len(choice)
+        state = [0] * n + [2]  # 0 unseen, 1 on the current chain, 2 has its distance
+        dist = [0] * (n + 1)
         for start in range(n):
             path: list[int] = []
             v = start
@@ -254,26 +254,9 @@ class _Index:
             if state[v] == 1:  # the chain closed a cycle
                 return None
             for u in reversed(path):
-                plan.append((u, choice[u]))
+                dist[u] = cost[choice[u]] + dist[head[choice[u]]]
                 state[u] = 2
-        return plan
-
-    def plan_distances(self, plan: list[tuple[int, EdgeId]], cost: list[int]) -> tuple[int, ...]:
-        """Distances to the target along a tree_plan, under per-edge costs `cost`."""
-        head = self.head
-        dist = [0] * (len(self.order) + 1)
-        for v, eid in plan:
-            dist[v] = cost[eid] + dist[head[eid]]
         return tuple(dist)
-
-    def tree_distances(self, mask: int) -> tuple[int, ...] | None:
-        """Exact distances to the target along the tree; None if not a tree.
-
-        Evaluates the mask's tree_plan under the index's costs, uncached:
-        the engines keep a tree's split (tree_split) instead.
-        """
-        plan = self.tree_plan(mask)
-        return None if plan is None else self.plan_distances(plan, self.cost)
 
     def tree_split(self, mask: int) -> tuple[tuple[int, ...], int]:
         """(dist, better): the tree's distances (tree_distances) and the

@@ -9,7 +9,8 @@ and from 111 to 000; a unique sink on every face; every line of
 errata_checks, the list verify-errata prints (optimal tree 000,
 expected pivot counts 7/3 and 29/12 from start tree 001, 11/3 and
 43/12 from 111, ...); genericity on every edge subset.  Sign cells
-(_sign_cells) orient the candidates' cubes.  The found instance is
+(_sign_cells) of the linear forms read off each head layout
+(_layout_cells) orient the candidates' cubes.  The found instance is
 frozen as data/errata-cube.instance and loaded by errata_instance().
 
 Text format (UTF-8, '#' starts a comment):
@@ -34,7 +35,7 @@ from typing import Iterator
 
 from .algorithms import RF, RF_STAR
 from .comptree import _frac, comptree
-from .cube import OrientationView, cube_encoding, orientation_view, tree_masks
+from .cube import CubeEncoding, OrientationView, cube_encoding, orientation_view
 from .errors import (
     GenerationFailedAfterRetries,
     ParseError,
@@ -221,6 +222,7 @@ _TARGET = "t"
 # heads may point at any strictly downstream vertex or the target,
 # iterated in lexicographic order; this fixes the search order
 _DOWNSTREAM = {"x": ("t", "y", "z"), "y": ("t", "z"), "z": ("t",)}
+_ENCODING = CubeEncoding(_AXES, ((0, 1), (2, 3), (4, 5)))  # every candidate's cube_encoding
 
 
 def _candidate_space(
@@ -233,16 +235,12 @@ def _candidate_space(
         yield heads, cost_space
 
 
-def _edge_costs(costs: tuple[int, ...]) -> list[int]:
-    """Per-edge costs by id: each vertex's 0-edge is free, its 1-edge costs costs[k]."""
-    return [c for one in costs for c in (0, one)]
-
-
 def _candidate(heads: tuple[str, ...], costs: tuple[int, ...]) -> Instance:
-    cost = _edge_costs(costs)
-    return Instance.build(
-        _TARGET, [Edge(eid, _AXES[eid // 2], head, cost[eid]) for eid, head in enumerate(heads)]
-    )
+    """Vertex k's 0-edge (id 2k) is free, its 1-edge (id 2k + 1) costs costs[k]."""
+    return Instance.build(_TARGET, [
+        Edge(eid, _AXES[eid // 2], head, costs[eid // 2] if eid % 2 else 0)
+        for eid, head in enumerate(heads)
+    ])
 
 
 def errata_candidates(max_one_cost: int = 8) -> Iterator[Instance]:
@@ -288,20 +286,21 @@ def derive_errata_instance(max_one_cost: int = 8) -> Instance:
 def _cube_survivors(max_one_cost: int) -> Iterator[Instance]:
     """The candidates, in search order, that pass the cheap cube tests.
 
-    Each distinct form met (_layout_cells) is signed once per call on the
-    whole cost grid (_form_signs); a layout builds one out-map per sign
-    cell (_sign_cells), and the cube tests run once per distinct out-map.
+    Each distinct form met (_layout_cells, from the heads alone) is signed
+    once per call on the whole cost grid (_form_signs); a layout builds one
+    out-map per sign cell (_sign_cells), and the cube tests run once per
+    distinct out-map, under the encoding every candidate shares (_ENCODING).
     """
     verdicts: dict[tuple[int, ...], bool] = {}
     signs: dict[tuple[int, ...], tuple[int, int]] = {}  # form: its (negative, zero) masks
     for heads, cost_space in _candidate_space(max_one_cost):
-        enc, forms, arrows = _layout_cells(heads)
+        forms, arrows = _layout_cells(heads)
         signs.update((form, _form_signs(form, cost_space)) for form in set(forms) - signs.keys())
         passing = 0
         for key, cell in _sign_cells([signs[form] for form in forms], len(cost_space)):
             out = _out_map(arrows, key)
             if out not in verdicts:
-                verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))
+                verdicts[out] = _passes_cube_tests(OrientationView(encoding=_ENCODING, out=out))
             if verdicts[out]:
                 passing |= cell
         if passing:  # in ascending index order, the search order
@@ -309,29 +308,35 @@ def _cube_survivors(max_one_cost: int) -> Iterator[Instance]:
 
 
 def _layout_cells(heads: tuple[str, ...]):
-    """(encoding, distinct forms, arrows) of a head layout's cube.
+    """(distinct forms, arrows) of a head layout's cube, read off its heads.
 
-    A tree distance is a 0/1 sum of the three 1-edge costs, whose
-    coefficients are the cost-free plans' distances under unit costs.
-    Heads lie downstream, so the arrow (form index, v, axis) of the cube
-    edge from tree v (u on its 0-edge) to v | axis leaves v iff its form
-    cost(u's 1-edge) + d_v(its head) - d_v(u) is negative; zero is a tie.
-    A layout has at most 6 distinct forms; the 36 layouts have 13.
+    A tree distance is a 0/1 sum of the three 1-edge costs: d_v(w) counts
+    the 1-edges on w's path in tree v, where vertex k is on its 1-edge iff
+    bit 2 - k of v is set, as in OrientationView.  Heads lie downstream, so
+    the arrow (form index, v, axis) of the cube edge from tree v (vertex j
+    on its 0-edge) to v | axis leaves v iff its form, the coefficients of
+    cost(j's 1-edge) + d_v(its head) - d_v(head of j's 0-edge), is
+    negative; zero is a tie.  A layout has at most 6 distinct forms; the 36
+    layouts have 13.
     """
-    template = _candidate(heads, (0, 0, 0))
-    idx, enc = template._index, cube_encoding(template)
-    # downstream heads: every choice is a tree, so no plan is None
-    plans = [idx.tree_plan(mask) for mask in tree_masks(enc.pairs)]
-    units = [_edge_costs(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    dists = [[idx.plan_distances(plan, cost) for plan in plans] for cost in units]
+    def path(v: int, w: str) -> list[int]:  # the coefficients of d_v(w)
+        ones = [0, 0, 0]
+        while w != _TARGET:
+            k = _AXES.index(w)
+            one = v >> (2 - k) & 1
+            ones[k] += one
+            w = heads[2 * k + one]
+        return ones
+
     forms, arrows = {}, []  # forms maps each form to its index, in insertion order
-    for j, (_, one) in enumerate(enc.pairs):
-        axis, u, h1 = 4 >> j, idx.tail[one], idx.head[one]  # as in OrientationView
+    for j in range(3):
+        axis = 4 >> j
         for v in range(8):
             if not v & axis:
-                form = tuple(c[one] + d[v][h1] - d[v][u] for c, d in zip(units, dists))
+                d1, d0 = path(v, heads[2 * j + 1]), path(v, heads[2 * j])
+                form = tuple((k == j) + d1[k] - d0[k] for k in range(3))
                 arrows.append((forms.setdefault(form, len(forms)), v, axis))
-    return enc, list(forms), arrows
+    return list(forms), arrows
 
 
 def _form_signs(form: tuple[int, ...], cost_space: list[tuple[int, ...]]) -> tuple[int, int]:

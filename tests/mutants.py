@@ -144,10 +144,10 @@ MUTANTS = [
         "the verdict memo is keyed on the head layout, not the out-map",
         "instances.py",
         "            if out not in verdicts:\n"
-        "                verdicts[out] = _passes_cube_tests(OrientationView(encoding=enc, out=out))\n"
+        "                verdicts[out] = _passes_cube_tests(OrientationView(encoding=_ENCODING, out=out))\n"
         "            if verdicts[out]:\n",
         "            if heads not in verdicts:\n"
-        "                verdicts[heads] = _passes_cube_tests(OrientationView(encoding=enc, out=out))\n"
+        "                verdicts[heads] = _passes_cube_tests(OrientationView(encoding=_ENCODING, out=out))\n"
         "            if verdicts[heads]:\n",
         ("tests/test_instances.py::TestErrataFixture::test_derivation_work",),
     ),
@@ -160,6 +160,20 @@ MUTANTS = [
         "                yield from (_candidate(heads, c) for i, c in enumerate(cost_space)\n"
         "                            if cell >> i & 1)\n",
         ("tests/test_cube.py::test_survivors_of_several_cells_come_in_search_order",),
+    ),
+    Mutant(
+        "a layout's forms read tree v's vertex k off bit k, not bit 2 - k",
+        "instances.py",
+        "one = v >> (2 - k) & 1",
+        "one = v >> k & 1",
+        ("tests/test_cube.py::test_sign_keys_agree_with_orientation_view_on_every_candidate",),
+    ),
+    Mutant(
+        "tree_distances sets a chain's distances before its heads'",
+        "graph.py",
+        "for u in reversed(path):",
+        "for u in path:",
+        ("tests/test_graph.py::TestTreeDistances::test_two_edge_chain",),
     ),
     Mutant(
         "the transition key leaves out the pending frames",
@@ -182,6 +196,34 @@ MUTANTS = [
         "if rule == RF_STAR and len(ids) > MAX_UNIVERSE:",
         "if False:",
         ("tests/test_exact.py::TestEnumerationLimits::test_universe_cap_refuses_before_any_run",),
+    ),
+    Mutant(
+        "forks are resumed in descending answer order",
+        "algorithms.py",
+        "reversed(options)",
+        "options",
+        ("tests/test_comptree.py::test_golden_renderings[001-rf]",),
+    ),
+    Mutant(
+        "the bounded draw takes one bit too few",
+        "montecarlo.py",
+        "bits = k.bit_length()",
+        "bits = (k - 1).bit_length()",
+        ("tests/test_montecarlo.py::TestBoundedDraw::test_first_draw_of_every_small_bound",),
+    ),
+    Mutant(
+        "the first removable edge's end trees stand for every edge's",
+        "exact.py",
+        "if any(end != final for end, _ in ends):",
+        "if False:",
+        ("tests/test_exact.py::TestTies::test_end_tree_weighs_its_probability",),
+    ),
+    Mutant(
+        "a tied end tree's probability is dropped",
+        "exact.py",
+        "Fraction(p * q, k)",
+        "Fraction(q, k)",
+        ("tests/test_exact.py::TestTies::test_end_trees_are_optima_with_total_probability_one",),
     ),
     Mutant(
         "_count_orders leaves out the n!/k! factor of the free elements",

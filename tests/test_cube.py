@@ -36,6 +36,7 @@ from randomfacet import instances
 from randomfacet.instances import (
     _AXES,
     _DOWNSTREAM,
+    _ENCODING,
     _candidate,
     _candidate_space,
     _cube_survivors,
@@ -61,6 +62,12 @@ class TestCubeEncoding:
         inst = Instance.build("t", [Edge(0, "v", "t", 0)])
         with pytest.raises(NotCubeShaped):
             cube_encoding(inst)
+
+    def test_the_search_encoding_is_every_candidates(self):
+        # the errata search orients every candidate's cube under one encoding
+        candidates = list(errata_candidates(2))
+        assert len(candidates) == 36 * 8
+        assert all(cube_encoding(cand) == _ENCODING for cand in candidates)
 
     def test_bits_of_refuses_an_edge_of_another_vertex(self, enc):
         # the edges of tree 000, with x and y swapped
@@ -276,7 +283,7 @@ def test_sign_cells_group_the_tie_free_costs_by_the_oracle_key(max_one_cost):
     # per layout: the cells hold exactly the tie-free cost tuples, grouped
     # by sign key, and what no cell holds is exactly the oracle's ties
     for heads, cost_space in _candidate_space(max_one_cost):
-        _, forms, _ = _layout_cells(heads)
+        forms, _ = _layout_cells(heads)
         cells = _sign_cells([_form_signs(form, cost_space) for form in forms], len(cost_space))
         by_key, ties = {}, set()
         for i, costs in enumerate(cost_space):
@@ -309,7 +316,7 @@ def test_sign_keys_agree_with_orientation_view_on_every_candidate():
     )
     for heads, group in by_heads:
         layouts += 1
-        _, forms, arrows = _layout_cells(heads)
+        forms, arrows = _layout_cells(heads)
         assert len(forms) <= 6 and len(arrows) == 12
         for cand in group:
             got = sign_cell_outcome(forms, arrows, cand)
@@ -330,6 +337,6 @@ def test_sign_keys_agree_with_orientation_view_on_every_candidate():
 def test_sign_keys_agree_with_orientation_view_beyond_the_search_bound(heads, costs):
     # any integer 1-edge costs, ties and negative costs included: the
     # forms are linear, so the cell argument needs no cost bound
-    _, forms, arrows = _layout_cells(heads)
+    forms, arrows = _layout_cells(heads)
     cand = _candidate(heads, costs)
     assert sign_cell_outcome(forms, arrows, cand) == orientation_outcome(cand)

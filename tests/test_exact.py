@@ -242,21 +242,21 @@ class TestDeadEdges:
                 _rfstar_histories(inst, start, False))
         assert dead_at_start and pruned
 
-    def test_each_tree_is_planned_once(self, errata, enc, monkeypatch):
+    def test_each_tree_reads_its_distances_once(self, errata, enc, monkeypatch):
         # dead(B) reads d_B off B's split, so on a fresh index every tree
-        # the exact engines meet is planned once, for its split, the start
-        # trees that start_state splits included
-        plans = count_calls(monkeypatch, _Index, "tree_plan")
+        # the exact engines meet reads its distances once, for its split,
+        # the start trees that start_state splits included
+        walks = count_calls(monkeypatch, _Index, "tree_distances")
         inst = random_instance(4, 2, 9, 0)
         first_edges = TreePolicy({v: out[0] for v, out in zip(inst._index.order, inst._index.out)})
         cases = [(errata, [enc.tree("001"), enc.tree("111")]), (inst, [first_edges])]
         for inst, starts in cases:
             inst = Instance(inst.target, inst.edges, inst.vertices)  # an empty index
-            before = plans[0]
+            before = walks[0]
             for start in starts:
                 expected_pivots_rf(inst, None, start)
                 expected_pivots_rf_star(inst, None, start)
-            assert plans[0] - before == len(inst._index.splits) > len(starts)
+            assert walks[0] - before == len(inst._index.splits) > len(starts)
 
     @settings(max_examples=40, deadline=None)
     @given(
