@@ -10,23 +10,25 @@ pivot counts reproduce the exact expectations.
 Both rules are built the same way, in one depth-first walk of
 algorithms.branches: each segment of events hangs below the fork it
 resumes and each execution ends in a leaf, so the nodes arrive in
-pre-order and the tree is kept as that list, each node holding its
-parent's index.  A node's mass is the weight of the executions below
-it and its probability is its mass over its parent's; a path's
-probability is its leaf's mass over the root's.  Only the children of
-a fork, a choice point with more than one allowed answer, differ from
-their parent: any other node is its parent's only child, with the
-parent's mass and one shared probability 1, so a Fraction is built
-only at fork children.  For the randomized rule each decision branch
-weighs the product of 1/|candidates| over its choice points, so each
-choice point branches uniformly: masses run top-down from 1 at the
-root, a fork's k children sharing the probability 1/k and the mass
-1/k of their parent's.  For the permutation-driven rule each argmin
-history weighs the number of orderings of the |F| facets that produce
-it, an integer; masses are those integers summed bottom-up from |F|!
-at the root, and a branch probability is the number of orderings
-consistent with the history and choosing that facet next, divided by
-the number consistent with the history.
+pre-order.  Each node is appended to its parent's children as it is
+made, and the tree is kept as that pre-order list too, each node
+holding its parent's index.  A node's mass is the weight of the
+executions below it and its probability is its mass over its parent's;
+a path's probability is its leaf's mass over the root's.  Only the
+children of a fork, a choice point with more than one allowed answer,
+differ from their parent: any other node is its parent's only child,
+with the parent's mass and the shared probability 1 it was made with.
+For the randomized rule each decision branch weighs the product of
+1/|candidates| over its choice points, so each choice point branches
+uniformly: one top-down pass sets the masses from 1 at the root, the k
+children of a fork sharing one Fraction(1, k) per width as their
+probability and 1/k of their parent's mass.  For the permutation-driven
+rule each argmin history weighs the number of orderings of the |F|
+facets that produce it, an integer; one bottom-up pass sums those
+integers to |F|! at the root, and a fork child's probability, the
+number of orderings consistent with the history and choosing that
+facet next over the number consistent with the history, is the only
+Fraction the build makes.
 Facets that can never re-enter a tree (the edge displaced by a pivot)
 are kept in the tree rather than merged away; queries such as
 pick_order_after_pivot marginalize over them on demand.
@@ -40,10 +42,10 @@ from typing import Iterator
 from .algorithms import RF, branches, start_state
 from .graph import EdgeId, Instance, TreePolicy, edge_names
 
-_ONE = Fraction(1)  # shared by every node that is its parent's only child
+_ONE = Fraction(1)  # the probability of every node but the children of a fork
 
 
-@dataclass
+@dataclass(slots=True)
 class CompNode:
     """One event in the computation tree.
 
@@ -153,28 +155,33 @@ class CompTree:
 
         # states[i] = (seen, waiting) below node i: seen holds the pivot
         # edges already matched on its path, waiting those still open,
-        # with their candidate sets
+        # with their candidate sets; a node that opens and closes nothing
+        # shares its parent's state
         states = [(frozenset(), {})]
         for node in self.nodes[1:]:
-            seen, waiting = states[node.parent]
-            if node.kind == "pick":
-                closed = [x for x, cands in waiting.items() if node.edge in cands]
-                for x in closed:
-                    add(x, node.edge, node.mass)
-                if closed:
-                    waiting = {x: c for x, c in waiting.items() if x not in closed}
-            elif node.kind == "pivot" and node.depth == pivot_depth and node.entering not in seen:
-                seen = seen | {node.entering}
-                cands = candidates
-                if cands is None:
-                    cands = frozenset(
-                        eid for eid in edge_bits(node.facets & ~node.tree) if eid != node.leaving
-                    )
-                waiting = {**waiting, node.entering: cands}
-            elif node.kind == "leaf":
-                for x in waiting:
+            state = states[node.parent]
+            kind = node.kind
+            if kind == "pick":
+                if state[1]:
+                    seen, waiting = state
+                    closed = [x for x, cands in waiting.items() if node.edge in cands]
+                    for x in closed:
+                        add(x, node.edge, node.mass)
+                    if closed:
+                        state = (seen, {x: c for x, c in waiting.items() if x not in closed})
+            elif kind == "pivot":
+                if node.depth == pivot_depth and node.entering not in state[0]:
+                    seen, waiting = state
+                    cands = candidates
+                    if cands is None:
+                        cands = frozenset(
+                            eid for eid in edge_bits(node.facets & ~node.tree) if eid != node.leaving
+                        )
+                    state = (seen | {node.entering}, {**waiting, node.entering: cands})
+            elif kind == "leaf":
+                for x in state[1]:
                     add(x, None, node.mass)
-            states.append((seen, waiting))
+            states.append(state)
         found = {}
         for x, dist in buckets.items():
             region = sum(dist.values())
@@ -192,58 +199,60 @@ class CompTree:
         pivot count.  Trailing comments summarize, for every pivot made
         at depth 0, which facet is removed first afterwards.
         """
-        names = _name_map(self.instance)
+        labels = _labels(self.instance)
         lines = [
-            f"# comptree rule={self.rule} facets={{{_set_str(self.facets, names)}}} "
-            f"tree={{{_set_str(self.start.edge_ids, names)}}}",
+            f"# comptree rule={self.rule} facets={{{_set_str(self.facets, labels)}}} "
+            f"tree={{{_set_str(self.start.edge_ids, labels)}}}",
             "# columns: id parent kind label prob pivots",
         ]
+        # by object: the children of an rf fork, and every only child,
+        # share their probability
+        probs: dict[int, str] = {}
         for nid, node in enumerate(self.nodes):
-            if node.kind == "pick":
-                label = names.get(node.edge, str(node.edge))
-            elif node.kind == "pivot":
-                label = (
-                    f"{names.get(node.entering, str(node.entering))}"
-                    f":{names.get(node.leaving, str(node.leaving))}"
+            prob = probs.get(id(node.prob))
+            if prob is None:
+                prob = probs[id(node.prob)] = _frac(node.prob)
+            kind = node.kind
+            if kind == "pick":
+                lines.append(f"{nid} {node.parent} pick {labels[node.edge]} {prob} -")
+            elif kind == "pivot":
+                lines.append(
+                    f"{nid} {node.parent} pivot {labels[node.entering]}:{labels[node.leaving]} "
+                    f"{prob} -"
                 )
+            elif kind == "leaf":
+                lines.append(f"{nid} {node.parent} leaf - {prob} {node.pivots}")
             else:
-                label = "-"
-            pivots = str(node.pivots) if node.kind == "leaf" else "-"
-            parent = "-" if node.parent is None else str(node.parent)
-            lines.append(f"{nid} {parent} {node.kind} {label} {_frac(node.prob)} {pivots}")
+                lines.append(f"{nid} - root - {prob} -")
         after = self._picks_after_pivots(None, 0)
         for entering in sorted(after):
             region, dist = after[entering]
-            ename = names.get(entering, str(entering))
             for cand, p in sorted(
                 dist.items(), key=lambda kv: (kv[0] is None, kv[0])
             ):
-                cname = names.get(cand, str(cand)) if cand is not None else "none"
+                cname = labels[cand] if cand is not None else "none"
                 lines.append(
-                    f"# after-pivot {ename} pick {cname} = {_frac(p)} "
+                    f"# after-pivot {labels[entering]} pick {cname} = {_frac(p)} "
                     f"(region {_frac(region)})"
                 )
         return "\n".join(lines) + "\n"
 
     def to_dot(self) -> str:
         """Graphviz rendering: squares for picks, labelled with the state."""
-        names = _name_map(self.instance)
+        labels = _labels(self.instance)
+        edge_bits = self.instance._index.edge_bits
         out = ["digraph comptree {", "  node [fontname=monospace];"]
         for nid, node in enumerate(self.nodes):
             if node.kind in ("root", "pick"):
-                avail = _set_str(self.instance._index.edge_bits(node.facets & ~node.tree), names)
+                avail = _set_str(edge_bits(node.facets & ~node.tree), labels)
                 if node.kind == "root":
                     label = f"F\\\\B = {{{avail}}}"
                     shape = "ellipse"
                 else:
-                    ename = names.get(node.edge, str(node.edge))
-                    label = f"{ename}  {_frac(node.prob)}\\nF\\\\B = {{{avail}}}"
+                    label = f"{labels[node.edge]}  {_frac(node.prob)}\\nF\\\\B = {{{avail}}}"
                     shape = "box"
             elif node.kind == "pivot":
-                label = (
-                    f"pivot {names.get(node.entering, str(node.entering))} "
-                    f"(out {names.get(node.leaving, str(node.leaving))})"
-                )
+                label = f"pivot {labels[node.entering]} (out {labels[node.leaving]})"
                 shape = "diamond"
             else:
                 label = f"pivots = {node.pivots}"
@@ -263,54 +272,61 @@ def comptree(inst: Instance, facets, start: TreePolicy, rule: str) -> CompTree:
     over more than orders.MAX_UNIVERSE facets before any run.
     """
     idx, fmask = start_state(inst, facets, start)
-    bmask = start.mask
-    nodes = [CompNode(kind="root", prob=_ONE, facets=fmask, tree=bmask)]
-    # path[k]: the index of the node the segments below k forks hang
-    # from, and the number of pivots on the way to it
-    path = [(0, 0)]
-    for forks, events, weight in branches(idx, fmask, bmask, rule):
-        at, pivots = path[forks]
-        del path[forks + 1 :]
-        for ev in events:  # probabilities are set once every mass is known
+    root = CompNode("root", _ONE, fmask, start.mask)
+    nodes = [root]
+    forks = []  # the nodes a segment ended at without a leaf
+    # path[k]: the node the segments below k forks hang from, its index
+    # and the number of pivots on the way to it
+    path = [(root, 0, 0)]
+    for level, events, weight in branches(idx, fmask, start.mask, rule):
+        node, at, pivots = path[level]
+        del path[level + 1 :]
+        for ev in events:  # each node goes to its parent's children as it is made
             if ev[0] == "descend":  # ("descend", fmask, bmask, picks): a pick node each
                 _, f, b, picks = ev
                 for e in picks:
-                    nodes.append(CompNode("pick", 1, f, b, edge=e, parent=at))
-                    at = len(nodes) - 1
+                    kid = CompNode("pick", _ONE, f, b, e, None, None, None, None, at, 0, [])
+                    node.children.append(kid)
+                    node, at = kid, len(nodes)
+                    nodes.append(kid)
                     f &= ~(1 << e)
             else:
                 _, entering, leaving, depth, _, f, b = ev
-                nodes.append(CompNode("pivot", 1, f, b, entering=entering, leaving=leaving,
-                                      depth=depth, parent=at))
+                kid = CompNode("pivot", _ONE, f, b, None, entering, leaving, depth, None, at, 0, [])
+                node.children.append(kid)
+                node, at = kid, len(nodes)
+                nodes.append(kid)
                 pivots += 1
-                at = len(nodes) - 1
-        path.append((at, pivots))
-        if weight is not None:
-            nodes.append(CompNode("leaf", 1, pivots=pivots, parent=at, mass=weight))
-    # children follow their parent, so one forward pass links the
-    # children in order; rfstar then totals its integer masses backwards
-    for node in nodes[1:]:
-        nodes[node.parent].children.append(node)
+        path.append((node, at, pivots))
+        if weight is None:
+            forks.append(node)
+        else:
+            leaf = CompNode("leaf", _ONE, 0, 0, None, None, None, None, pivots, at, weight, [])
+            node.children.append(leaf)
+            nodes.append(leaf)
     if rule == RF:
-        nodes[0].mass = _ONE
+        # top-down: an only child takes its parent's mass; the k children
+        # of a fork share one Fraction(1, k) per width and 1/k of its mass
+        root.mass = _ONE
+        shares: dict[int, Fraction] = {}
+        for node in nodes:
+            kids = node.children
+            if len(kids) == 1:
+                kids[0].mass = node.mass
+            elif kids:
+                prob = shares.get(len(kids))
+                if prob is None:
+                    prob = shares[len(kids)] = Fraction(1, len(kids))
+                mass = node.mass * prob
+                for kid in kids:
+                    kid.prob, kid.mass = prob, mass
     else:
+        # children follow their parent, so one backward pass totals the
+        # integer masses; only a fork's children get a probability below 1
         for node in reversed(nodes[1:]):
             nodes[node.parent].mass += node.mass
-    # an only child has its parent's mass and probability 1; the children
-    # of a fork share 1/k under rf, the uniform pick among its k answers
-    for node in nodes:
-        kids = node.children
-        if len(kids) == 1:
-            kids[0].prob = _ONE
-            if rule == RF:
-                kids[0].mass = node.mass
-        elif kids and rule == RF:
-            prob = Fraction(1, len(kids))
-            mass = node.mass * prob
-            for kid in kids:
-                kid.prob, kid.mass = prob, mass
-        else:
-            for kid in kids:
+        for node in forks:
+            for kid in node.children:
                 kid.prob = Fraction(kid.mass, node.mass)
     return CompTree(
         rule=rule,
@@ -321,12 +337,16 @@ def comptree(inst: Instance, facets, start: TreePolicy, rule: str) -> CompTree:
     )
 
 
-def _name_map(inst: Instance) -> dict[EdgeId, str]:
-    return {eid: name for name, eid in edge_names(inst).items()}
+def _labels(inst: Instance) -> list[str]:
+    """Each edge id's label: its symbolic name, or the decimal id when names collide."""
+    labels = [str(e) for e in range(inst.m)]
+    for name, e in edge_names(inst).items():
+        labels[e] = name
+    return labels
 
 
-def _set_str(ids, names) -> str:
-    return ",".join(names.get(e, str(e)) for e in sorted(ids))
+def _set_str(ids, labels: list[str]) -> str:
+    return ",".join(labels[e] for e in sorted(ids))
 
 
 def _frac(x: Fraction) -> str:

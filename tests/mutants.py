@@ -268,6 +268,35 @@ MUTANTS = [
         "        \"root\", ((fmask, bmask, (), 0, CallKind.ROOT), idx.edge_bits(fmask & ~bmask), {}))",
         (MEMO_ERRATA,),
     ),
+    Mutant(
+        "an rfstar answer closes its later candidates over the answer, not its predecessors",
+        "algorithms.py",
+        "below = before[e] | (1 << e)",
+        "below = 1 << e",
+        ("tests/test_exact.py::TestHistoryEnumeration::test_history_weights_match_permutations",),
+    ),
+    Mutant(
+        "rf fork children keep their parent's mass",
+        "comptree.py",
+        "mass = node.mass * prob",
+        "mass = node.mass",
+        ("tests/test_comptree.py::TestNodeList::test_masses_and_probabilities",),
+    ),
+    Mutant(
+        "an rfstar fork child gets 1/k instead of its mass ratio",
+        "comptree.py",
+        "kid.prob = Fraction(kid.mass, node.mass)",
+        "kid.prob = Fraction(1, len(node.children))",
+        ("tests/test_comptree.py::test_golden_renderings[001-rfstar]",),
+    ),
+    Mutant(
+        "the after-pivot pass never closes a region on a pick",
+        "comptree.py",
+        "                    if closed:\n",
+        "                    if False:\n",
+        ("tests/test_comptree.py::TestPickOrderAfterPivot::"
+         "test_matches_the_path_oracle_at_every_depth",),
+    ),
 ]
 
 

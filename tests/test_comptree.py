@@ -11,8 +11,10 @@ from randomfacet import (
     Instance,
     TreePolicy,
     comptree,
+    edge_names,
     expected_pivots_rf,
     expected_pivots_rf_star,
+    loads_instance,
     random_instance,
 )
 from randomfacet import algorithms
@@ -92,6 +94,12 @@ class TestNodeList:
             walked = list(walk(tree.root))
             assert len(walked) == len(tree.nodes)
             assert all(a is b for a, b in zip(walked, tree.nodes))
+
+    def test_children_and_parent_indices_agree(self, node_list_trees):
+        for _, tree in node_list_trees:
+            nodes = tree.nodes
+            for node in nodes:
+                assert all(nodes[c.parent] is node for c in node.children)
 
     def test_masses_and_probabilities(self, node_list_trees):
         forks = 0
@@ -284,6 +292,56 @@ class TestExports:
                 before = runs[0]
                 comptree(inst, None, enc.tree(bits), rule)
                 assert runs[0] - before == want
+
+    @pytest.mark.parametrize("rule", [RF, RF_STAR])
+    def test_colliding_names_render_decimal_ids(self, rule):
+        # x's eleventh edge and x1's first would both be x10, so no edge has
+        # a name.  From tree {2, 11} within {0, 1, 2, 11}, the root forks
+        # on 0 and 1.  Picking 0 first pivots 1 in, then 0, and forks on 1
+        # and 2: uniform under rf; under rfstar 1 precedes 2 in 1/3 of the
+        # orders with 0 before 1.  Picking 1 first leaves 0, which pivots in
+        # for 2.
+        inst = loads_instance(
+            "target t\n" + "".join(f"edge {i} x t {i}\n" for i in range(11)) + "edge 11 x1 t 0\n"
+        )
+        assert edge_names(inst) == {}
+        tree = comptree(inst, {0, 1, 2, 11}, TreePolicy.from_edge_ids(inst, [2, 11]), rule)
+        second, third = ("1/2", "1/2") if rule == RF else ("1/3", "2/3")
+        text = tree.to_text()
+        assert text == (
+            f"# comptree rule={rule} facets={{0,1,2,11}} tree={{2,11}}\n"
+            "# columns: id parent kind label prob pivots\n"
+            "0 - root - 1/1 -\n"
+            "1 0 pick 0 1/2 -\n"
+            "2 1 pick 1 1/1 -\n"
+            "3 2 pivot 1:2 1/1 -\n"
+            "4 3 pick 2 1/1 -\n"
+            "5 4 pivot 0:1 1/1 -\n"
+            f"6 5 pick 1 {second} -\n"
+            "7 6 pick 2 1/1 -\n"
+            "8 7 leaf - 1/1 2\n"
+            f"9 5 pick 2 {third} -\n"
+            "10 9 pick 1 1/1 -\n"
+            "11 10 leaf - 1/1 2\n"
+            "12 0 pick 1 1/2 -\n"
+            "13 12 pick 0 1/1 -\n"
+            "14 13 pivot 0:2 1/1 -\n"
+            "15 14 pick 2 1/1 -\n"
+            "16 15 leaf - 1/1 1\n"
+            "# after-pivot 0 pick 2 = 1/1 (region 1/2)\n"
+        )
+        # to_dot labels every node with the same ids
+        dot = tree.to_dot()
+        assert '  n0 [shape=ellipse, label="F\\\\B = {0,1}"];' in dot
+        for line in text.splitlines()[3:-1]:
+            nid, _, kind, label, prob, pivots = line.split()
+            if kind == "pick":
+                assert f'  n{nid} [shape=box, label="{label}  {prob}\\nF\\\\B = {{' in dot
+            elif kind == "pivot":
+                entering, leaving = label.split(":")
+                assert f'  n{nid} [shape=diamond, label="pivot {entering} (out {leaving})"];' in dot
+            else:
+                assert f'  n{nid} [shape=ellipse, label="pivots = {pivots}"];' in dot
 
     def test_unknown_rule_rejected(self, errata, enc):
         with pytest.raises(ValueError):
