@@ -14,7 +14,7 @@ the one per-tree cache), drops every descent without an improving pick
 whole, and pivots the last improving pick in place of the tree's edge
 at its tail; the candidates of the next descent are the picks popped
 above it plus the leaving edge.  A shorter ordering
-pauses the run at (fmask, bmask, frames, depth, kind), and steps()
+pauses the run at (fmask, bmask, frames, depth, kind), and _resume
 resumes it from there.  run_random_facet draws a fresh
 uniformly random facet at every choice point; run_random_facet_star is
 deterministic and always removes the facet ranked first by a fixed
@@ -23,7 +23,7 @@ the events into a RunResult, counting one pivot per exchange.
 branches() walks the tree of every execution of a rule once, depth
 first, resuming steps() with one answer at each choice point that has
 several candidates.  Exact rfstar and both computation trees consume
-it, and Monte Carlo consumes steps() directly, so branches() is the
+it; Monte Carlo consumes steps() and _resume, so branches() is the
 one place that refuses an exact enumeration.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
@@ -210,6 +210,16 @@ def steps(
             return
 
 
+def _resume(idx, point, order) -> tuple[list[tuple], tuple | None]:
+    """(events, next point or None at the end) of steps() resumed at pause
+    point (fmask, bmask, frames, depth, kind), the pause event popped off.
+    A run's start is the point (fmask, bmask): the fields a point leaves
+    out take steps()' defaults."""
+    events = list(steps(idx, *point[:2], order, *point[2:]))
+    point = events.pop()[1] if events and events[-1][0] == "pause" else None
+    return events, point
+
+
 def _answers(hist: tuple, cands: list[EdgeId]) -> list[tuple]:
     """The allowed answers at a choice point, each with the history after it.
 
@@ -295,17 +305,15 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
                 out.append(cands.pop())
             return out
 
-        events = list(steps(idx, *point[:2], order, *point[2:]))
-        if not events or events[-1][0] != "pause":
-            return events, None
-        if dead is not None:
-            return events, (events.pop()[1], None)
-        point = fmask, bmask, frames, depth, kind = events.pop()[1]
+        events, point = _resume(idx, point, order)
+        if point is None or dead is not None:
+            return events, point and (point, None)
+        fmask, bmask, frames, depth, kind = point
         key = (fmask, bmask, tuple((f, tuple(p), d, k) for f, p, _, d, k in frames), depth, kind)
         return events, pauses.setdefault(key, (point, {}))
 
     hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, 1)
-    todo = [(0, ((fmask, bmask, (), 0, CallKind.ROOT), None if dead else {}), hist, None)]
+    todo = [(0, ((fmask, bmask), None if dead else {}), hist, None)]
     while todo:
         forks, (point, moves), hist, answer = todo.pop()
         events: list[tuple] = []

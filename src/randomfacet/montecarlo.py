@@ -6,7 +6,7 @@ platforms and across any partitioning of trials over workers: trial i
 always sees the same randomness no matter who runs it.
 
 The start tree is validated once per estimate, before the first trial;
-each trial then drives algorithms.steps directly and counts its pivot
+each trial then drives algorithms.steps and counts its pivot
 events; steps asks a trial's chooser once per descent.  A Random-Facet
 trial makes one rng.randrange draw per choice point, exactly as
 run_random_facet does, all of a descent's draws in one _draws call; a
@@ -17,15 +17,15 @@ with that order.
 A share of at least |F|! trials, the number of orders of F, must repeat
 rfstar's runs, and repeats rf's on every instance that small measured;
 there _trials keeps a trie of the descents the share has met, local to
-the call.  A descent
-met before replays its pivot count and next pause point; a new one
-resumes steps() from its pause point for that one descent, as
-branches() does.  The chooser is still asked once per descent, so every
-trial makes the same draws, and a descent's pivots and next pause are a
-function of its pause point and picks, so no count can change.  Below
-the threshold each trial runs steps() from the start: where runs
-seldom repeat the memo only costs (always on, it doubled the time of
-3 000 trials at m = 40).
+the call.  A descent met before replays its pivot count and next pause
+point; a new one is resumed at its pause point by algorithms._resume,
+the routine branches() resumes through, with a chooser that answers
+that one descent and then pauses.  The chooser is still asked once per
+descent, so every trial makes the same draws, and a descent's pivots
+and next pause are a function of its pause point and picks, so no
+count can change.  Below the threshold each trial runs steps() from
+the start: where runs seldom repeat the memo only costs (always on, it
+doubled the time of 3 000 trials at m = 40).
 
 pivot_samples splits range(trials) into contiguous shares, one per
 usable CPU but none smaller than MIN_SHARE trials.  The calling process
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
-from .algorithms import RF, RF_STAR, CallKind, random_order, start_state, steps
+from .algorithms import RF, RULES, _resume, random_order, start_state, steps
 from .errors import ZeroTrials
 from .graph import EdgeId, Instance, TreePolicy
 
@@ -116,7 +116,7 @@ def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
     {picks: (pivots, next node or None)}); the chooser gets a copy of the
     node's candidates, the list steps() would give it.
     """
-    root = ((fmask, bmask, (), 0, CallKind.ROOT), idx.edge_bits(fmask & ~bmask), {})
+    root = ((fmask, bmask), idx.edge_bits(fmask & ~bmask), {})
     memo = math.factorial(fmask.bit_count()) <= hi - lo
     samples = []
     for i in range(lo, hi):
@@ -134,8 +134,11 @@ def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
                 key = tuple(picks)
                 if key in moves:
                     n, node = moves[key]
-                else:
-                    n, node = moves[key] = _descent(idx, point, picks)
+                else:  # resume the run for this one descent; None at its end
+                    answers = [picks]
+                    events, point = _resume(idx, point, lambda c: answers.pop() if answers else [])
+                    node = point and (point, idx.edge_bits(point[0] & ~point[1]), {})
+                    n, node = moves[key] = sum(ev[0] == "pivot" for ev in events), node
                 pivots += n
         else:
             for ev in steps(idx, fmask, bmask, order):
@@ -143,19 +146,6 @@ def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
                     pivots += 1
         samples.append(pivots)
     return samples
-
-
-def _descent(idx, point, picks: list[EdgeId]) -> tuple:
-    """(pivots, next memo node or None at the run's end) of the descent
-    that removes `picks` from pause point `point`."""
-    answers = [picks]
-    events = list(steps(idx, *point[:2], lambda cands: answers.pop() if answers else [],
-                        *point[2:]))
-    pivots = sum(ev[0] == "pivot" for ev in events)
-    if not events or events[-1][0] != "pause":
-        return pivots, None
-    point = events[-1][1]
-    return pivots, (point, idx.edge_bits(point[0] & ~point[1]), {})
 
 
 def _usable_cpus() -> int:
@@ -231,7 +221,7 @@ def pivot_samples(
     """
     if trials < 1:
         raise ZeroTrials("at least one trial is required")
-    if rule not in (RF, RF_STAR):
+    if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     idx, fmask = start_state(inst, facets, start)
     run = partial(_trials, idx, fmask, start.mask, rule, inst.m, seed)

@@ -263,10 +263,32 @@ MUTANTS = [
     Mutant(
         "the descent memo is made once per process, not once per call",
         "montecarlo.py",
-        "root = ((fmask, bmask, (), 0, CallKind.ROOT), idx.edge_bits(fmask & ~bmask), {})",
+        "root = ((fmask, bmask), idx.edge_bits(fmask & ~bmask), {})",
         "root = _trials.__dict__.setdefault(\n"
-        "        \"root\", ((fmask, bmask, (), 0, CallKind.ROOT), idx.edge_bits(fmask & ~bmask), {}))",
+        "        \"root\", ((fmask, bmask), idx.edge_bits(fmask & ~bmask), {}))",
         (MEMO_ERRATA,),
+    ),
+    Mutant(
+        "a resumed point drops its pending frames, depth and kind",
+        "algorithms.py",
+        "events = list(steps(idx, *point[:2], order, *point[2:]))",
+        "events = list(steps(idx, *point[:2], order))",
+        ("tests/test_exact.py::TestHistoryEnumeration::test_errata_history_counts",),
+    ),
+    Mutant(
+        "a pause point holds steps' own stack, not a tuple of it",
+        "algorithms.py",
+        'yield ("pause", (fmask, bmask, tuple(stack), depth, kind))',
+        'yield ("pause", (fmask, bmask, stack, depth, kind))',
+        ("tests/test_algorithms.py::TestStepsContract::test_pause_and_resume_reproduce_the_run",),
+    ),
+    Mutant(
+        "count_optimal_trees swaps in any tight edge without walking w's path",
+        "graph.py",
+        "            while w >= 0 and w != v:\n"
+        "                w = head[choice[w]]\n",
+        "",
+        ("tests/test_graph.py::TestOptimalTree::test_zero_cost_cycle_is_not_a_second_optimum",),
     ),
     Mutant(
         "an rfstar answer closes its later candidates over the answer, not its predecessors",

@@ -339,7 +339,9 @@ class TestStepsContract:
 
     def test_pause_and_resume_reproduce_the_run(self, errata, enc, medium_pool):
         # stop answering before every choice point in turn, then resume the
-        # saved point twice with the remaining answers; compared pick by pick
+        # saved point twice with the remaining answers; compared pick by pick.
+        # _resume from the start point (fmask, bmask) and from each saved
+        # point gives the same events, with no pause event among them
         paused = 0
         for k, (inst, start) in enumerate(self._cases(errata, enc, medium_pool)):
             idx, fmask = start_state(inst, None, start)
@@ -347,11 +349,15 @@ class TestStepsContract:
             whole = by_pick(steps(idx, fmask, start.mask, order))
             answers = [ev[3] for ev in whole if ev[0] == "pick"]
             at_pick = [i for i, ev in enumerate(whole) if ev[0] == "pick"]
+            events, end = algorithms._resume(idx, (fmask, start.mask), _replay(answers))
+            assert (by_pick(events), end) == (whole, None)
             for at in range(len(answers)):
                 head = list(steps(idx, fmask, start.mask, _replay(answers[:at])))
                 kind, point = head.pop()
                 assert kind == "pause"
                 assert by_pick(head) == whole[: at_pick[at]]
+                assert algorithms._resume(idx, (fmask, start.mask), _replay(answers[:at])) == (
+                    head, point)
                 f, b, frames, depth, call = point
                 assert (f, b) == whole[at_pick[at]][1:3]
                 assert isinstance(frames, tuple)
@@ -361,6 +367,8 @@ class TestStepsContract:
                 ]
                 assert tails[0] == tails[1]
                 assert by_pick(head + tails[0]) == whole
+                assert algorithms._resume(idx, point, _replay(answers[at:])) == (tails[0], None)
+                assert "pause" not in [ev[0] for ev in head + tails[0]]
                 paused += 1
         assert paused
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randomfacet import (
@@ -168,6 +168,7 @@ class TestTies:
         st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (4, 2)]),
         st.integers(0, 1),
     )
+    @example(2, (2, 3), 1)  # a tied end tree of probability below one
     def test_end_trees_are_optima_with_total_probability_one(self, seed, shape, cost_bound):
         inst, start = cyclic_instance(*shape, cost_bound=cost_bound, seed=seed)
         ev = ExactEvaluator(inst)

@@ -22,7 +22,7 @@ from randomfacet import (
     run_random_facet,
     run_random_facet_star,
 )
-from randomfacet import montecarlo
+from randomfacet import algorithms, montecarlo
 from randomfacet.montecarlo import trial_rng
 from helpers import fisher_yates_permutation, has_zero_cost_cycle
 
@@ -214,15 +214,17 @@ class TestDescentMemo:
                 assert got == _by_public_runners(inst, facets, start, rule, trials, k), (k, rule)
 
     def test_steps_calls_pin_the_threshold_and_the_memo(self, monkeypatch, cpus, errata, enc, m40):
-        # one call per trial below 6! trials, one per new descent from 6! on
+        # one call per trial below 6! trials, one per new descent from 6! on;
+        # the memo's descents reach algorithms.steps through _resume
         calls = []
-        real = montecarlo.steps
+        real = algorithms.steps
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
         monkeypatch.setattr(montecarlo, "steps", counting)
+        monkeypatch.setattr(algorithms, "steps", counting)
         cpus(1)
         pinned = {
             ("001", RF): (177, 292), ("001", RF_STAR): (88, 90),
