@@ -10,7 +10,8 @@ steps() asks the chooser for it once per descent (at the start and
 after each pivot) and keeps it as one frame.  At the base case F = B,
 so the calls waiting on the stack are the picks themselves: steps()
 reads the tree's improving mask once, off its split (_Index.tree_split,
-the one per-tree cache), drops every descent without an improving pick
+the one per-tree cache; a tree first met after a pivot is split from
+the tree before it), drops every descent without an improving pick
 whole, and pivots the last improving pick in place of the tree's edge
 at its tail; the candidates of the next descent are the picks popped
 above it plus the leaving edge.  A shorter ordering
@@ -167,6 +168,7 @@ def steps(
     # call to return: (facet mask before it, picks, their mask, depth, kind)
     stack: list[tuple[int, list[EdgeId], int, int, CallKind]] = list(frames)
     cands = idx.edge_bits(fmask & ~bmask)
+    via = None  # after a pivot: (the tree before it, the entering edge)
     while True:
         n = len(cands)
         picks = order(cands)
@@ -181,7 +183,7 @@ def steps(
             yield ("pause", (fmask, bmask, tuple(stack), depth, kind))
             return
         # base case reached, where F = B: unwind to the last improving pick
-        _, better = splits.get(bmask) or tree_split(bmask)
+        _, better = splits.get(bmask) or tree_split(bmask, via)
         rest: list[EdgeId] = []  # the picks of the frames popped so far
         while stack:
             f, picks, pmask, d, k = stack.pop()
@@ -196,6 +198,7 @@ def steps(
             if i:  # the calls above it keep waiting
                 stack.append((f, picks[:i], pmask & ~suffix, d, k))
             leaving = (bmask & at_tail[e]).bit_length() - 1
+            via = (bmask, e)
             bmask = (bmask & ~(1 << leaving)) | (1 << e)
             fmask = (f & ~pmask) | suffix
             yield ("pivot", e, leaving, d + i, k if i == 0 else first, fmask, bmask)

@@ -41,7 +41,8 @@ exact rfstar drops them at each pause of its walk, before listing answers
 Each order of the start's live edges consistent with a pruned history
 then gives exactly one unpruned execution, with the same pivots, so
 the weights still count orders of those live edges.  d_B comes off
-B's split, which the runs read too, so each tree is split once.
+B's split, which the runs read too, so each tree is split once; a tree
+the recursion pivots to is split from the end tree it was pivoted from.
 """
 from __future__ import annotations
 
@@ -102,16 +103,17 @@ class ExactEvaluator:
             raise ValueError("start tree is not contained in the facet set")
         return Fraction(*self._rf(fmask & ~self.dead(bmask), bmask)[:2])
 
-    def dead(self, bmask: int) -> int:
+    def dead(self, bmask: int, via: tuple[int, EdgeId] | None = None) -> int:
         """The mask of edges dead at tree bmask, cached per tree.
 
-        Reads d_B off the tree's split, splitting a tree not met before;
-        a mask that is not a tree raises NoTreeInSubset.
+        Reads d_B off the tree's split, splitting a tree not met before,
+        from its parent tree if `via` names it (_Index.tree_split); a mask
+        that is not a tree raises NoTreeInSubset.
         """
         if bmask in self._dead:
             return self._dead[bmask]
         idx = self._idx
-        dist, _ = idx.splits.get(bmask) or idx.tree_split(bmask)
+        dist, _ = idx.splits.get(bmask) or idx.tree_split(bmask, via)
         if self._pi is None:
             self._pi = idx.subgraph_shortest(idx.full_mask)[0]
         pi = self._pi
@@ -158,8 +160,12 @@ class ExactEvaluator:
                 num, den = num * d1 + n1 * den, den * d1
             for end, p in _weighted(final):  # F minus e's optima share distances
                 if splits[end][1] & low:
-                    b2 = (end & ~idx.at_tail[low.bit_length() - 1]) | low
-                    n2, d2, end = self._rf(fmask & ~self.dead(b2), b2)
+                    e = low.bit_length() - 1
+                    b2 = (end & ~idx.at_tail[e]) | low
+                    dead = self._dead.get(b2)
+                    if dead is None:
+                        dead = self.dead(b2, (end, e))
+                    n2, d2, end = self._rf(fmask & ~dead, b2)
                     n2 = (n2 + d2) * p.numerator  # one pivot, then the pivoted tree
                     d2 *= p.denominator
                     if d2 == den:

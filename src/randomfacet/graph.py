@@ -9,8 +9,10 @@ is the improvement step that all higher-level machinery counts.
 
 Edges, instances and tree policies are immutable.  An instance's index
 (_Index) is built on first use, and its tree cache fills as engines
-run, each entry written once and never changed.  Distances are exact
-integers throughout; there is no floating-point path in this module.
+run, each entry written once and never changed: a tree met first after
+a pivot is split from the entry of the tree before it, any other from
+scratch.  Distances are exact integers throughout; there is no
+floating-point path in this module.
 """
 from __future__ import annotations
 
@@ -176,10 +178,12 @@ class _Index:
     of the target would make tail -1 and overwrite that slot, so such
     instances are refused with TargetHasOutEdges.  Facet subsets and
     trees travel as bit masks over edge ids, which is what the runners
-    and exact engines key their caches on.  `splits` caches tree_split,
-    one tree_distances walk, per tree mask, each entry written once.
+    and exact engines key their caches on.  `splits` caches tree_split
+    per tree mask, each entry written once: one tree_distances walk, or
+    for a pivoted tree a walk of its parent's subtree below the pivot.
     at_tail[e] masks the edges leaving e's tail, so a tree mask &
-    at_tail[e] is the tree's edge there.
+    at_tail[e] is the tree's edge there.  into[v] lists the edges into
+    v (the target's last), and around[v] masks the edges at v.
     """
 
     def __init__(self, inst: Instance):
@@ -198,9 +202,13 @@ class _Index:
         self.out: list[list[EdgeId]] = [[] for _ in self.order]
         for e in inst.edges:
             self.out[self.pos[e.tail]].append(e.id)
+        self.into: list[list[EdgeId]] = [[] for _ in range(len(self.order) + 1)]
+        for e, h in enumerate(self.head):
+            self.into[h].append(e)
         self.full_mask = (1 << m) - 1
         vmask = [sum(1 << e for e in out) for out in self.out]
         self.at_tail = [vmask[u] for u in self.tail]
+        self.around = [vm | sum(1 << e for e in into) for vm, into in zip(vmask, self.into)]
         self.splits: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def edge_bits(self, mask: int) -> list[EdgeId]:
@@ -258,7 +266,7 @@ class _Index:
                 state[u] = 2
         return tuple(dist)
 
-    def tree_split(self, mask: int) -> tuple[tuple[int, ...], int]:
+    def tree_split(self, mask: int, via=None) -> tuple[tuple[int, ...], int]:
         """(dist, better): the tree's distances (tree_distances) and the
         mask of the edges strictly better than it by them.
 
@@ -266,15 +274,45 @@ class _Index:
         set.  Cached in `splits` per mask.  A mask that is not a tree, as a
         pivot leaves on an unvalidated instance with a negative cycle,
         raises NoTreeInSubset.
+
+        `via = (parent, e)` says the mask is the split tree `parent` with e
+        swapped in at its tail u.  With d the parent's distances, only the
+        parent's subtree below u (the vertices whose path runs through u)
+        moves, each by the same delta = cost(e) + d(head e) - d(u); the
+        mask is a tree iff head(e) lies outside that subtree.  So the split
+        walks the parent's subtree over its in-edges, never the mask's (a
+        walk that would not end on a cycle), and re-tests only the edges
+        that touch it.
         """
-        dist = self.tree_distances(mask)
-        if dist is None:
+        tail, head, cost = self.tail, self.head, self.cost
+        if via is None:
+            dist = self.tree_distances(mask)
+            closes = dist is None
+            better, retest = 0, range(len(tail))
+        else:
+            parent, e = via
+            dist, better = self.splits[parent]
+            dist = list(dist)
+            u, h = tail[e], head[e]
+            delta = cost[e] + dist[h] - dist[u]
+            into, around = self.into, self.around
+            touched, closes, below = 0, False, [u]
+            while below:  # the parent's subtree below u
+                v = below.pop()
+                dist[v] += delta
+                touched |= around[v]
+                closes |= v == h
+                for f in into[v]:
+                    if parent >> f & 1:
+                        below.append(tail[f])
+            better &= ~touched
+            retest = self.edge_bits(touched)
+        if closes:
             raise NoTreeInSubset(f"tree {self.edge_bits(mask)} does not reach the target")
-        better = 0
-        for e, (u, h, c) in enumerate(zip(self.tail, self.head, self.cost)):
-            if c + dist[h] < dist[u]:
-                better |= 1 << e
-        split = self.splits[mask] = (dist, better)
+        for f in retest:
+            if cost[f] + dist[head[f]] < dist[tail[f]]:
+                better |= 1 << f
+        split = self.splits[mask] = (tuple(dist), better)
         return split
 
     def subgraph_shortest(self, fmask: int):

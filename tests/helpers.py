@@ -1,6 +1,8 @@
 """Test-only oracles, independent of the library's exact engines."""
+import contextlib
 import itertools
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from randomfacet import (
     validate_instance,
 )
 from randomfacet.algorithms import CallKind, start_state, steps
+from randomfacet.graph import _Index
 
 
 class ScriptedRng:
@@ -427,6 +430,32 @@ def generic_by_covering_subsets(inst):
     return True
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once `seconds` have passed.
+
+    The error is raised afresh here, without the interrupted frames: a
+    loop interrupted at its backward jump can leave a traceback entry
+    with no line number, which pytest fails to render.
+    """
+
+    class Expired(Exception):
+        pass
+
+    def expire(signum, frame):
+        raise Expired
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except Expired:
+        raise TimeoutError(f"still running after {seconds} s") from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def count_calls(monkeypatch, owner, name):
     """Count calls of owner.name from now to the end of the test; a 1-list."""
     calls = [0]
@@ -438,6 +467,20 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_splits(monkeypatch):
+    """Count _Index.tree_split calls from now to the end of the test, in
+    a Counter: [True] from scratch, [False] from a parent's split (via)."""
+    made = Counter()
+    original = _Index.tree_split
+
+    def counting(self, mask, via=None):
+        made[via is None] += 1
+        return original(self, mask, via)
+
+    monkeypatch.setattr(_Index, "tree_split", counting)
+    return made
 
 
 def has_zero_cost_cycle(inst):

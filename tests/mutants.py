@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 MEMO_ERRATA = ("tests/test_montecarlo.py::TestDescentMemo::"
                "test_samples_equal_the_public_runners_at_the_threshold[errata]")
 MEMO_STEPS = "tests/test_montecarlo.py::TestDescentMemo::test_steps_calls_pin_the_threshold_and_the_memo"
+VIA_ORACLE = ("tests/test_graph.py::TestTreeDistances::"
+              "test_split_from_the_parent_equals_the_split_from_scratch")
 
 MUTANTS = [
     Mutant(
@@ -56,11 +58,47 @@ MUTANTS = [
          "tests/test_algorithms.py::TestTraceContracts::test_replay_reproduces_final_tree"),
     ),
     Mutant(
-        "tree_split counts tight edges as improving",
+        "tree_split's re-test counts tight edges as improving",
         "graph.py",
-        "if c + dist[h] < dist[u]:",
-        "if c + dist[h] <= dist[u]:",
+        "if cost[f] + dist[head[f]] < dist[tail[f]]:",
+        "if cost[f] + dist[head[f]] <= dist[tail[f]]:",
+        (VIA_ORACLE, "tests/test_algorithms.py::test_engines_share_each_split_and_write_none"),
+    ),
+    Mutant(
+        "a split from the parent walks the new mask's subtree, not the parent's",
+        "graph.py",
+        "if parent >> f & 1:",
+        "if mask >> f & 1:",
+        ("tests/test_exact.py::TestExpectedPivotsRf::test_unvalidated_negative_cycle_refused",),
+    ),
+    Mutant(
+        "a split from the parent never checks that the swap closes no cycle",
+        "graph.py",
+        "                closes |= v == h\n",
+        "",
+        (VIA_ORACLE,),
+    ),
+    Mutant(
+        "a split from the parent re-tests only the subtree's out-edges",
+        "graph.py",
+        "self.around = [vm | sum(1 << e for e in into) for vm, into in zip(vmask, self.into)]",
+        "self.around = vmask",
+        (VIA_ORACLE,),
+    ),
+    Mutant(
+        "steps splits a pivoted tree from scratch",
+        "algorithms.py",
+        "_, better = splits.get(bmask) or tree_split(bmask, via)",
+        "_, better = splits.get(bmask) or tree_split(bmask)",
         ("tests/test_algorithms.py::test_engines_share_each_split_and_write_none",),
+    ),
+    Mutant(
+        "exact rf splits a pivoted tree from the state's tree, not the end tree",
+        "exact.py",
+        "dead = self.dead(b2, (end, e))",
+        "dead = self.dead(b2, (bmask, e))",
+        ("tests/test_exact.py::TestDeadEdges::test_each_tree_reads_its_distances_once",
+         "tests/test_algorithms.py::test_engines_share_each_split_and_write_none"),
     ),
     Mutant(
         "an edge tight against the optimum counts as dead",
@@ -95,7 +133,7 @@ MUTANTS = [
     Mutant(
         "exact rf pivots e in without dropping the tree's edge at e's tail",
         "exact.py",
-        "b2 = (end & ~idx.at_tail[low.bit_length() - 1]) | low",
+        "b2 = (end & ~idx.at_tail[e]) | low",
         "b2 = end | low",
         ("tests/test_exact.py::TestExpectedPivotsRf::test_errata_from_001",),
     ),

@@ -27,7 +27,7 @@ from randomfacet import (
 )
 from randomfacet import algorithms, graph, montecarlo
 from randomfacet.algorithms import RF, RF_STAR, branches, start_state, steps
-from helpers import by_pick, count_calls, executions, rf_branches, steps_by_pick
+from helpers import by_pick, count_calls, count_splits, executions, rf_branches, steps_by_pick
 
 
 def sigma_by_names(names, order):
@@ -444,10 +444,13 @@ def test_one_order_call_per_descent(errata, enc, medium_pool, monkeypatch):
 
 def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkeypatch):
     # a tree's distances and improving mask live only in its cached split,
-    # which every engine reads and none may write to; a tree's distances
-    # are read once per new split, start_state's check and exact rf's dead
-    # edges included, so nothing else recomputes or caches them
+    # which every engine reads and none may write to; each new split is
+    # made once, either from scratch, reading the tree's distances once
+    # (start_state's check and exact rf's dead edges included), or from
+    # its parent's split through `via`, reading none; so nothing else
+    # recomputes or caches them
     distances = count_calls(monkeypatch, graph._Index, "tree_distances")
+    made = count_splits(monkeypatch)
     cases = [(inst, _some_tree(inst)) for inst in small_pool]
     cases += [(inst, start) for inst, start in cyclic_pool if inst.m <= 6]
     pivots = splits = 0
@@ -455,7 +458,7 @@ def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkey
         inst = Instance(inst.target, inst.edges, inst.vertices)  # an empty index
         idx = inst._index
         sigma = Permutation.from_order(sorted(inst.all_edges(), reverse=True))
-        before = distances[0]
+        before, scratch, via = distances[0], made[True], made[False]
         pivots += run_random_facet(inst, None, start, random.Random(k)).pivot_count
         pivots += run_random_facet_star(inst, None, start, sigma).pivot_count
         for rule in (RF, RF_STAR):
@@ -463,13 +466,18 @@ def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkey
             comptree(inst, None, start, rule)
         expected_pivots_rf(inst, None, start)
         expected_pivots_rf_star(inst, None, start)
-        assert distances[0] - before == len(idx.splits)
+        scratch, via = made[True] - scratch, made[False] - via
+        assert distances[0] - before == scratch
+        assert scratch + via == len(idx.splits)
         for mask, (dist, better) in idx.splits.items():
             policy = idx.policy_from_choice(idx.choice_of_mask(mask))
             assert dist == idx.tree_distances(mask)
             assert better == sum(1 << e for e in range(inst.m) if improves(inst, policy, e))
         splits += len(idx.splits)
     assert pivots and splits > len(cases)
+    # 228 splits, each a tree_distances walk before `via`: 126 now come from
+    # the parent's split
+    assert (made[True], made[False]) == (102, 126)
 
 
 def _pivot_sequence(events):

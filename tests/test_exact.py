@@ -29,7 +29,9 @@ from randomfacet.graph import _Index
 from helpers import (
     all_bits,
     count_calls,
+    count_splits,
     cyclic_instance,
+    deadline,
     executions,
     has_zero_cost_cycle,
     optima_by_real_trees,
@@ -72,7 +74,7 @@ class TestExpectedPivotsRf:
             "t",
             [Edge(0, "a", "t", 0), Edge(1, "a", "b", -2), Edge(2, "b", "t", 0), Edge(3, "b", "a", 1)],
         )
-        with pytest.raises(NoTreeInSubset):
+        with deadline(10), pytest.raises(NoTreeInSubset):
             expected_pivots_rf(inst, None, TreePolicy({"a": 0, "b": 2}))
 
     def test_matches_branch_enumeration(self, small_pool):
@@ -245,19 +247,27 @@ class TestDeadEdges:
 
     def test_each_tree_reads_its_distances_once(self, errata, enc, monkeypatch):
         # dead(B) reads d_B off B's split, so on a fresh index every tree
-        # the exact engines meet reads its distances once, for its split,
-        # the start trees that start_state splits included
+        # the exact engines meet is split once: from scratch, reading its
+        # distances once (the start trees that start_state splits
+        # included), or from the tree it was pivoted from, reading none
         walks = count_calls(monkeypatch, _Index, "tree_distances")
+        made = count_splits(monkeypatch)
         inst = random_instance(4, 2, 9, 0)
         first_edges = TreePolicy({v: out[0] for v, out in zip(inst._index.order, inst._index.out)})
         cases = [(errata, [enc.tree("001"), enc.tree("111")]), (inst, [first_edges])]
+        counts = []
         for inst, starts in cases:
             inst = Instance(inst.target, inst.edges, inst.vertices)  # an empty index
+            made.clear()
             before = walks[0]
             for start in starts:
                 expected_pivots_rf(inst, None, start)
                 expected_pivots_rf_star(inst, None, start)
-            assert walks[0] - before == len(inst._index.splits) > len(starts)
+            assert walks[0] - before == made[True]
+            assert made[True] + made[False] == len(inst._index.splits) > len(starts)
+            counts.append((made[True], made[False]))
+        # 7 and 9 walks before `via`: only the start trees now walk
+        assert counts == [(2, 5), (1, 8)]
 
     @settings(max_examples=40, deadline=None)
     @given(

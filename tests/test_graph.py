@@ -1,9 +1,9 @@
 import collections
-import contextlib
 import random
-import signal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randomfacet import (
     DanglingVertex,
@@ -39,27 +39,12 @@ from randomfacet.graph import _Index, facet_mask
 from helpers import (
     all_bits,
     cyclic_instance,
+    deadline,
     has_zero_cost_cycle,
     optima_by_real_trees,
     real_trees,
     validate_by_vertex_names,
 )
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the body once `seconds` have passed."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def one_vertex():
@@ -227,6 +212,37 @@ class TestTreeDistances:
                 assert all(d[e.tail] == e.cost + d[e.head] for e in picked)
         assert len(seen) == 3 and min(seen.values()) >= 100, seen
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (3, 3), (4, 2)]),
+        st.integers(0, 3),
+    )
+    @example(3, (3, 3), 1)  # zero-cost cycles, 12 real trees
+    def test_split_from_the_parent_equals_the_split_from_scratch(self, seed, shape, cost_bound):
+        # every real tree T with any edge e swapped in at e's tail: the
+        # split through via=(T, e) equals the split from scratch when the
+        # swap leaves a real tree, and raises NoTreeInSubset, with the
+        # same message, when it closes a cycle (a self-loop included)
+        inst, _ = cyclic_instance(*shape, cost_bound=cost_bound, seed=seed)
+        trees = {tree.mask for tree in real_trees(inst)}
+        scratch = _Index(inst)
+        for parent in trees:
+            for e in range(inst.m):
+                idx = _Index(inst)
+                idx.tree_split(parent)
+                mask = (parent & ~idx.at_tail[e]) | 1 << e
+                if mask in trees:
+                    split = idx.tree_split(mask, (parent, e))
+                    assert split == idx.splits[mask] == scratch.tree_split(mask)
+                    continue
+                with pytest.raises(NoTreeInSubset) as via:
+                    idx.tree_split(mask, (parent, e))
+                with pytest.raises(NoTreeInSubset) as fresh:
+                    scratch.tree_split(mask)
+                assert str(via.value) == str(fresh.value)
+                assert mask not in idx.splits
+
     def test_errata_tree_000_is_pointwise_minimal(self, errata, enc):
         # brute force over all 2^3 trees
         best = tree_distances(errata, enc.tree("000"))
@@ -335,7 +351,7 @@ class TestOptimalTree:
             "t",
             [Edge(0, "x", "y", -1), Edge(1, "y", "x", -1), Edge(2, "x", "t", 0), Edge(3, "y", "t", 0)],
         )
-        with _deadline(10):
+        with deadline(10):
             with pytest.raises(NoTreeInSubset):
                 optimal_tree(inst)
             with pytest.raises(NoTreeInSubset):
@@ -359,7 +375,7 @@ class TestOptimalTree:
             lambda: expected_pivots_rf_star(inst, None, start),
             lambda: comptree(inst, None, start, RF),
         ]
-        with _deadline(10):
+        with deadline(10):
             for engine in engines:
                 with pytest.raises(NoTreeInSubset):
                     engine()

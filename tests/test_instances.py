@@ -265,10 +265,12 @@ class TestErrataFixture:
         # fails, runs only where the path counts pass: once, for the
         # winner.  Only a candidate that passes them becomes an Instance,
         # and its check builds one orientation view, inside errata_checks.  So the search reads no
-        # tree distance: the 24 all come from the winner's checks (91 105
+        # tree distance: the 19 all come from the winner's checks (91 105
         # when every candidate read its 8 trees): 8 for the view, one
-        # `improves` and 15 new tree splits, 8 of them the genericity
-        # walk's; start_state's checks reuse the splits.  Three Bellman-Ford
+        # `improves`, 8 for the genericity walk and 2 for the start trees'
+        # splits; the 5 other trees the engines meet are split from the
+        # tree they were pivoted from (24 reads when those walked too), and
+        # start_state's checks reuse the splits.  Three Bellman-Ford
         # solves, all in errata_checks: its two optimal_tree calls (the
         # optimum and the tree before z0 is pivoted in), and one
         # whole-instance solve for the dead edges, because one exact
@@ -324,7 +326,7 @@ class TestErrataFixture:
         assert 0 < out_maps[0] <= cells[0]
         assert solves[0] == 3
         assert views[0] == passed[0]
-        assert distances[0] == 24
+        assert distances[0] == 19
         assert cube_tests[0] == 10
         assert builds[0] == passed[0]
         assert len({id(v) for v in ordered}) == len(ordered)

@@ -24,7 +24,7 @@ from randomfacet import (
 )
 from randomfacet import algorithms, montecarlo
 from randomfacet.montecarlo import trial_rng
-from helpers import fisher_yates_permutation, has_zero_cost_cycle
+from helpers import deadline, fisher_yates_permutation, has_zero_cost_cycle
 
 
 @pytest.fixture()
@@ -464,7 +464,7 @@ class TestChildFailure:
         messages = []
         for k in (1, 2):
             cpus(k)
-            with pytest.raises(NoTreeInSubset) as err:
+            with deadline(10), pytest.raises(NoTreeInSubset) as err:
                 pivot_samples(inst, None, start, rule, 2 * MIN_SHARE, 0)
             messages.append(str(err.value))
             _no_child_left()
