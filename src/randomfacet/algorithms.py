@@ -10,22 +10,21 @@ steps() asks the chooser for it once per descent (at the start and
 after each pivot) and keeps it as one frame.  At the base case F = B,
 so the calls waiting on the stack are the picks themselves: steps()
 reads the tree's improving mask once, off its split (_Index.tree_split,
-the one per-tree cache; a tree first met after a pivot is split from
-the tree before it), drops every descent without an improving pick
-whole, and pivots the last improving pick in place of the tree's edge
-at its tail; the candidates of the next descent are the picks popped
-above it plus the leaving edge.  A shorter ordering
-pauses the run at (fmask, bmask, frames, depth, kind), and _resume
-resumes it from there.  run_random_facet draws a fresh
-uniformly random facet at every choice point; run_random_facet_star is
-deterministic and always removes the facet ranked first by a fixed
-permutation, so each descent is F minus B sorted by rank.  Both fold
-the events into a RunResult, counting one pivot per exchange.
-branches() walks the tree of every execution of a rule once, depth
-first, resuming steps() with one answer at each choice point that has
-several candidates.  Exact rfstar and both computation trees consume
-it; Monte Carlo consumes steps() and _resume, so branches() is the
-one place that refuses an exact enumeration.
+the one per-tree cache, filled by the pivot that makes each tree),
+drops every descent without an improving pick whole, and pivots the
+last improving pick in place of the tree's edge at its tail; the
+candidates of the next descent are the picks popped above it plus the
+leaving edge.  A shorter ordering pauses the run at a hashable point
+(fmask, bmask, frames, depth, kind), and _resume resumes it from there.
+run_random_facet draws a fresh uniformly random facet at every choice
+point; run_random_facet_star is deterministic and always removes the
+facet ranked first by a fixed permutation, so each descent is F minus B
+sorted by rank.  Both fold the events into a RunResult, counting one
+pivot per exchange.  branches() walks the tree of every execution of a
+rule once, depth first, resuming steps() with one answer at each choice
+point that has several candidates.  Exact rfstar and both computation
+trees consume it; Monte Carlo consumes steps() and _resume, so
+branches() is the one place that refuses an exact enumeration.
 
 RNG contract: run_random_facet consumes exactly one bounded draw per
 choice point, via rng.randrange(k) indexed into the candidates of
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from fractions import Fraction
 
@@ -151,24 +150,25 @@ def steps(
     each exchange ("pivot", entering, leaving, depth, kind, fmask, bmask)
     is yielded with the state after it; depth and kind describe the call
     that pivoted, the leaving edge being the tree's edge at the entering
-    edge's tail.  The run ends when no enclosing call can pivot, its last
-    base case having split the final tree.  Every pivot strictly improves
-    the tree, so it terminates.
+    edge's tail, and the pivot splits the tree it makes from the tree
+    before it: only `bmask` must be split already (start_state).  The
+    run ends when no enclosing call can pivot.  Every pivot strictly
+    improves the tree, so it terminates.
 
     An ordering shorter than the candidates pauses the run at the next
     choice point with a last event ("pause", (fmask, bmask, frames,
-    depth, kind)); steps(idx, fmask, bmask, order, frames, depth, kind)
-    resumes it, asking `order` about the rest of the descent.  A tree
-    that does not reach the target, as a pivot leaves on an unvalidated
-    instance with a negative cycle, raises NoTreeInSubset.
+    depth, kind)), its frames and picks tuples so the point is hashable;
+    steps(idx, fmask, bmask, order, frames, depth, kind) resumes it,
+    asking `order` about the rest of the descent.  A pivot to a mask
+    that is not a tree, as on an unvalidated instance with a negative
+    cycle, raises NoTreeInSubset.
     """
     splits, tree_split, at_tail = idx.splits, idx.tree_split, idx.at_tail
     first, second = CallKind.FIRST, CallKind.SECOND
     # one frame per descent whose calls wait for their first recursive
     # call to return: (facet mask before it, picks, their mask, depth, kind)
-    stack: list[tuple[int, list[EdgeId], int, int, CallKind]] = list(frames)
+    stack: list[tuple[int, Sequence[EdgeId], int, int, CallKind]] = list(frames)
     cands = idx.edge_bits(fmask & ~bmask)
-    via = None  # after a pivot: (the tree before it, the entering edge)
     while True:
         n = len(cands)
         picks = order(cands)
@@ -180,10 +180,11 @@ def steps(
             depth += len(picks)
             kind = first
         if fmask & ~bmask:  # the order was short
-            yield ("pause", (fmask, bmask, tuple(stack), depth, kind))
+            frames = tuple((f, tuple(p), pm, d, k) for f, p, pm, d, k in stack)
+            yield ("pause", (fmask, bmask, frames, depth, kind))
             return
         # base case reached, where F = B: unwind to the last improving pick
-        _, better = splits.get(bmask) or tree_split(bmask, via)
+        _, better = splits[bmask]
         rest: list[EdgeId] = []  # the picks of the frames popped so far
         while stack:
             f, picks, pmask, d, k = stack.pop()
@@ -198,8 +199,8 @@ def steps(
             if i:  # the calls above it keep waiting
                 stack.append((f, picks[:i], pmask & ~suffix, d, k))
             leaving = (bmask & at_tail[e]).bit_length() - 1
-            via = (bmask, e)
-            bmask = (bmask & ~(1 << leaving)) | (1 << e)
+            parent, bmask = bmask, (bmask & ~(1 << leaving)) | (1 << e)
+            splits.get(bmask) or tree_split(bmask, (parent, e))
             fmask = (f & ~pmask) | suffix
             yield ("pivot", e, leaving, d + i, k if i == 0 else first, fmask, bmask)
             depth = d + i + 1
@@ -269,15 +270,16 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
     (the start, at the root) to the next fork, with `weight` None, or to
     the end of an execution of that weight, read off its history (before,
     width): Fractions summing to one under RF, integers summing to |F|!
-    under RF_STAR.  Without `dead`, a transition runs steps() once, and
-    its events, shared by every path through it, must not be changed.
+    under RF_STAR.  Without `dead`, a transition runs steps() once, kept
+    under its pause point and answer, and its events, shared by every
+    path through it, must not be changed.
 
     `dead(bmask)`, if given, names edges no run from tree bmask pivots in
     (exact.ExactEvaluator.dead).  Each pause then drops them, before its
     answers are listed, from the facet mask and from every pending
     frame's facets, picks and pick mask: the run pivots alike, pick for
     pick, while the weights still count orders of all of F.  Pruned
-    pauses do recur, but this walk keeps no transition: keyed by value,
+    pauses do recur, but this walk keeps no transition: keyed by point,
     they cut steps() calls by up to 2.6 times, yet the walk ran slower
     and held over twice the memory.
 
@@ -296,7 +298,7 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
             "use Monte Carlo estimation instead"
         )
     executions = 0
-    pauses: dict[tuple, tuple] = {}  # by value: (point, {answer: (events, next pause)})
+    pauses: dict[tuple, dict] = {}  # {point: {answer: (events, next pause)}}
 
     def resume(point, answer):
         # the events up to the next choice point with two or more candidates
@@ -309,11 +311,7 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
             return out
 
         events, point = _resume(idx, point, order)
-        if point is None or dead is not None:
-            return events, point and (point, None)
-        fmask, bmask, frames, depth, kind = point
-        key = (fmask, bmask, tuple((f, tuple(p), d, k) for f, p, _, d, k in frames), depth, kind)
-        return events, pauses.setdefault(key, (point, {}))
+        return events, point and (point, None if dead else pauses.setdefault(point, {}))
 
     hist = (dict.fromkeys(ids, 0) if rule == RF_STAR else None, 1)
     todo = [(0, ((fmask, bmask), None if dead else {}), hist, None)]
@@ -331,7 +329,7 @@ def branches(idx, fmask: int, bmask: int, rule: str, dead=None) -> Iterator[tupl
             fmask, bmask, frames, depth, kind = point
             if dead is not None:  # drop the edges dead here before listing the answers
                 dm = dead(bmask) & (frames[0][0] if frames else fmask)
-                frames = tuple((f & ~dm, [e for e in p if not dm >> e & 1], pm & ~dm, d, k)
+                frames = tuple((f & ~dm, tuple(e for e in p if not dm >> e & 1), pm & ~dm, d, k)
                                for f, p, pm, d, k in frames)
                 point = (fmask & ~dm, bmask, frames, depth, kind)
             options = _answers(hist, idx.edge_bits(point[0] & ~bmask))

@@ -103,17 +103,17 @@ class ExactEvaluator:
             raise ValueError("start tree is not contained in the facet set")
         return Fraction(*self._rf(fmask & ~self.dead(bmask), bmask)[:2])
 
-    def dead(self, bmask: int, via: tuple[int, EdgeId] | None = None) -> int:
+    def dead(self, bmask: int) -> int:
         """The mask of edges dead at tree bmask, cached per tree.
 
-        Reads d_B off the tree's split, splitting a tree not met before,
-        from its parent tree if `via` names it (_Index.tree_split); a mask
-        that is not a tree raises NoTreeInSubset.
+        Reads d_B off the tree's split.  Each pivot splits the tree it
+        makes, so only a start tree comes here unsplit, to be split from
+        scratch (_Index.tree_split); one that is not a tree raises NoTreeInSubset.
         """
         if bmask in self._dead:
             return self._dead[bmask]
         idx = self._idx
-        dist, _ = idx.splits.get(bmask) or idx.tree_split(bmask, via)
+        dist, _ = idx.splits.get(bmask) or idx.tree_split(bmask)
         if self._pi is None:
             self._pi = idx.subgraph_shortest(idx.full_mask)[0]
         pi = self._pi
@@ -142,7 +142,7 @@ class ExactEvaluator:
             )
         idx = self._idx
         splits = idx.splits
-        _, better = splits.get(bmask) or idx.tree_split(bmask)
+        _, better = splits[bmask]
         free = fmask & ~bmask
         if not free & better:
             value = memo[(fmask, bmask)] = (0, 1, bmask)  # the first lemma
@@ -164,7 +164,8 @@ class ExactEvaluator:
                     b2 = (end & ~idx.at_tail[e]) | low
                     dead = self._dead.get(b2)
                     if dead is None:
-                        dead = self.dead(b2, (end, e))
+                        splits.get(b2) or idx.tree_split(b2, (end, e))
+                        dead = self.dead(b2)
                     n2, d2, end = self._rf(fmask & ~dead, b2)
                     n2 = (n2 + d2) * p.numerator  # one pivot, then the pivoted tree
                     d2 *= p.denominator

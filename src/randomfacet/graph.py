@@ -9,10 +9,10 @@ is the improvement step that all higher-level machinery counts.
 
 Edges, instances and tree policies are immutable.  An instance's index
 (_Index) is built on first use, and its tree cache fills as engines
-run, each entry written once and never changed: a tree met first after
-a pivot is split from the entry of the tree before it, any other from
-scratch.  Distances are exact integers throughout; there is no
-floating-point path in this module.
+run, each entry written once and never changed: a tree made by a pivot
+(in algorithms.steps or exact rf) is split there, from its parent's
+entry; only a start tree is split from scratch.  Distances are exact
+integers throughout; there is no floating-point path in this module.
 """
 from __future__ import annotations
 
@@ -275,8 +275,9 @@ class _Index:
         pivot leaves on an unvalidated instance with a negative cycle,
         raises NoTreeInSubset.
 
-        `via = (parent, e)` says the mask is the split tree `parent` with e
-        swapped in at its tail u.  With d the parent's distances, only the
+        `via = (parent, e)`, passed at the two pivots (algorithms.steps and
+        ExactEvaluator._rf), says the mask is the split tree `parent` with
+        e swapped in at its tail u.  With d the parent's distances, only the
         parent's subtree below u (the vertices whose path runs through u)
         moves, each by the same delta = cost(e) + d(head e) - d(u); the
         mask is a tree iff head(e) lies outside that subtree.  So the split

@@ -145,7 +145,11 @@ def errata_instance() -> Instance:
     return validate_instance(loads_instance(res.read_text(), source=FIXTURE_NAME))
 
 
-def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
+GENERICITY_MAX_EDGES = 20  # the exhaustive check's bound: desk-sized only
+RANDOM_INSTANCE_TRIES = 500  # candidates random_instance draws before it gives up
+
+
+def genericity_check(inst: Instance) -> bool:
     """True iff every edge subset containing a tree has a unique optimal tree.
 
     Lemma: inst is non-generic iff some tree T has an edge e outside it,
@@ -156,12 +160,12 @@ def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
     edge into one of them (_Index.count_optimal_trees).  So the check
     runs that swap test on every tree's tight edges, by its distances
     (_Index.tree_distances, uncached), without solving any subset.
-    Desk-sized only.
+    More than GENERICITY_MAX_EDGES edges raise TooLargeForExhaustiveCheck.
     """
     m = inst.m
-    if m > max_edges:
+    if m > GENERICITY_MAX_EDGES:
         raise TooLargeForExhaustiveCheck(
-            f"{m} edges exceed the exhaustive-check bound {max_edges}"
+            f"{m} edges exceed the exhaustive-check bound {GENERICITY_MAX_EDGES}"
         )
     idx = inst._index
     tail, head, cost = idx.tail, idx.head, idx.cost
@@ -177,13 +181,7 @@ def genericity_check(inst: Instance, *, max_edges: int = 20) -> bool:
 
 
 def random_instance(
-    n: int,
-    out_degree: int,
-    cost_bound: int,
-    seed: int,
-    *,
-    require_generic: bool = True,
-    max_tries: int = 500,
+    n: int, out_degree: int, cost_bound: int, seed: int, *, require_generic: bool = True
 ) -> Instance:
     """Seeded random valid instance, generic by rejection sampling.
 
@@ -191,14 +189,15 @@ def random_instance(
     downstream (or to t), so any combination of choices is a tree and
     negative costs can never close a cycle.  Genericity is checked over
     every tree, so with require_generic (the default) an instance of
-    more than 20 edges raises TooLargeForExhaustiveCheck; pass
-    require_generic=False to skip the check.
+    more than GENERICITY_MAX_EDGES edges raises TooLargeForExhaustiveCheck;
+    pass require_generic=False to skip the check.  RANDOM_INSTANCE_TRIES
+    rejected candidates raise GenerationFailedAfterRetries.
     """
     if n < 1 or out_degree < 1 or cost_bound < 0:
         raise ValueError("need n >= 1, out_degree >= 1 and cost_bound >= 0")
     rng = random.Random(seed)
     names = [f"v{i}" for i in range(n)]
-    for _ in range(max_tries):
+    for _ in range(RANDOM_INSTANCE_TRIES):
         edges = []
         eid = 0
         for i, v in enumerate(names):
@@ -213,7 +212,7 @@ def random_instance(
             continue
         return inst
     raise GenerationFailedAfterRetries(
-        f"no valid instance after {max_tries} attempts (n={n}, out_degree={out_degree})"
+        f"no valid instance after {RANDOM_INSTANCE_TRIES} attempts (n={n}, out_degree={out_degree})"
     )
 
 

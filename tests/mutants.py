@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 MEMO_ERRATA = ("tests/test_montecarlo.py::TestDescentMemo::"
                "test_samples_equal_the_public_runners_at_the_threshold[errata]")
 MEMO_STEPS = "tests/test_montecarlo.py::TestDescentMemo::test_steps_calls_pin_the_threshold_and_the_memo"
+SPLIT_ONCE = "tests/test_algorithms.py::test_each_engine_splits_only_its_start_tree_from_scratch"
 VIA_ORACLE = ("tests/test_graph.py::TestTreeDistances::"
               "test_split_from_the_parent_equals_the_split_from_scratch")
 
@@ -86,19 +87,33 @@ MUTANTS = [
         (VIA_ORACLE,),
     ),
     Mutant(
-        "steps splits a pivoted tree from scratch",
+        "steps splits the tree at each base case from scratch",
         "algorithms.py",
-        "_, better = splits.get(bmask) or tree_split(bmask, via)",
-        "_, better = splits.get(bmask) or tree_split(bmask)",
+        "_, better = splits[bmask]\n        rest",
+        "_, better = tree_split(bmask)\n        rest",
         ("tests/test_algorithms.py::test_engines_share_each_split_and_write_none",),
+    ),
+    Mutant(
+        "steps splits a pivoted tree from scratch, not from its parent",
+        "algorithms.py",
+        "splits.get(bmask) or tree_split(bmask, (parent, e))",
+        "splits.get(bmask) or tree_split(bmask)",
+        (SPLIT_ONCE,),
     ),
     Mutant(
         "exact rf splits a pivoted tree from the state's tree, not the end tree",
         "exact.py",
-        "dead = self.dead(b2, (end, e))",
-        "dead = self.dead(b2, (bmask, e))",
+        "idx.tree_split(b2, (end, e))",
+        "idx.tree_split(b2, (bmask, e))",
         ("tests/test_exact.py::TestDeadEdges::test_each_tree_reads_its_distances_once",
          "tests/test_algorithms.py::test_engines_share_each_split_and_write_none"),
+    ),
+    Mutant(
+        "exact rf leaves a pivoted tree for dead() to split from scratch",
+        "exact.py",
+        "                        splits.get(b2) or idx.tree_split(b2, (end, e))\n",
+        "",
+        (SPLIT_ONCE, "tests/test_exact.py::TestDeadEdges::test_each_tree_reads_its_distances_once"),
     ),
     Mutant(
         "an edge tight against the optimum counts as dead",
@@ -158,7 +173,7 @@ MUTANTS = [
     Mutant(
         "a pause prunes only its facet mask, not the pending frames",
         "algorithms.py",
-        "                frames = tuple((f & ~dm, [e for e in p if not dm >> e & 1], pm & ~dm, d, k)\n"
+        "                frames = tuple((f & ~dm, tuple(e for e in p if not dm >> e & 1), pm & ~dm, d, k)\n"
         "                               for f, p, pm, d, k in frames)\n",
         "",
         ("tests/test_exact.py::TestPruningAlongTheRun::"
@@ -216,16 +231,16 @@ MUTANTS = [
     Mutant(
         "the transition key leaves out the pending frames",
         "algorithms.py",
-        "key = (fmask, bmask, tuple((f, tuple(p), d, k) for f, p, _, d, k in frames), depth, kind)",
-        "key = (fmask, bmask, depth, kind)",
+        "pauses.setdefault(point, {})",
+        "pauses.setdefault(point[:2] + point[3:], {})",
         ("tests/test_algorithms.py::test_rf_branches_match_the_scripted_runner",
          "tests/test_comptree.py::test_golden_renderings"),
     ),
     Mutant(
         "the transition key leaves out the depth",
         "algorithms.py",
-        "for f, p, _, d, k in frames), depth, kind)",
-        "for f, p, _, d, k in frames), kind)",
+        "pauses.setdefault(point, {})",
+        "pauses.setdefault(point[:3] + point[4:], {})",
         ("tests/test_algorithms.py::test_rf_branches_match_the_scripted_runner",),
     ),
     Mutant(
@@ -316,8 +331,15 @@ MUTANTS = [
     Mutant(
         "a pause point holds steps' own stack, not a tuple of it",
         "algorithms.py",
-        'yield ("pause", (fmask, bmask, tuple(stack), depth, kind))',
-        'yield ("pause", (fmask, bmask, stack, depth, kind))',
+        "frames = tuple((f, tuple(p), pm, d, k) for f, p, pm, d, k in stack)",
+        "frames = stack",
+        ("tests/test_algorithms.py::TestStepsContract::test_pause_and_resume_reproduce_the_run",),
+    ),
+    Mutant(
+        "a pause point keeps its frames' picks as lists",
+        "algorithms.py",
+        "(f, tuple(p), pm, d, k) for",
+        "(f, p, pm, d, k) for",
         ("tests/test_algorithms.py::TestStepsContract::test_pause_and_resume_reproduce_the_run",),
     ),
     Mutant(

@@ -21,6 +21,7 @@ from randomfacet import (
     improves,
     optimal_tree,
     pivot,
+    random_instance,
     run_random_facet,
     run_random_facet_star,
     tree_distances,
@@ -361,6 +362,8 @@ class TestStepsContract:
                 f, b, frames, depth, call = point
                 assert (f, b) == whole[at_pick[at]][1:3]
                 assert isinstance(frames, tuple)
+                hash(point)  # a value: branches keys its transitions on it
+                assert b in idx.splits  # split by the pivot that made it
                 tails = [
                     list(steps(idx, f, b, _replay(answers[at:]), frames, depth, call))
                     for _ in range(2)
@@ -475,9 +478,41 @@ def test_engines_share_each_split_and_write_none(small_pool, cyclic_pool, monkey
             assert better == sum(1 << e for e in range(inst.m) if improves(inst, policy, e))
         splits += len(idx.splits)
     assert pivots and splits > len(cases)
-    # 228 splits, each a tree_distances walk before `via`: 126 now come from
-    # the parent's split
-    assert (made[True], made[False]) == (102, 126)
+    # 228 splits, each a tree_distances walk before `via`: 128 now come from
+    # the parent's split, each made at the pivot that makes its tree
+    assert (made[True], made[False]) == (100, 128)
+
+
+def test_each_engine_splits_only_its_start_tree_from_scratch(errata, enc, cyclic_pool, monkeypatch):
+    # every other tree a run meets is made by a pivot and split there, from
+    # its parent's split, even where the run pauses before its next base
+    # case: at the forks of branches, at exact rfstar's pruned pauses and
+    # in the descent memo (800 errata trials reach its 6! threshold, 200 do
+    # not).  So on a fresh index each engine splits one tree from scratch
+    made = count_splits(monkeypatch)
+    inst = random_instance(4, 2, 9, 2, require_generic=False)
+    cases = [(errata, enc.tree("001")), (errata, enc.tree("111")), (inst, _some_tree(inst))]
+    cases += [(inst, start) for inst, start in cyclic_pool[:21] if inst.m <= 6]
+    engines = [
+        lambda inst, start: run_random_facet(inst, None, start, random.Random(0)),
+        lambda inst, start: run_random_facet_star(
+            inst, None, start, Permutation.from_order(sorted(inst.all_edges(), reverse=True))),
+        lambda inst, start: comptree(inst, None, start, RF),
+        lambda inst, start: comptree(inst, None, start, RF_STAR),
+        lambda inst, start: expected_pivots_rf(inst, None, start),
+        lambda inst, start: expected_pivots_rf_star(inst, None, start),
+    ]
+    engines += [
+        lambda inst, start, rule=rule, trials=trials: montecarlo.pivot_samples(
+            inst, None, start, rule, trials, 0)
+        for rule in (RF, RF_STAR) for trials in (800, 200)
+    ]
+    for k, engine in enumerate(engines):
+        for inst, start in cases:
+            inst = Instance(inst.target, inst.edges, inst.vertices)  # an empty index
+            made.clear()
+            engine(inst, start)
+            assert made[True] == 1, k
 
 
 def _pivot_sequence(events):
