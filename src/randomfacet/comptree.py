@@ -18,28 +18,28 @@ a path's probability is its leaf's mass over the root's.  Only the
 children of a fork, a choice point with more than one allowed answer,
 differ from their parent: any other node is its parent's only child,
 with the parent's mass and the shared probability 1 it was made with.
-For the randomized rule each decision branch weighs the product of
-1/|candidates| over its choice points, so each choice point branches
-uniformly: one top-down pass sets the masses from 1 at the root, the k
-children of a fork sharing one Fraction(1, k) per width as their
-probability and 1/k of their parent's mass.  For the permutation-driven
-rule each argmin history weighs the number of orderings of the |F|
-facets that produce it, an integer; one bottom-up pass sums those
-integers to |F|! at the root, and a fork child's probability, the
-number of orderings consistent with the history and choosing that
-facet next over the number consistent with the history, is the only
-Fraction the build makes.
+algorithms.branches weighs each execution exactly: 1/width under the
+randomized rule, width being the product of |candidates| over its
+choice points, and under the permutation-driven rule the number of
+orderings of the |F| facets that produce its argmin history.  One
+pass serves both: each leaf's mass is its weight times the lcm of the
+weights' denominators (1 for the order counts), an integer, and one
+backward pass sums those integers up to the root, the lcm of the
+widths under rf and |F|! under rfstar.  A fork child's probability,
+its mass over its parent's, is the only Fraction the build makes, one
+per distinct pair of masses.
 Facets that can never re-enter a tree (the edge displaced by a pivot)
 are kept in the tree rather than merged away; queries such as
 pick_order_after_pivot marginalize over them on demand.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .algorithms import RF, branches, start_state
+from .algorithms import branches, start_state
 from .graph import EdgeId, Instance, TreePolicy, edge_names
 
 _ONE = Fraction(1)  # the probability of every node but the children of a fork
@@ -54,8 +54,8 @@ class CompNode:
     `facets` and `tree` are edge-id masks of the state at the event
     (after the pivot, for pivot nodes).  `parent` is the parent's index
     in CompTree.nodes (None at the root) and `mass` the summed weight
-    of the executions below the node: 1 at an rf root, |F|! at an
-    rfstar root.
+    of the executions below the node, an integer: the lcm of the
+    executions' widths at an rf root, |F|! at an rfstar root.
     """
 
     kind: str
@@ -68,7 +68,7 @@ class CompNode:
     depth: int | None = None
     pivots: int | None = None
     parent: int | None = None
-    mass: Fraction | int = 0
+    mass: int = 0
     children: list["CompNode"] = field(default_factory=list)
 
 
@@ -102,7 +102,7 @@ class CompTree:
 
     def leaf_distribution(self) -> dict[int, Fraction]:
         """Probability mass of the total pivot count."""
-        masses: dict[int, Fraction | int] = {}
+        masses: dict[int, int] = {}
         for node in self.nodes:
             if node.kind == "leaf":
                 masses[node.pivots] = masses.get(node.pivots, 0) + node.mass
@@ -147,9 +147,9 @@ class CompTree:
         so their sum is the region.
         """
         edge_bits = self.instance._index.edge_bits
-        buckets: dict[EdgeId, dict[EdgeId | None, Fraction | int]] = {}
+        buckets: dict[EdgeId, dict[EdgeId | None, int]] = {}
 
-        def add(pivot_edge: EdgeId, chosen: EdgeId | None, mass: Fraction | int) -> None:
+        def add(pivot_edge: EdgeId, chosen: EdgeId | None, mass: int) -> None:
             dist = buckets.setdefault(pivot_edge, {})
             dist[chosen] = dist.get(chosen, 0) + mass
 
@@ -205,8 +205,8 @@ class CompTree:
             f"tree={{{_set_str(self.start.edge_ids, labels)}}}",
             "# columns: id parent kind label prob pivots",
         ]
-        # by object: the children of an rf fork, and every only child,
-        # share their probability
+        # by object: fork children with the same masses, and every only
+        # child, share their probability
         probs: dict[int, str] = {}
         for nid, node in enumerate(self.nodes):
             prob = probs.get(id(node.prob))
@@ -275,6 +275,7 @@ def comptree(inst: Instance, facets, start: TreePolicy, rule: str) -> CompTree:
     root = CompNode("root", _ONE, fmask, start.mask)
     nodes = [root]
     forks = []  # the nodes a segment ended at without a leaf
+    leaves = []  # (leaf, its execution's weight)
     # path[k]: the node the segments below k forks hang from, its index
     # and the number of pivots on the way to it
     path = [(root, 0, 0)]
@@ -301,33 +302,26 @@ def comptree(inst: Instance, facets, start: TreePolicy, rule: str) -> CompTree:
         if weight is None:
             forks.append(node)
         else:
-            leaf = CompNode("leaf", _ONE, 0, 0, None, None, None, None, pivots, at, weight, [])
+            leaf = CompNode("leaf", _ONE, 0, 0, None, None, None, None, pivots, at, 0, [])
             node.children.append(leaf)
             nodes.append(leaf)
-    if rule == RF:
-        # top-down: an only child takes its parent's mass; the k children
-        # of a fork share one Fraction(1, k) per width and 1/k of its mass
-        root.mass = _ONE
-        shares: dict[int, Fraction] = {}
-        for node in nodes:
-            kids = node.children
-            if len(kids) == 1:
-                kids[0].mass = node.mass
-            elif kids:
-                prob = shares.get(len(kids))
-                if prob is None:
-                    prob = shares[len(kids)] = Fraction(1, len(kids))
-                mass = node.mass * prob
-                for kid in kids:
-                    kid.prob, kid.mass = prob, mass
-    else:
-        # children follow their parent, so one backward pass totals the
-        # integer masses; only a fork's children get a probability below 1
-        for node in reversed(nodes[1:]):
-            nodes[node.parent].mass += node.mass
-        for node in forks:
-            for kid in node.children:
-                kid.prob = Fraction(kid.mass, node.mass)
+            leaves.append((leaf, weight))
+    # integer masses: each weight times the lcm of their denominators;
+    # children follow their parent, so one backward pass totals them
+    scale = math.lcm(*(w.denominator for _, w in leaves))
+    for leaf, w in leaves:
+        leaf.mass = w.numerator * (scale // w.denominator)
+    for node in reversed(nodes[1:]):
+        nodes[node.parent].mass += node.mass
+    # only a fork's children get a probability below 1, one per mass pair
+    ratios: dict[tuple[int, int], Fraction] = {}
+    for node in forks:
+        for kid in node.children:
+            key = (kid.mass, node.mass)
+            prob = ratios.get(key)
+            if prob is None:
+                prob = ratios[key] = Fraction(kid.mass, node.mass)
+            kid.prob = prob
     return CompTree(
         rule=rule,
         instance=inst,

@@ -20,12 +20,14 @@ there _trials keeps a trie of the descents the share has met, local to
 the call.  A descent met before replays its pivot count and next pause
 point; a new one is resumed at its pause point by algorithms._resume,
 the routine branches() resumes through, with a chooser that answers
-that one descent and then pauses.  The chooser is still asked once per
-descent, so every trial makes the same draws, and a descent's pivots
-and next pause are a function of its pause point and picks, so no
-count can change.  Below the threshold each trial runs steps() from
-the start: where runs seldom repeat the memo only costs (always on, it
-doubled the time of 3 000 trials at m = 40).
+that one descent and then pauses, keeping the candidates steps() hands
+it for the next descent, so only algorithms reads a pause point's
+fields.  The chooser is still asked once per descent, so every trial
+makes the same draws, and a descent's pivots and next pause are a
+function of its pause point and picks, so no count can change.  Below
+the threshold each trial runs steps() from the start: where runs
+seldom repeat the memo only costs (always on, it doubled the time of
+3 000 trials at m = 40).
 
 pivot_samples splits range(trials) into contiguous shares, one per
 usable CPU but none smaller than MIN_SHARE trials.  The calling process
@@ -114,7 +116,9 @@ def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
     From |F|! trials on, each descent is looked up in the memo of the
     module docstring, a trie whose node is (pause point, its candidates,
     {picks: (pivots, next node or None)}); the chooser gets a copy of the
-    node's candidates, the list steps() would give it.
+    node's candidates, the list steps() would give it.  A new node keeps
+    the list steps() hands the chooser just before it pauses, which
+    steps() never touches again.
     """
     root = ((fmask, bmask), idx.edge_bits(fmask & ~bmask), {})
     memo = math.factorial(fmask.bit_count()) <= hi - lo
@@ -135,9 +139,10 @@ def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
                 if key in moves:
                     n, node = moves[key]
                 else:  # resume the run for this one descent; None at its end
-                    answers = [picks]
-                    events, point = _resume(idx, point, lambda c: answers.pop() if answers else [])
-                    node = point and (point, idx.edge_bits(point[0] & ~point[1]), {})
+                    asked = []  # its candidates, answered by picks, then the next node's
+                    events, point = _resume(
+                        idx, point, lambda c: [] if asked.append(c) or len(asked) > 1 else picks)
+                    node = point and (point, asked[-1], {})
                     n, node = moves[key] = sum(ev[0] == "pivot" for ev in events), node
                 pivots += n
         else:

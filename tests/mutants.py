@@ -10,8 +10,11 @@ mutant there and runs only the mutant's tests, in a pytest child that
 imports the package from the copy.  It prints one line per mutant,
 killed or survived with the seconds it took, then a summary.  A mutant
 is killed iff a listed test fails or the run outlasts TIMEOUT seconds,
-as a pivot loop that no longer strictly improves may never end.  The
-exit status is 1 iff some mutant was not killed.
+as a pivot loop that no longer strictly improves may never end.  Each
+child may map at most MEMORY bytes, so a run that never ends stops
+once it outgrows them, rather than filling the machine's memory; if
+pytest then exits with an internal error, the mutant is reported as
+an error.  The exit status is 1 iff some mutant was not killed.
 
 This file is not a test module: pytest does not collect it and tier-1
 never runs a mutant.  tests/test_mutants.py checks only that each old
@@ -21,6 +24,7 @@ code must update the list.  Standard library and pytest only.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -32,6 +36,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "randomfacet"
 TIMEOUT = 300
+MEMORY = 1 << 30
 
 
 class Mutant(NamedTuple):
@@ -46,6 +51,9 @@ MEMO_ERRATA = ("tests/test_montecarlo.py::TestDescentMemo::"
                "test_samples_equal_the_public_runners_at_the_threshold[errata]")
 MEMO_STEPS = "tests/test_montecarlo.py::TestDescentMemo::test_steps_calls_pin_the_threshold_and_the_memo"
 SPLIT_ONCE = "tests/test_algorithms.py::test_each_engine_splits_only_its_start_tree_from_scratch"
+MASSES = "tests/test_comptree.py::TestNodeList::test_masses_and_probabilities"
+SHARED = ("tests/test_comptree.py::TestNodeList::"
+          "test_fork_children_with_equal_masses_share_one_probability")
 VIA_ORACLE = ("tests/test_graph.py::TestTreeDistances::"
               "test_split_from_the_parent_equals_the_split_from_scratch")
 
@@ -307,6 +315,13 @@ MUTANTS = [
         (MEMO_STEPS,),
     ),
     Mutant(
+        "a new memo node keeps its parent's candidates",
+        "montecarlo.py",
+        "node = point and (point, asked[-1], {})",
+        "node = point and (point, cands, {})",
+        (MEMO_STEPS,),
+    ),
+    Mutant(
         "a replayed descent adds no pivots",
         "montecarlo.py",
         "                    n, node = moves[key]\n",
@@ -358,17 +373,38 @@ MUTANTS = [
         ("tests/test_exact.py::TestHistoryEnumeration::test_history_weights_match_permutations",),
     ),
     Mutant(
-        "rf fork children keep their parent's mass",
+        "a leaf's mass is its weight's numerator, unscaled",
         "comptree.py",
-        "mass = node.mass * prob",
-        "mass = node.mass",
-        ("tests/test_comptree.py::TestNodeList::test_masses_and_probabilities",),
+        "leaf.mass = w.numerator * (scale // w.denominator)",
+        "leaf.mass = w.numerator",
+        (MASSES, "tests/test_comptree.py::test_golden_renderings[001-rf]"),
+    ),
+    Mutant(
+        "the backward pass leaves out the root's first child",
+        "comptree.py",
+        "for node in reversed(nodes[1:]):",
+        "for node in reversed(nodes[2:]):",
+        (MASSES, "tests/test_comptree.py::test_golden_renderings[001-rfstar]"),
+    ),
+    Mutant(
+        "the fork probabilities are cached by the child's mass alone",
+        "comptree.py",
+        "key = (kid.mass, node.mass)",
+        "key = kid.mass",
+        (MASSES,),
+    ),
+    Mutant(
+        "each fork child makes its own probability",
+        "comptree.py",
+        "prob = ratios.get(key)",
+        "prob = None",
+        (SHARED,),
     ),
     Mutant(
         "an rfstar fork child gets 1/k instead of its mass ratio",
         "comptree.py",
-        "kid.prob = Fraction(kid.mass, node.mass)",
-        "kid.prob = Fraction(1, len(node.children))",
+        "prob = ratios[key] = Fraction(kid.mass, node.mass)",
+        "prob = ratios[key] = Fraction(1, len(node.children))",
         ("tests/test_comptree.py::test_golden_renderings[001-rfstar]",),
     ),
     Mutant(
@@ -380,6 +416,10 @@ MUTANTS = [
          "test_matches_the_path_oracle_at_every_depth",),
     ),
 ]
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
 def run(mutant: Mutant) -> str:
@@ -398,7 +438,8 @@ def run(mutant: Mutant) -> str:
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         try:
             code = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT,
+                                  preexec_fn=_cap_memory).returncode
         except subprocess.TimeoutExpired:
             return "killed"
     return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")

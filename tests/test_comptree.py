@@ -105,7 +105,17 @@ class TestNodeList:
         forks = 0
         for rule, tree in node_list_trees:
             nodes = tree.nodes
-            assert tree.root.mass == (1 if rule == RF else math.factorial(len(tree.facets)))
+            # each leaf weighs its execution, read off the walk: a probability
+            # under rf, an order count of the |F|! under rfstar
+            idx, fmask = algorithms.start_state(tree.instance, tree.facets, tree.start)
+            weights = [w for w, _ in executions(
+                algorithms.branches(idx, fmask, tree.start.mask, rule))]
+            total = 1 if rule == RF else math.factorial(len(tree.facets))
+            assert tree.root.mass == (
+                math.lcm(*(w.denominator for w in weights)) if rule == RF else total)
+            assert [Fraction(n.mass, tree.root.mass) for n in nodes if n.kind == "leaf"] == [
+                Fraction(w) / total for w in weights]
+            assert all(type(n.mass) is int for n in nodes)
             assert tree.root.prob == 1
             for node in nodes:
                 if node.children:
@@ -122,13 +132,21 @@ class TestNodeList:
                     if rule == RF:
                         k = len(node.children)
                         assert all(c.prob == Fraction(1, k) for c in node.children)
-
-            # each leaf weighs its execution, read off the walk
-            idx, fmask = algorithms.start_state(tree.instance, tree.facets, tree.start)
-            weights = [w for w, _ in executions(
-                algorithms.branches(idx, fmask, tree.start.mask, rule))]
-            assert [n.mass for n in nodes if n.kind == "leaf"] == weights
         assert forks
+
+    def test_fork_children_with_equal_masses_share_one_probability(self, node_list_trees):
+        # to_text renders each probability object once
+        shared = dict.fromkeys((RF, RF_STAR), 0)
+        for rule, tree in node_list_trees:
+            nodes = tree.nodes
+            probs = {}
+            for node in nodes[1:]:
+                parent = nodes[node.parent]
+                if len(parent.children) > 1:
+                    key = (node.mass, parent.mass)
+                    shared[rule] += key in probs
+                    assert probs.setdefault(key, node.prob) is node.prob, (rule, key)
+        assert all(shared.values()), shared
 
 
 class TestExpectations:

@@ -221,6 +221,9 @@ class TestDescentMemo:
 
         def counting(*args):
             calls.append(1)
+            # no count pinned here exceeds its trials, so a run that never
+            # ends fails here before its memo fills the memory
+            assert len(calls) <= trials
             return real(*args)
 
         monkeypatch.setattr(montecarlo, "steps", counting)
@@ -238,10 +241,11 @@ class TestDescentMemo:
                 got.append(len(calls))
             assert got == [719, at_720, at_20000], (bits, rule)
         inst, start = m40
+        trials = 3000
         for rule in (RF, RF_STAR):
             del calls[:]
-            pivot_samples(inst, None, start, rule, 3000, 0)
-            assert len(calls) == 3000, rule
+            pivot_samples(inst, None, start, rule, trials, 0)
+            assert len(calls) == trials, rule
 
 
 class TestRefusal:
