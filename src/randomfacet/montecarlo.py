@@ -16,18 +16,23 @@ with that order.
 
 A share of at least |F|! trials, the number of orders of F, must repeat
 rfstar's runs, and repeats rf's on every instance that small measured;
-there _trials keeps a trie of the descents the share has met, local to
-the call.  A descent met before replays its pivot count and next pause
+there _trials keeps a memo keyed by the draws, local to the call, since
+a trial's pivot count is a function of its draws alone.  An rfstar
+trial whose Fisher-Yates draws the share has met replays its pivot
+count whole, without building its ranks.  That memo holds at most |F|!
+shuffles: with F a proper subset of the edges, the m-edge shuffles
+outnumber the orders of F.  Every other trial walks a trie of the
+descents the share has met, each keyed by its rf draws or its rfstar
+picks.  A descent met before replays its pivot count and next pause
 point; a new one is resumed at its pause point by algorithms._resume,
 the routine branches() resumes through, with a chooser that answers
 that one descent and then pauses, keeping the candidates steps() hands
 it for the next descent, so only algorithms reads a pause point's
-fields.  The chooser is still asked once per descent, so every trial
-makes the same draws, and a descent's pivots and next pause are a
-function of its pause point and picks, so no count can change.  Below
-the threshold each trial runs steps() from the start: where runs
-seldom repeat the memo only costs (always on, it doubled the time of
-3 000 trials at m = 40).
+fields.  Every trial still makes all of its draws, and a descent's
+pivots and next pause are a function of its pause point and picks,
+which its draws fix, so no count can change.  Below the threshold each
+trial runs steps() from the start: where runs seldom repeat the memo
+only costs (always on, it doubled the time of 3 000 trials at m = 40).
 
 pivot_samples splits range(trials) into contiguous shares, one per
 usable CPU but none smaller than MIN_SHARE trials.  The calling process
@@ -60,10 +65,12 @@ from .algorithms import RF, RULES, _resume, random_order, start_state, steps
 from .errors import ZeroTrials
 from .graph import EdgeId, Instance, TreePolicy
 
-# the fewest trials worth a process of their own: on a 2-core x86 machine
-# under Python 3.11 a fork and its join cost about 2 ms, and MIN_SHARE
-# errata trials about 11 ms; 1 000 errata trials take about as long in
-# two such shares, below the memo's 6! trials, as in one with the memo
+# the fewest trials worth a process of their own: on a shared 2-core x86
+# machine under Python 3.11 a bare fork and its join cost about 1 ms, and
+# MIN_SHARE errata trials 8 to 10 ms; 1 000 errata trials take 11 to
+# 14 ms in one share with the memo, but 18 to 23 ms in two such shares,
+# each below the memo's 6! trials, so there the split costs more than it
+# saves
 MIN_SHARE = 500
 
 
@@ -100,11 +107,11 @@ def _draws(getrandbits, bounds) -> list[int]:
     return out
 
 
-def _random_ranks(getrandbits, m: int) -> list[int]:
-    # Fisher-Yates over the edge ids, one draw per position, high index
-    # first; rank[e] is e's position in the shuffled order
+def _ranks(m: int, shuffle) -> list[int]:
+    # Fisher-Yates over the edge ids, one of `shuffle`'s draws per
+    # position, high index first; rank[e] is e's position in the order
     order = list(range(m))
-    for i, j in zip(range(m - 1, 0, -1), _draws(getrandbits, range(m, 1, -1))):
+    for i, j in zip(range(m - 1, 0, -1), shuffle):
         order[i], order[j] = order[j], order[i]
     return sorted(range(m), key=order.__getitem__)
 
@@ -113,38 +120,48 @@ def _trials(idx, fmask: int, bmask: int, rule: str, m: int, seed: int,
             lo: int, hi: int) -> list[int]:
     """Pivot counts of trials lo..hi-1 from the checked start state.
 
-    From |F|! trials on, each descent is looked up in the memo of the
-    module docstring, a trie whose node is (pause point, its candidates,
-    {picks: (pivots, next node or None)}); the chooser gets a copy of the
-    node's candidates, the list steps() would give it.  A new node keeps
-    the list steps() hands the chooser just before it pauses, which
-    steps() never touches again.
+    From |F|! trials on, the memo of the module docstring: `shuffles`
+    maps at most |F|! rfstar shuffles to their pivot counts, and a trie
+    node is (pause point, its candidates, {key: (pivots, next node or
+    None)}), a descent's key being its rf draws or its rfstar picks.  A
+    new node keeps the list steps() hands the chooser just before it
+    pauses, which steps() never touches again.
     """
+    orders = math.factorial(fmask.bit_count())
+    memo = orders <= hi - lo
     root = ((fmask, bmask), idx.edge_bits(fmask & ~bmask), {})
-    memo = math.factorial(fmask.bit_count()) <= hi - lo
+    shuffles: dict[tuple[int, ...], int] = {}
     samples = []
     for i in range(lo, hi):
         getrandbits = trial_rng(seed, i).getrandbits
         if rule == RF:
-            order = random_order(partial(_draws, getrandbits))
+            draws = partial(_draws, getrandbits)
+            order = random_order(draws)
         else:
-            order = partial(sorted, key=_random_ranks(getrandbits, m).__getitem__)
+            shuffle = _draws(getrandbits, range(m, 1, -1))
+            drawn = tuple(shuffle)
+            if drawn in shuffles:
+                samples.append(shuffles[drawn])
+                continue
+            order = partial(sorted, key=_ranks(m, shuffle).__getitem__)
         pivots = 0
         if memo:
             node = root
             while node:
                 point, cands, moves = node
-                picks = order(cands.copy())
-                key = tuple(picks)
+                key = tuple(draws(range(len(cands), 0, -1)) if rule == RF else order(cands))
                 if key in moves:
                     n, node = moves[key]
                 else:  # resume the run for this one descent; None at its end
+                    picks = random_order(lambda _: key)(cands.copy()) if rule == RF else key
                     asked = []  # its candidates, answered by picks, then the next node's
                     events, point = _resume(
                         idx, point, lambda c: [] if asked.append(c) or len(asked) > 1 else picks)
                     node = point and (point, asked[-1], {})
                     n, node = moves[key] = sum(ev[0] == "pivot" for ev in events), node
                 pivots += n
+            if rule != RF and len(shuffles) < orders:
+                shuffles[drawn] = pivots
         else:
             for ev in steps(idx, fmask, bmask, order):
                 if ev[0] == "pivot":

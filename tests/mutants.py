@@ -50,6 +50,7 @@ class Mutant(NamedTuple):
 MEMO_ERRATA = ("tests/test_montecarlo.py::TestDescentMemo::"
                "test_samples_equal_the_public_runners_at_the_threshold[errata]")
 MEMO_STEPS = "tests/test_montecarlo.py::TestDescentMemo::test_steps_calls_pin_the_threshold_and_the_memo"
+SHUFFLE_CAP = "tests/test_montecarlo.py::TestDescentMemo::test_shuffle_memo_holds_at_most_the_orders_of_f"
 SPLIT_ONCE = "tests/test_algorithms.py::test_each_engine_splits_only_its_start_tree_from_scratch"
 MASSES = "tests/test_comptree.py::TestNodeList::test_masses_and_probabilities"
 SHARED = ("tests/test_comptree.py::TestNodeList::"
@@ -294,24 +295,24 @@ MUTANTS = [
         ("tests/test_orders.py::TestCountOrders::test_sparse_masks_match_brute_force",),
     ),
     Mutant(
-        "the descent memo keys on the set of picks, not their order",
+        "the rfstar descent memo keys on the picks by id, not in their order",
         "montecarlo.py",
-        "key = tuple(picks)",
-        "key = frozenset(picks)",
+        "if rule == RF else order(cands))",
+        "if rule == RF else sorted(order(cands)))",
         (MEMO_ERRATA,),
     ),
     Mutant(
         "the descent memo needs more than |F|! trials",
         "montecarlo.py",
-        "memo = math.factorial(fmask.bit_count()) <= hi - lo",
-        "memo = math.factorial(fmask.bit_count()) < hi - lo",
+        "memo = orders <= hi - lo",
+        "memo = orders < hi - lo",
         (MEMO_STEPS,),
     ),
     Mutant(
         "the descent memo is on below |F|! trials and off from there",
         "montecarlo.py",
-        "memo = math.factorial(fmask.bit_count()) <= hi - lo",
-        "memo = math.factorial(fmask.bit_count()) > hi - lo",
+        "memo = orders <= hi - lo",
+        "memo = orders > hi - lo",
         (MEMO_STEPS,),
     ),
     Mutant(
@@ -319,7 +320,7 @@ MUTANTS = [
         "montecarlo.py",
         "node = point and (point, asked[-1], {})",
         "node = point and (point, cands, {})",
-        (MEMO_STEPS,),
+        (MEMO_ERRATA, MEMO_STEPS),
     ),
     Mutant(
         "a replayed descent adds no pivots",
@@ -335,6 +336,48 @@ MUTANTS = [
         "root = _trials.__dict__.setdefault(\n"
         "        \"root\", ((fmask, bmask), idx.edge_bits(fmask & ~bmask), {}))",
         (MEMO_ERRATA,),
+    ),
+    Mutant(
+        "an rf descent's key drops its last draw",
+        "montecarlo.py",
+        "key = tuple(draws(range(len(cands), 0, -1)) if",
+        "key = tuple(draws(range(len(cands), 0, -1))[:-1] if",
+        (MEMO_ERRATA,),
+    ),
+    Mutant(
+        "a missed rf descent pops its picks off the node's own candidates",
+        "montecarlo.py",
+        "random_order(lambda _: key)(cands.copy())",
+        "random_order(lambda _: key)(cands)",
+        (MEMO_STEPS,),
+    ),
+    Mutant(
+        "the shuffle memo keys on the sorted draws, not their order",
+        "montecarlo.py",
+        "drawn = tuple(shuffle)",
+        "drawn = tuple(sorted(shuffle))",
+        (MEMO_ERRATA,),
+    ),
+    Mutant(
+        "a repeated shuffle replays no pivots",
+        "montecarlo.py",
+        "samples.append(shuffles[drawn])",
+        "samples.append(0)",
+        (MEMO_ERRATA,),
+    ),
+    Mutant(
+        "the shuffle memo has no cap",
+        "montecarlo.py",
+        "if rule != RF and len(shuffles) < orders:",
+        "if rule != RF:",
+        (SHUFFLE_CAP,),
+    ),
+    Mutant(
+        "the shuffle memo holds one shuffle more than |F|!",
+        "montecarlo.py",
+        "len(shuffles) < orders",
+        "len(shuffles) <= orders",
+        (SHUFFLE_CAP,),
     ),
     Mutant(
         "a resumed point drops its pending frames, depth and kind",

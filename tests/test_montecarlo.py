@@ -2,6 +2,7 @@ import math
 import os
 import random
 import threading
+from functools import partial
 
 import pytest
 
@@ -202,7 +203,7 @@ class TestDescentMemo:
 
     @pytest.mark.parametrize("pool", ["errata", "small", "cyclic"])
     def test_samples_equal_the_public_runners_at_the_threshold(
-        self, cpus, errata, enc, small_pool, cyclic_pool, pool
+        self, cpus, counted_samples, errata, enc, small_pool, cyclic_pool, pool
     ):
         cpus(1)
         for k, (inst, facets, start) in enumerate(
@@ -210,42 +211,60 @@ class TestDescentMemo:
         ):
             trials = math.factorial(len(inst.all_edges() if facets is None else facets))
             for rule in (RF, RF_STAR):
-                got = pivot_samples(inst, facets, start, rule, trials, k)
+                # each pivot makes a better tree, so a run descends at most
+                # once per tree it meets, and there are at most 2^m trees
+                got, _ = counted_samples(inst, facets, start, rule, trials, k, 2 ** inst.m)
                 assert got == _by_public_runners(inst, facets, start, rule, trials, k), (k, rule)
 
-    def test_steps_calls_pin_the_threshold_and_the_memo(self, monkeypatch, cpus, errata, enc, m40):
+    def test_steps_calls_pin_the_threshold_and_the_memo(self, cpus, counted_samples, errata, enc, m40):
         # one call per trial below 6! trials, one per new descent from 6! on;
         # the memo's descents reach algorithms.steps through _resume
-        calls = []
-        real = algorithms.steps
-
-        def counting(*args):
-            calls.append(1)
-            # no count pinned here exceeds its trials, so a run that never
-            # ends fails here before its memo fills the memory
-            assert len(calls) <= trials
-            return real(*args)
-
-        monkeypatch.setattr(montecarlo, "steps", counting)
-        monkeypatch.setattr(algorithms, "steps", counting)
         cpus(1)
         pinned = {
             ("001", RF): (177, 292), ("001", RF_STAR): (88, 90),
             ("111", RF): (292, 421), ("111", RF_STAR): (154, 165),
         }
         for (bits, rule), (at_720, at_20000) in pinned.items():
-            got = []
-            for trials in (719, 720, 20_000):
-                del calls[:]
-                pivot_samples(errata, None, enc.tree(bits), rule, trials, 0)
-                got.append(len(calls))
+            got = [counted_samples(errata, None, enc.tree(bits), rule, trials, 0)[1]
+                   for trials in (719, 720, 20_000)]
             assert got == [719, at_720, at_20000], (bits, rule)
         inst, start = m40
-        trials = 3000
         for rule in (RF, RF_STAR):
-            del calls[:]
-            pivot_samples(inst, None, start, rule, trials, 0)
-            assert len(calls) == trials, rule
+            assert counted_samples(inst, None, start, rule, 3000, 0)[1] == 3000, rule
+
+    def test_shuffle_memo_holds_at_most_the_orders_of_f(
+        self, monkeypatch, cpus, counted_samples, errata, enc
+    ):
+        # five facets, a start tree's three edges and two more: 5! = 120
+        # orders of F against 6! shuffles of the six edges.  The rfstar
+        # memo holds the share's first 120 distinct shuffles and no more, so
+        # a trial builds its ranks iff it meets one of them first, or
+        # another shuffle
+        ranked = [0]
+        real = montecarlo._ranks
+
+        def ranks(m, shuffle):
+            ranked[0] += 1
+            return real(m, shuffle)
+
+        monkeypatch.setattr(montecarlo, "_ranks", ranks)
+        cpus(1)
+        trials, seed = 2000, 7
+        shuffles = [tuple(map(rng.randrange, range(errata.m, 1, -1)))
+                    for rng in map(partial(trial_rng, seed), range(trials))]
+        held = list(dict.fromkeys(shuffles))[:120]
+        assert len(set(shuffles)) > 2 * len(held)
+        built = len(held) + sum(s not in held for s in shuffles)
+        for bits, extra, pinned in (("001", {3, 4}, 9), ("111", {0, 4}, 9)):
+            start = enc.tree(bits)
+            facets = start.edge_ids | extra
+            assert math.factorial(len(facets)) == len(held)
+            for rule in (RF, RF_STAR):
+                ranked[0] = 0
+                got, calls = counted_samples(errata, facets, start, rule, trials, seed)
+                assert got == _by_public_runners(errata, facets, start, rule, trials, seed), (bits, rule)
+                assert calls == pinned, (bits, rule)
+                assert ranked[0] == (built if rule == RF_STAR else 0), (bits, rule)
 
 
 class TestRefusal:
@@ -290,6 +309,38 @@ def _no_child_left():
 def cpus(monkeypatch):
     """Set the CPU count pivot_samples splits its trials over."""
     return lambda k: monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: k)
+
+
+@pytest.fixture()
+def counted_samples(monkeypatch):
+    """pivot_samples and the number of its algorithms.steps calls, the
+    memo's through _resume too; calls made outside it, by the public
+    runners, are not counted.  A steps call past `per_trial` a trial fails
+    at once, and so does the run at its deadline: a run that never ends
+    fails before its memo or one steps call fills the memory (a 1 GiB
+    address space in about 10 s).  No count pinned here exceeds one call
+    a trial."""
+    real, calls, bound = algorithms.steps, [], [math.inf]
+
+    def counting(*args):
+        if bound[0] < math.inf:
+            calls.append(1)
+            assert len(calls) <= bound[0], "more steps calls than a run can make"
+        return real(*args)
+
+    def run(inst, facets, start, rule, trials, seed, per_trial=1):
+        del calls[:]
+        bound[0] = trials * per_trial
+        try:
+            with deadline(5):
+                samples = pivot_samples(inst, facets, start, rule, trials, seed)
+        finally:
+            bound[0] = math.inf
+        return samples, len(calls)
+
+    monkeypatch.setattr(montecarlo, "steps", counting)
+    monkeypatch.setattr(algorithms, "steps", counting)
+    return run
 
 
 @pytest.fixture()
